@@ -11,12 +11,11 @@ index-chain arithmetic that drive the finiteness criterion.
 from .errors import TreelatError
 from .permcore import (
     PermGroup,
-    Permutation,
     compose,
     inverse,
     perm_group,
 )
-from .vhcomplex import VhDatum, parse_datum, serialize_datum, validate
+from .vhcomplex import VhDatum, dual, parse_datum, serialize_datum, validate
 from .localaction import local_group, tower, discreteness_verdict
 from .pipeline import (
     AnalysisCaps,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisCaps",
     "PermGroup",
-    "Permutation",
     "TreelatError",
     "VhDatum",
     "WangReport",
@@ -39,6 +37,7 @@ __all__ = [
     "analyze_pair",
     "compose",
     "discreteness_verdict",
+    "dual",
     "inverse",
     "local_group",
     "parse_datum",

@@ -17,15 +17,15 @@ from typing import Optional
 from .errors import UnknownEntry
 from .permcore import (
     PermGroup,
-    Permutation,
     alternating_group,
+    from_cycles,
     group_from_raw,
     group_to_raw,
     induced_action_on_pairs,
     perm_group,
     symmetric_group,
 )
-from .vhcomplex import VhDatum, commuting_datum, parse_datum, serialize_datum
+from .vhcomplex import VhDatum, commuting_datum, serialize_datum
 
 DATUM = "datum"
 RAW_GROUP = "raw_group"
@@ -42,21 +42,12 @@ class CatalogEntry:
     expected: Optional[dict] = None
     members: tuple[str, ...] = ()  # for raw_group_pair entries
 
-    @property
-    def bundled(self) -> bool:
-        return self.payload is not None or self.kind == RAW_GROUP_PAIR
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "payload": self.payload,
-                "source": self.source, "description": self.description,
-                "expected": self.expected, "members": list(self.members)}
-
 
 def mathieu_group_12() -> PermGroup:
     """M12 from a standard two-generator set (an involution and an element
     of order three whose product has order eleven)."""
-    a = Permutation.from_cycles(12, [(0, 3), (2, 9), (4, 10), (5, 11)])
-    b = Permutation.from_cycles(12, [(0, 7, 8), (1, 2, 3), (4, 11, 10), (5, 9, 6)])
+    a = from_cycles(12, [(0, 3), (2, 9), (4, 10), (5, 11)])
+    b = from_cycles(12, [(0, 7, 8), (1, 2, 3), (4, 11, 10), (5, 9, 6)])
     return perm_group([a, b], name="m12")
 
 
@@ -231,10 +222,6 @@ def load_document(name: str) -> dict:
 
 def load_group(name: str) -> PermGroup:
     return group_from_raw(load_document(name))
-
-
-def load_datum(name: str) -> VhDatum:
-    return parse_datum(load_document(name))
 
 
 def regenerate_documents() -> dict[str, dict]:

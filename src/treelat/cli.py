@@ -165,6 +165,12 @@ def _caps_from_args(args: argparse.Namespace) -> AnalysisCaps:
                         section_cap=args.section_cap, strict=args.strict)
 
 
+def _require_tower_depth(depth: int) -> None:
+    # the discreteness verdict compares consecutive tower levels
+    if depth < 2:
+        raise TowerTooShort(f"a tower needs --depth 2 or more, got {depth}")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
     if args.pair:
@@ -176,6 +182,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.path is None:
             print("analyze: either a datum path or --pair is required", file=sys.stderr)
             return EXIT_USAGE
+        _require_tower_depth(args.depth)
         report = analyze_datum(_load_datum(args.path), caps)
     if args.json:
         _print_json(report.to_json())
@@ -185,10 +192,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_tower(args: argparse.Namespace) -> int:
-    if args.depth < 2:
-        # the tower report carries the discreteness verdict, which needs
-        # at least two levels
-        raise TowerTooShort("the tower report needs --depth 2 or more")
+    _require_tower_depth(args.depth)
     d = _load_datum(args.path)
     report = validate(d, strict=args.strict)
     if not report.ok:

@@ -32,10 +32,6 @@ class PointOutOfRange(DomainError):
     pass
 
 
-class NotAPermutation(DomainError):
-    pass
-
-
 class TooLarge(ResourceCapExceeded):
     """Group order exceeds the enumeration cap."""
 
@@ -68,11 +64,11 @@ class MalformedDocument(DomainError):
     pass
 
 
-class OddAlphabet(DomainError):
+class OddAlphabet(MalformedDocument):
     pass
 
 
-class InvolutionNotFpf(DomainError):
+class InvolutionNotFpf(MalformedDocument):
     pass
 
 

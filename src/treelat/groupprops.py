@@ -1,4 +1,4 @@
-"""Permutation-group property analysis.
+"""Property analysis of permutation groups.
 
 Transitivity grades, minimal block systems (Atkinson refinement),
 quasi-primitivity via minimal normal subgroups, almost-simple typing,
@@ -24,19 +24,19 @@ from .errors import (
 from .permcore import (
     DEFAULT_ENUM_CAP,
     PermGroup,
-    Permutation,
-    _compose_t,
-    _inverse_t,
-    _is_id_t,
+    compose,
     conjugacy_class_representatives,
     contains,
     derived_series,
+    element_order,
+    identity,
+    inverse,
+    is_identity,
     normal_closure,
     orbit,
     order,
     point_stabilizer,
 )
-from .simple_orders import simple_order_id  # re-exported  # noqa: F401
 
 DEFAULT_SECTION_CAP = 2_000
 _SUBGROUP_COUNT_CAP = 100_000
@@ -132,11 +132,10 @@ def _minimal_block_partition(g: PermGroup, beta: int) -> tuple[tuple[int, ...], 
 
     parent[beta] = 0
     queue = [beta]
-    gens = [p.images for p in g.generators]
     while queue:
         gamma = queue.pop(0)
         delta = find(gamma)
-        for s in gens:
+        for s in g.generators:
             ra, rb = find(s[gamma]), find(s[delta])
             if ra != rb:
                 keep, lost = min(ra, rb), max(ra, rb)
@@ -198,9 +197,9 @@ def minimal_normal_subgroups(g: PermGroup,
     reps = conjugacy_class_representatives(g, elements)
     closures: list[PermGroup] = []
     for rep in reps:
-        if _is_id_t(rep):
+        if is_identity(rep):
             continue
-        nc = normal_closure(g, [Permutation(rep)])
+        nc = normal_closure(g, [rep])
         if not any(order(c) == order(nc) and _subgroup_leq(c, nc) for c in closures):
             closures.append(nc)
     minimal = []
@@ -211,21 +210,11 @@ def minimal_normal_subgroups(g: PermGroup,
     return minimal
 
 
-def is_quasiprimitive(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Transitive, and every minimal normal subgroup transitive."""
-    if g.degree < 2:
-        raise DegreeTooSmall(f"quasi-primitivity needs degree >= 2, got {g.degree}")
-    if not is_transitive(g):
-        return False
-    return all(len(orbit(m, 0)) == g.degree
-               for m in minimal_normal_subgroups(g, enum_cap))
-
-
 def is_abelian(g: PermGroup) -> bool:
-    gens = [p.images for p in g.generators]
+    gens = g.generators
     for i, a in enumerate(gens):
         for b in gens[i + 1:]:
-            if _compose_t(a, b) != _compose_t(b, a):
+            if compose(a, b) != compose(b, a):
                 return False
     return True
 
@@ -239,20 +228,11 @@ def is_simple(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
     if n == 1:
         return False
     for rep in conjugacy_class_representatives(g):
-        if _is_id_t(rep):
+        if is_identity(rep):
             continue
-        if order(normal_closure(g, [Permutation(rep)])) != n:
+        if order(normal_closure(g, [rep])) != n:
             return False
     return True
-
-
-def socle(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
-    """Subgroup generated by all minimal normal subgroups."""
-    mns = minimal_normal_subgroups(g, enum_cap)
-    gens: list[Permutation] = []
-    for m in mns:
-        gens.extend(m.generators)
-    return PermGroup(degree=g.degree, generators=tuple(gens))
 
 
 def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
@@ -293,10 +273,6 @@ def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
                   socle_order=socle_order), mns
 
 
-def classify_qp(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> QpType:
-    return classify_qp_with_mns(g, enum_cap)[0]
-
-
 # ---------------------------------------------------------------------------
 # section tests
 # ---------------------------------------------------------------------------
@@ -318,7 +294,7 @@ def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> se
     n = order(g)
     if n > enum_cap:
         raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
-    return {Permutation(t).order() for t in g.chain().elements()}
+    return {element_order(t) for t in g.chain().elements()}
 
 
 def section_necessary(m: PermGroup, s: PermGroup,
@@ -371,9 +347,9 @@ class _CayleyTable:
         for i, a in enumerate(elements):
             row = self.mul[i]
             for j, b in enumerate(elements):
-                row[j] = self.index[_compose_t(a, b)]
-        self.inv = [self.index[_inverse_t(e)] for e in elements]
-        self.e = self.index[tuple(range(g.degree))]
+                row[j] = self.index[compose(a, b)]
+        self.inv = [self.index[inverse(e)] for e in elements]
+        self.e = self.index[identity(g.degree)]
 
 
 def _extend_subgroup(table: _CayleyTable, elems: list[int],
@@ -538,9 +514,9 @@ def section_exact_small(m: PermGroup, s: PermGroup,
 def is_normal_in(m: PermGroup, p: PermGroup) -> bool:
     chain = m.chain()
     for x in p.generators:
-        x_inv = _inverse_t(x.images)
+        x_inv = inverse(x)
         for h in m.generators:
-            if not chain.contains(_compose_t(x_inv, _compose_t(h.images, x.images))):
+            if not chain.contains(compose(x_inv, compose(h, x))):
                 return False
     return True
 
@@ -560,6 +536,6 @@ def solvable_outer_check(p: PermGroup, m: PermGroup, point: int = 0) -> bool:
     m_cap_s = point_stabilizer(m, point)
     chain = m_cap_s.chain()
     for term in derived_series(s):
-        if all(chain.contains(q.images) for q in term.generators):
+        if all(chain.contains(q) for q in term.generators):
             return True
     return False

@@ -23,7 +23,7 @@ from .errors import (
     LetterOutOfRange,
     TowerTooShort,
 )
-from .permcore import PermGroup, Permutation, order
+from .permcore import PermGroup, order
 from .vhcomplex import (
     HORIZONTAL,
     VERTICAL,
@@ -126,20 +126,22 @@ class DiscretenessVerdict:
 
 def local_group(d: VhDatum, side: str, k: int,
                 word_bound: int = DEFAULT_WORD_BOUND) -> PermGroup:
-    """Permutation group on the depth-k sphere words generated by the states
-    of the other side's automaton."""
+    """The group of permutations of the depth-k sphere words generated by
+    the states of the other side's automaton."""
     aut = automaton_for_side(d, side)
     return _local_group_from_automaton(aut, k, word_bound)
 
 
 def _local_group_from_automaton(aut: MealyAutomaton, k: int,
-                                word_bound: int = DEFAULT_WORD_BOUND) -> PermGroup:
-    sphere = sphere_index(aut.letters, k, word_bound)
-    gens = []
-    for s in range(aut.states.size):
-        images = tuple(sphere.position(act_word(aut, s, w)) for w in sphere.words)
-        gens.append(Permutation(images))
-    return PermGroup(degree=len(sphere), generators=tuple(gens))
+                                word_bound: int = DEFAULT_WORD_BOUND,
+                                sphere: Optional[SphereIndex] = None) -> PermGroup:
+    """The states' action on the depth-k sphere; pass `sphere` when the
+    caller has already indexed it."""
+    if sphere is None:
+        sphere = sphere_index(aut.letters, k, word_bound)
+    gens = tuple(tuple(sphere.position(act_word(aut, s, w)) for w in sphere.words)
+                 for s in range(aut.states.size))
+    return PermGroup(degree=len(sphere), generators=gens)
 
 
 def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH,
@@ -153,7 +155,7 @@ def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH,
     spheres = []
     for k in range(1, depth + 1):
         spheres.append(sphere_index(aut.letters, k, word_bound))
-        groups.append(_local_group_from_automaton(aut, k, word_bound))
+        groups.append(_local_group_from_automaton(aut, k, word_bound, spheres[-1]))
     for k in range(len(groups) - 1):
         _assert_restriction(spheres[k], spheres[k + 1], groups[k], groups[k + 1])
     return LocalTower(side=side, groups=tuple(groups),
@@ -166,8 +168,8 @@ def _assert_restriction(small: SphereIndex, big: SphereIndex,
     depth-k generator."""
     parent = [small.position(w[:-1]) for w in big.words]
     for g_small, g_big in zip(p_small.generators, p_big.generators):
-        for i, j in enumerate(g_big.images):
-            if g_small(parent[i]) != parent[j]:
+        for i, j in enumerate(g_big):
+            if g_small[parent[i]] != parent[j]:
                 raise InternalInvariantError(
                     "tower restriction mismatch: truncated generator disagrees")
 

@@ -3,139 +3,83 @@
 Conventions, fixed once and asserted in the test suite:
 
 * points are the integers 0..degree-1;
+* a permutation is its image tuple: ``p[x]`` is the image of ``x``;
 * permutations act on the left, ``compose(p, q)`` applies ``q`` first,
-  so ``compose(p, q)(x) == p(q(x))``;
+  so ``compose(p, q)[x] == p[q[x]]``;
 * stabilizer chains pick each new base point as the smallest point moved
   by the generator being installed, which makes every chain (and hence
   every order, transversal and report) reproducible.
 
-Internally the hot paths work on raw image tuples; the ``Permutation``
-wrapper only appears at API boundaries.
+Image tuples are not validated here: outside data enters through
+``group_from_raw``, which checks that every generator is a bijection.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DegreeMismatch,
-    NotAPermutation,
+    MalformedDocument,
     PointOutOfRange,
-    TooLarge,
 )
 
 DEFAULT_ENUM_CAP = 1_000_000
 
+Perm = tuple[int, ...]
+
 
 # ---------------------------------------------------------------------------
-# raw tuple helpers (no validation, used in inner loops)
+# permutations as image tuples
 # ---------------------------------------------------------------------------
 
-def _id_tuple(n: int) -> tuple[int, ...]:
+def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def _compose_t(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """p after q: result[x] = p[q[x]]."""
+def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
+    """Product applying q first: compose(p, q)[x] = p[q[x]]."""
     return tuple(p[i] for i in q)
 
 
-def _inverse_t(p: Sequence[int]) -> tuple[int, ...]:
+def inverse(p: Sequence[int]) -> Perm:
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
 
 
-def _is_id_t(p: Sequence[int]) -> bool:
+def is_identity(p: Sequence[int]) -> bool:
     return all(i == j for i, j in enumerate(p))
 
 
-# ---------------------------------------------------------------------------
-# Permutation
-# ---------------------------------------------------------------------------
+def from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
+    images = list(range(degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:]):
+            images[a] = b
+        if cycle:
+            images[cycle[-1]] = cycle[0]
+    return tuple(images)
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0, ..., degree-1}, stored as its image tuple."""
 
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        n = len(images)
-        seen = [False] * n
-        for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
-                raise NotAPermutation(f"images {images!r} are not a bijection of 0..{n - 1}")
+def element_order(p: Sequence[int]) -> int:
+    """Least k >= 1 with p^k the identity: the lcm of the cycle lengths."""
+    seen = [False] * len(p)
+    result = 1
+    for start in range(len(p)):
+        length = 0
+        x = start
+        while not seen[x]:
             seen[x] = True
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(_id_tuple(degree))
-
-    @staticmethod
-    def from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(degree))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:]):
-                images[a] = b
-            if cycle:
-                images[cycle[-1]] = cycle[0]
-        return Permutation(tuple(images))
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def is_identity(self) -> bool:
-        return _is_id_t(self.images)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Non-trivial cycles, each rotated to start at its minimum."""
-        seen = set()
-        out = []
-        for i in range(self.degree):
-            if i in seen or self.images[i] == i:
-                continue
-            cyc = [i]
-            j = self.images[i]
-            while j != i:
-                seen.add(j)
-                cyc.append(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
-
-    def order(self) -> int:
-        from math import lcm
-        return lcm(1, *(len(c) for c in self.cycles()))
-
-    def __str__(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Product applying q first: compose(p, q)(x) = p(q(x))."""
-    if p.degree != q.degree:
-        raise DegreeMismatch(f"degrees {p.degree} != {q.degree}")
-    return Permutation(_compose_t(p.images, q.images))
-
-
-def inverse(p: Permutation) -> Permutation:
-    return Permutation(_inverse_t(p.images))
+            x = p[x]
+            length += 1
+        if length:
+            result = lcm(result, length)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +108,12 @@ class StabilizerChain:
                 raise PointOutOfRange(f"base point {b} out of range for degree {degree}")
             if b not in self.base:
                 self.base.append(b)
-                self.transversals.append({b: _id_tuple(degree)})
+                self.transversals.append({b: identity(degree)})
         for g in generators:
             t = tuple(g)
             if len(t) != degree:
                 raise DegreeMismatch(f"generator degree {len(t)} != {degree}")
-            if not _is_id_t(t) and t not in self.strong:
+            if not is_identity(t) and t not in self.strong:
                 self._install(t)
         self._complete()
 
@@ -182,7 +126,7 @@ class StabilizerChain:
     def _rebuild(self, i: int) -> None:
         gens = self._level_gens(i)
         b = self.base[i]
-        trans = {b: _id_tuple(self.degree)}
+        trans = {b: identity(self.degree)}
         queue = [b]
         while queue:
             beta = queue.pop(0)
@@ -190,7 +134,7 @@ class StabilizerChain:
             for s in gens:
                 gamma = s[beta]
                 if gamma not in trans:
-                    trans[gamma] = _compose_t(s, u)
+                    trans[gamma] = compose(s, u)
                     queue.append(gamma)
         self.transversals[i] = trans
 
@@ -219,7 +163,7 @@ class StabilizerChain:
             u = self.transversals[i].get(x)
             if u is None:
                 return g, i
-            g = _compose_t(_inverse_t(u), g)
+            g = compose(inverse(u), g)
         return g, len(self.base)
 
     def _process_level(self, i: int) -> Optional[int]:
@@ -230,11 +174,11 @@ class StabilizerChain:
             u_beta = trans[beta]
             for s in gens:
                 u_gamma = trans[s[beta]]
-                schreier = _compose_t(_inverse_t(u_gamma), _compose_t(s, u_beta))
-                if _is_id_t(schreier):
+                schreier = compose(inverse(u_gamma), compose(s, u_beta))
+                if is_identity(schreier):
                     continue
                 residue, stuck = self._sift_from(i + 1, schreier)
-                if not _is_id_t(residue):
+                if not is_identity(residue):
                     return self._install(residue)
         return None
 
@@ -260,14 +204,14 @@ class StabilizerChain:
         return residue
 
     def contains(self, g: Sequence[int]) -> bool:
-        return _is_id_t(self.sift(g))
+        return is_identity(self.sift(g))
 
     def elements(self) -> list[tuple[int, ...]]:
         """All group elements as image tuples (size = order)."""
-        elems = [_id_tuple(self.degree)]
+        elems = [identity(self.degree)]
         for trans in reversed(self.transversals):
             reps = [trans[x] for x in sorted(trans)]
-            elems = [_compose_t(u, e) for u in reps for e in elems]
+            elems = [compose(u, e) for u in reps for e in elems]
         return elems
 
     def stabilizer_suffix(self) -> tuple[list[tuple[int, ...]], "StabilizerChain"]:
@@ -276,8 +220,6 @@ class StabilizerChain:
         The suffix of a verified chain is itself a verified chain for the
         stabilizer of the first base point.
         """
-        if not self.base:
-            return [], self
         b0 = self.base[0]
         gens = [g for g in self.strong if g[b0] == b0]
         sub = StabilizerChain.__new__(StabilizerChain)
@@ -302,36 +244,30 @@ class PermGroup:
     """
 
     degree: int
-    generators: tuple[Permutation, ...]
+    generators: tuple[Perm, ...]
     bsgs: Optional[StabilizerChain] = field(default=None, repr=False)
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
         for g in self.generators:
-            if g.degree != self.degree:
+            if len(g) != self.degree:
                 raise DegreeMismatch(
-                    f"generator of degree {g.degree} in group of degree {self.degree}")
+                    f"generator of degree {len(g)} in group of degree {self.degree}")
 
     def chain(self) -> StabilizerChain:
         if self.bsgs is None:
-            self.bsgs = StabilizerChain(self.degree, (g.images for g in self.generators))
+            self.bsgs = StabilizerChain(self.degree, self.generators)
         return self.bsgs
 
-    def order(self) -> int:
-        return self.chain().order()
 
-    def __contains__(self, p: Permutation) -> bool:
-        return contains(self, p)
-
-
-def perm_group(generators: Iterable[Permutation], degree: Optional[int] = None,
+def perm_group(generators: Iterable[Sequence[int]], degree: Optional[int] = None,
                name: Optional[str] = None) -> PermGroup:
-    gens = tuple(generators)
+    gens = tuple(tuple(g) for g in generators)
     if degree is None:
         if not gens:
             raise DegreeMismatch("degree required for a group with no generators")
-        degree = gens[0].degree
+        degree = len(gens[0])
     return PermGroup(degree=degree, generators=gens, name=name)
 
 
@@ -345,10 +281,9 @@ def orbit(g: PermGroup, point: int) -> set[int]:
         raise PointOutOfRange(f"point {point} out of range for degree {g.degree}")
     seen = {point}
     queue = [point]
-    gens = [p.images for p in g.generators]
     while queue:
         beta = queue.pop()
-        for s in gens:
+        for s in g.generators:
             gamma = s[beta]
             if gamma not in seen:
                 seen.add(gamma)
@@ -356,75 +291,40 @@ def orbit(g: PermGroup, point: int) -> set[int]:
     return seen
 
 
-def build_bsgs(g: PermGroup) -> PermGroup:
-    """Return a group value identical to g with the stabilizer chain attached."""
-    if g.bsgs is not None:
-        return g
-    chain = StabilizerChain(g.degree, (p.images for p in g.generators))
-    return PermGroup(degree=g.degree, generators=g.generators, bsgs=chain, name=g.name)
-
-
 def order(g: PermGroup) -> int:
     return g.chain().order()
 
 
-def contains(g: PermGroup, p: Permutation) -> bool:
-    if p.degree != g.degree:
-        raise DegreeMismatch(f"degrees {p.degree} != {g.degree}")
-    return g.chain().contains(p.images)
-
-
-def enumerate_elements(g: PermGroup, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
-    """All elements of g, or raise TooLarge when the order exceeds cap."""
-    if cap < 1:
-        raise TooLarge("cap must be at least 1")
-    n = order(g)
-    if n > cap:
-        raise TooLarge(f"group order {n} exceeds cap {cap}")
-    return [Permutation(t) for t in g.chain().elements()]
+def contains(g: PermGroup, p: Sequence[int]) -> bool:
+    if len(p) != g.degree:
+        raise DegreeMismatch(f"degrees {len(p)} != {g.degree}")
+    return g.chain().contains(p)
 
 
 def point_stabilizer(g: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point, generated by the Schreier generators of a
-    chain based at that point (identity and duplicates removed)."""
+    """Stabilizer of a point: the strong generators fixing it in a chain
+    based at that point, with the rest of that chain as its own."""
     if not 0 <= point < g.degree:
         raise PointOutOfRange(f"point {point} out of range for degree {g.degree}")
-    chain = StabilizerChain(g.degree, (p.images for p in g.generators),
-                            base_prefix=(point,))
-    trans = chain.transversals[0]
-    gens: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    group_gens = [p.images for p in g.generators]
-    for beta in sorted(trans):
-        u_beta = trans[beta]
-        for s in group_gens:
-            u_gamma = trans[s[beta]]
-            schreier = _compose_t(_inverse_t(u_gamma), _compose_t(s, u_beta))
-            if not _is_id_t(schreier) and schreier not in seen:
-                seen.add(schreier)
-                gens.append(schreier)
-    _, sub = chain.stabilizer_suffix()
-    return PermGroup(degree=g.degree,
-                     generators=tuple(Permutation(t) for t in gens),
-                     bsgs=sub)
+    chain = StabilizerChain(g.degree, g.generators, base_prefix=(point,))
+    gens, sub = chain.stabilizer_suffix()
+    return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=sub)
 
 
-def normal_closure(g: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
+def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     """Smallest subgroup containing the seeds and closed under conjugation
     by the generators of g."""
     seed_tuples = []
     for s in seeds:
-        if s.degree != g.degree:
-            raise DegreeMismatch(f"seed degree {s.degree} != {g.degree}")
-        if not s.is_identity():
-            seed_tuples.append(s.images)
-    conjugators = []
-    for p in g.generators:
-        conjugators.append((p.images, _inverse_t(p.images)))
+        if len(s) != g.degree:
+            raise DegreeMismatch(f"seed degree {len(s)} != {g.degree}")
+        if not is_identity(s):
+            seed_tuples.append(s)
+    conjugators = [(x, inverse(x)) for x in g.generators]
 
-    gens: list[tuple[int, ...]] = []
+    gens: list[Perm] = []
     chain = StabilizerChain(g.degree, ())
-    queue: list[tuple[int, ...]] = []
+    queue: list[Perm] = []
     for t in seed_tuples:
         if not chain.contains(t):
             gens.append(t)
@@ -433,27 +333,24 @@ def normal_closure(g: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
     while queue:
         h = queue.pop()
         for x, x_inv in conjugators:
-            c = _compose_t(x_inv, _compose_t(h, x))
+            c = compose(x_inv, compose(h, x))
             if not chain.contains(c):
                 gens.append(c)
                 chain = StabilizerChain(g.degree, gens)
                 queue.append(c)
-    return PermGroup(degree=g.degree,
-                     generators=tuple(Permutation(t) for t in gens),
-                     bsgs=chain)
+    return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=chain)
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
     """Commutator subgroup: normal closure of generator commutators."""
     comms = []
-    gens = [p.images for p in g.generators]
-    for a in gens:
-        a_inv = _inverse_t(a)
-        for b in gens:
-            b_inv = _inverse_t(b)
-            c = _compose_t(_compose_t(a_inv, b_inv), _compose_t(a, b))
-            if not _is_id_t(c):
-                comms.append(Permutation(c))
+    for a in g.generators:
+        a_inv = inverse(a)
+        for b in g.generators:
+            b_inv = inverse(b)
+            c = compose(compose(a_inv, b_inv), compose(a, b))
+            if not is_identity(c):
+                comms.append(c)
     return normal_closure(g, comms)
 
 
@@ -474,13 +371,9 @@ def derived_series(g: PermGroup) -> list[PermGroup]:
         current = nxt
 
 
-def is_solvable(g: PermGroup) -> bool:
-    return order(derived_series(g)[-1]) == 1
-
-
 def conjugacy_class_representatives(g: PermGroup,
-                                    elements: Optional[list[tuple[int, ...]]] = None
-                                    ) -> list[tuple[int, ...]]:
+                                    elements: Optional[list[Perm]] = None
+                                    ) -> list[Perm]:
     """One representative image tuple per conjugacy class of g.
 
     Classes are found by closing the element set under conjugation by the
@@ -492,11 +385,9 @@ def conjugacy_class_representatives(g: PermGroup,
         return cached
     if elements is None:
         elements = g.chain().elements()
-    conjugators = []
-    for p in g.generators:
-        conjugators.append((p.images, _inverse_t(p.images)))
-    assigned: set[tuple[int, ...]] = set()
-    reps: list[tuple[int, ...]] = []
+    conjugators = [(x, inverse(x)) for x in g.generators]
+    assigned: set[Perm] = set()
+    reps: list[Perm] = []
     for e in elements:
         if e in assigned:
             continue
@@ -506,7 +397,7 @@ def conjugacy_class_representatives(g: PermGroup,
         while queue:
             h = queue.pop()
             for x, x_inv in conjugators:
-                c = _compose_t(x_inv, _compose_t(h, x))
+                c = compose(x_inv, compose(h, x))
                 if c not in assigned:
                     assigned.add(c)
                     queue.append(c)
@@ -515,8 +406,8 @@ def conjugacy_class_representatives(g: PermGroup,
 
 
 def group_from_raw(document: dict) -> PermGroup:
-    """Parse the raw group JSON document {"degree": d, "generators": [...]}."""
-    from .errors import MalformedDocument
+    """Parse the raw group JSON document {"degree": d, "generators": [...]},
+    checking that every generator is a bijection of 0..d-1."""
     if not isinstance(document, dict):
         raise MalformedDocument("raw group document must be a JSON object")
     try:
@@ -524,25 +415,23 @@ def group_from_raw(document: dict) -> PermGroup:
         raw_gens = document["generators"]
     except (KeyError, TypeError) as exc:
         raise MalformedDocument(f"missing field in raw group document: {exc}") from exc
-    if not isinstance(degree, int) or degree < 1:
+    # `type(x) is int` also rejects JSON booleans, which are ints to Python
+    if type(degree) is not int or degree < 1:
         raise MalformedDocument(f"degree must be a positive integer, got {degree!r}")
     if not isinstance(raw_gens, list):
         raise MalformedDocument("generators must be a list of image lists")
-    gens = []
     for images in raw_gens:
-        if not isinstance(images, list) or len(images) != degree:
-            raise MalformedDocument(f"generator {images!r} does not have length {degree}")
-        try:
-            gens.append(Permutation(tuple(images)))
-        except NotAPermutation as exc:
-            raise MalformedDocument(str(exc)) from exc
+        if (not isinstance(images, list) or any(type(x) is not int for x in images)
+                or sorted(images) != list(range(degree))):
+            raise MalformedDocument(
+                f"generator {images!r} is not a bijection of 0..{degree - 1}")
     name = document.get("name")
-    return PermGroup(degree=degree, generators=tuple(gens), name=name)
+    return PermGroup(degree=degree, generators=tuple(tuple(x) for x in raw_gens),
+                     name=name)
 
 
 def group_to_raw(g: PermGroup) -> dict:
-    doc: dict = {"degree": g.degree,
-                 "generators": [list(p.images) for p in g.generators]}
+    doc: dict = {"degree": g.degree, "generators": [list(p) for p in g.generators]}
     if g.name is not None:
         doc["name"] = g.name
     return doc
@@ -553,28 +442,21 @@ def group_to_raw(g: PermGroup) -> dict:
 def symmetric_group(n: int) -> PermGroup:
     if n < 2:
         return trivial_group(max(n, 1))
-    gens = [Permutation.from_cycles(n, [tuple(range(n))]),
-            Permutation.from_cycles(n, [(0, 1)])]
-    return PermGroup(degree=n, generators=tuple(gens), name=f"S{n}")
+    gens = (from_cycles(n, [tuple(range(n))]), from_cycles(n, [(0, 1)]))
+    return PermGroup(degree=n, generators=gens, name=f"S{n}")
 
 
 def alternating_group(n: int) -> PermGroup:
     if n < 3:
         return trivial_group(max(n, 1))
-    three = Permutation.from_cycles(n, [(0, 1, 2)])
+    three = from_cycles(n, [(0, 1, 2)])
     if n == 3:
         gens = (three,)
     elif n % 2 == 1:
-        gens = (three, Permutation.from_cycles(n, [tuple(range(n))]))
+        gens = (three, from_cycles(n, [tuple(range(n))]))
     else:
-        gens = (three, Permutation.from_cycles(n, [tuple(range(1, n))]))
+        gens = (three, from_cycles(n, [tuple(range(1, n))]))
     return PermGroup(degree=n, generators=gens, name=f"A{n}")
-
-
-def cyclic_group(n: int) -> PermGroup:
-    return PermGroup(degree=n,
-                     generators=(Permutation.from_cycles(n, [tuple(range(n))]),),
-                     name=f"C{n}")
 
 
 def induced_action_on_pairs(g: PermGroup) -> PermGroup:
@@ -582,9 +464,7 @@ def induced_action_on_pairs(g: PermGroup) -> PermGroup:
     ordered lexicographically."""
     pairs = list(itertools.combinations(range(g.degree), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    gens = []
-    for p in g.generators:
-        images = [index[tuple(sorted((p(a), p(b))))] for a, b in pairs]
-        gens.append(Permutation(tuple(images)))
+    gens = tuple(tuple(index[tuple(sorted((p[a], p[b])))] for a, b in pairs)
+                 for p in g.generators)
     new_name = f"{g.name}_on_pairs" if g.name else None
-    return PermGroup(degree=len(pairs), generators=tuple(gens), name=new_name)
+    return PermGroup(degree=len(pairs), generators=gens, name=new_name)

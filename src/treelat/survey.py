@@ -148,14 +148,3 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet,
         if progress and result.total % 1000 == 0:
             progress(result.total)
     return result
-
-
-def first_nontrivial_datum(horiz: Alphabet, vert: Alphabet) -> Optional[VhDatum]:
-    """First enumerated datum whose vertical automaton has a non-identity
-    output row (used as a fixture by tests and examples)."""
-    for d in enumerate_complete_data(horiz, vert):
-        aut = vertical_automaton(d)
-        if any(aut.out[s] != tuple(range(aut.letters.size))
-               for s in range(aut.states.size)):
-            return d
-    return None

@@ -23,7 +23,7 @@ Orbits under these rules have size 4, or size 2 exactly when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -227,22 +227,6 @@ def _co_map(d: VhDatum) -> dict[tuple[int, int], tuple[int, int]]:
     return co
 
 
-def transition(d: VhDatum, a: int, b: int) -> tuple[int, int]:
-    """The corner bijection: (a, b) -> (b2, a2) with a.b = b2.a2."""
-    try:
-        return _phi_map(d)[(a, b)]
-    except KeyError:
-        raise InvalidDatum(f"no square with first corner ({a},{b})") from None
-
-
-def co_transition(d: VhDatum, b: int, a: int) -> tuple[int, int]:
-    """Solves b . a = a* . b* for (a*, b*)."""
-    try:
-        return _co_map(d)[(b, a)]
-    except KeyError:
-        raise InvalidDatum(f"no square resolving co-corner ({b},{a})") from None
-
-
 # ---------------------------------------------------------------------------
 # Mealy automata
 # ---------------------------------------------------------------------------
@@ -335,7 +319,7 @@ def _involution_from_pairs(size: int, pairs, label: str) -> Alphabet:
     inv = [-1] * size
     for pair in pairs:
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
+                or not all(type(x) is int for x in pair)):
             raise MalformedDocument(f"{label} entry {pair!r} is not a pair of letters")
         i, j = pair
         if not (0 <= i < size and 0 <= j < size):
@@ -361,7 +345,8 @@ def parse_datum(document: dict) -> VhDatum:
         raw_squares = document["squares"]
     except (KeyError, TypeError) as exc:
         raise MalformedDocument(f"missing field in datum document: {exc}") from exc
-    if not isinstance(n, int) or not isinstance(m, int):
+    # `type(x) is int` also rejects JSON booleans, which are ints to Python
+    if type(n) is not int or type(m) is not int:
         raise MalformedDocument("n and m must be integers")
     if n % 2 or m % 2 or n < 2 or m < 2:
         raise OddAlphabet(f"alphabet sizes must be even integers >= 2, got n={n}, m={m}")
@@ -372,7 +357,7 @@ def parse_datum(document: dict) -> VhDatum:
         raise MalformedDocument("squares must be a list of 4-element lists")
     squares: list[Square] = []
     for sq in raw_squares:
-        if not isinstance(sq, list) or len(sq) != 4 or not all(isinstance(x, int) for x in sq):
+        if not isinstance(sq, list) or len(sq) != 4 or not all(type(x) is int for x in sq):
             raise MalformedDocument(f"square {sq!r} is not a list of 4 letters")
         squares.append(tuple(sq))
     if not oriented:
@@ -445,7 +430,3 @@ def commuting_datum(n: int, m: int, name: Optional[str] = None) -> VhDatum:
     return VhDatum(horiz=horiz, vert=vert, squares=squares,
                    name=name or f"commuting_t{n}x{m}",
                    source="direct product construction (built in)")
-
-
-def with_name(d: VhDatum, name: str, source: Optional[str] = None) -> VhDatum:
-    return replace(d, name=name, source=source if source is not None else d.source)

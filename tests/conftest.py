@@ -1,23 +1,41 @@
 import random
+from typing import Optional
 
 import pytest
 
 from treelat.permcore import (
     PermGroup,
-    Permutation,
     alternating_group,
-    cyclic_group,
+    from_cycles,
     perm_group,
     symmetric_group,
     trivial_group,
 )
+from treelat.survey import enumerate_complete_data
+from treelat.vhcomplex import Alphabet, VhDatum, vertical_automaton
 
 SUITE_SEED = 20260808
 
 
+def cyclic_group(n: int) -> PermGroup:
+    return PermGroup(degree=n, generators=(from_cycles(n, [tuple(range(n))]),),
+                     name=f"C{n}")
+
+
+def first_nontrivial_datum(horiz: Alphabet, vert: Alphabet) -> Optional[VhDatum]:
+    """First enumerated datum whose vertical automaton has a non-identity
+    output row."""
+    for d in enumerate_complete_data(horiz, vert):
+        aut = vertical_automaton(d)
+        if any(aut.out[s] != tuple(range(aut.letters.size))
+               for s in range(aut.states.size)):
+            return d
+    return None
+
+
 def named_groups() -> list[PermGroup]:
     """Fixed, deterministic members of the engine-oracle suite."""
-    c = Permutation.from_cycles
+    c = from_cycles
     psl27 = perm_group(
         [c(8, [(0, 1, 2, 3, 4, 5, 6)]), c(8, [(0, 7), (1, 6), (2, 3), (4, 5)])],
         name="PSL(2,7) on the projective line")
@@ -57,7 +75,7 @@ def random_groups(count: int = 11, seed: int = SUITE_SEED) -> list[PermGroup]:
         for _ in range(n_gens):
             images = list(range(degree))
             rng.shuffle(images)
-            gens.append(Permutation(tuple(images)))
+            gens.append(tuple(images))
         out.append(perm_group(gens, degree=degree, name=f"random#{i}"))
     return out
 

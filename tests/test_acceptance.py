@@ -159,7 +159,7 @@ def test_criterion_6_engine_oracle_suite(capsys):
     assert len(suite) == 30
     checked_mns = 0
     for g in suite:
-        gens = [p.images for p in g.generators]
+        gens = g.generators
         closure = closure_elements(gens, g.degree)
         assert order(g) == len(closure), g.name
         if g.degree >= 2:
@@ -201,8 +201,8 @@ def test_criterion_7_tower_properties_catalog(capsys):
                 parent = [small.position(w[:-1]) for w in big.words]
                 for g_small, g_big in zip(t.groups[k - 1].generators,
                                           t.groups[k].generators):
-                    for i, j in enumerate(g_big.images):
-                        assert g_small(parent[i]) == parent[j]
+                    for i, j in enumerate(g_big):
+                        assert g_small[parent[i]] == parent[j]
             # stabilization persistence
             stabilized = False
             for a, b in zip(t.orders, t.orders[1:]):

@@ -125,6 +125,52 @@ def test_analyze_enum_cap_exceeded(capsys):
     assert "cap" in err.lower()
 
 
+def test_analyze_depth_zero_is_usage_error(capsys, commuting_file):
+    code, _, err = run(capsys, "analyze", str(commuting_file), "--depth", "0")
+    assert code == 2
+    assert "--depth 2" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+# ---------------------------------------------------------------------------
+
+def test_raw_group_boolean_degree_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"degree": True, "generators": [[0]]}))
+    code, _, err = run(capsys, "analyze", "--pair", str(path), str(path))
+    assert code == 2
+    assert "degree" in err
+
+
+def test_datum_boolean_letter_is_usage_error(capsys, tmp_path):
+    doc = catalog.load_document("commuting_t4x4")
+    doc["h_involution"] = [[0, True], [2, 3]]
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "ok" not in out
+
+
+def test_datum_odd_alphabet_is_usage_error(capsys, tmp_path):
+    doc = catalog.load_document("commuting_t4x4")
+    doc["n"] = 3
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "validate", str(path))
+    assert code == 2
+
+
+def test_datum_broken_involution_is_usage_error(capsys, tmp_path):
+    doc = catalog.load_document("commuting_t4x4")
+    doc["v_involution"] = [[0, 1], [1, 2]]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == 2
+
+
 # ---------------------------------------------------------------------------
 # tower
 # ---------------------------------------------------------------------------

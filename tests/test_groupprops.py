@@ -14,25 +14,21 @@ from treelat.groupprops import (
     TWO_REGULAR_MNS,
     UNKNOWN,
     YES,
-    classify_qp,
     classify_qp_with_mns,
     element_order_spectrum,
     is_2transitive,
     is_primitive,
-    is_quasiprimitive,
     is_simple,
     is_transitive,
     minimal_block_systems,
     minimal_normal_subgroups,
     section_exact_small,
     section_necessary,
-    simple_order_id,
     solvable_outer_check,
 )
 from treelat.permcore import (
-    Permutation,
     alternating_group,
-    cyclic_group,
+    from_cycles,
     induced_action_on_pairs,
     order,
     perm_group,
@@ -40,7 +36,9 @@ from treelat.permcore import (
     symmetric_group,
     trivial_group,
 )
+from treelat.pipeline import analyze_raw_group
 
+from conftest import cyclic_group
 from oracles import (
     invariant_partitions_bruteforce,
     minimal_normal_bruteforce,
@@ -48,10 +46,6 @@ from oracles import (
     transitive_bruteforce,
     two_transitive_bruteforce,
 )
-
-
-def images(g):
-    return [p.images for p in g.generators]
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +56,14 @@ def test_a6_transitivity_grades():
     a6 = alternating_group(6)
     assert is_transitive(a6)
     assert is_2transitive(a6)
-    assert two_transitive_bruteforce(images(a6), 6)
+    assert two_transitive_bruteforce(a6.generators, 6)
 
 
 def test_s5_on_pairs_not_2transitive():
     g = induced_action_on_pairs(symmetric_group(5))
     assert is_transitive(g)
     assert not is_2transitive(g)
-    assert not two_transitive_bruteforce(images(g), 10)
+    assert not two_transitive_bruteforce(g.generators, 10)
     # the pair-stabilizer splits the other 9 points into orbits of 3 and 6
     stab = point_stabilizer(g, 0)
     from treelat.permcore import orbit
@@ -85,8 +79,8 @@ def test_transitivity_matches_oracle(suite):
     for g in suite:
         if g.degree < 2:
             continue
-        assert is_transitive(g) == transitive_bruteforce(images(g), g.degree)
-        assert is_2transitive(g) == two_transitive_bruteforce(images(g), g.degree)
+        assert is_transitive(g) == transitive_bruteforce(g.generators, g.degree)
+        assert is_2transitive(g) == two_transitive_bruteforce(g.generators, g.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +93,13 @@ def test_c4_minimal_blocks():
     assert systems == [((0, 2), (1, 3))]
     assert not is_primitive(c4)
     # oracle agrees that this is the only invariant partition
-    assert invariant_partitions_bruteforce(images(c4), 4) == [((0, 2), (1, 3))]
+    assert invariant_partitions_bruteforce(c4.generators, 4) == [((0, 2), (1, 3))]
 
 
 def test_s5_on_pairs_primitive():
     g = induced_action_on_pairs(symmetric_group(5))
     assert is_primitive(g)
-    assert primitive_bruteforce(images(g), 10)
+    assert primitive_bruteforce(g.generators, 10)
 
 
 def test_a6_primitive():
@@ -121,14 +115,14 @@ def test_primitivity_matches_oracle(suite):
     for g in suite:
         if g.degree < 2 or not is_transitive(g):
             continue
-        assert is_primitive(g) == primitive_bruteforce(images(g), g.degree), g.name
+        assert is_primitive(g) == primitive_bruteforce(g.generators, g.degree), g.name
 
 
 def test_every_minimal_system_is_invariant(suite):
     for g in suite:
         if g.degree < 2 or not is_transitive(g):
             continue
-        oracle = set(invariant_partitions_bruteforce(images(g), g.degree))
+        oracle = set(invariant_partitions_bruteforce(g.generators, g.degree))
         for system in minimal_block_systems(g):
             assert system in oracle, (g.name, system)
 
@@ -149,11 +143,10 @@ def test_mns_a5():
 
 def test_mns_klein_four():
     # all three order-2 subgroups of C2 x C2 are minimal normal
-    v4 = perm_group([Permutation.from_cycles(4, [(0, 1)]),
-                     Permutation.from_cycles(4, [(2, 3)])])
+    v4 = perm_group([from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])])
     mns = minimal_normal_subgroups(v4)
     assert [order(m) for m in mns] == [2, 2, 2]
-    oracle = minimal_normal_bruteforce(images(v4), 4)
+    oracle = minimal_normal_bruteforce(v4.generators, 4)
     assert len(oracle) == 3
 
 
@@ -169,47 +162,52 @@ def test_mns_matches_lattice_oracle(suite):
             continue
         engine = {frozenset(m.chain().elements())
                   for m in minimal_normal_subgroups(g)}
-        oracle = {frozenset(n) for n in minimal_normal_bruteforce(images(g), g.degree)}
+        oracle = {frozenset(n) for n in minimal_normal_bruteforce(g.generators, g.degree)}
         assert engine == oracle, g.name
         # lattice-free second route: class unions closed under multiplication
         try:
-            by_unions = normal_subgroups_via_class_unions(images(g), g.degree)
+            by_unions = normal_subgroups_via_class_unions(g.generators, g.degree)
         except ValueError:
             continue
         assert ({frozenset(n) for n in by_unions}
-                == {frozenset(n) for n in normal_subgroups_bruteforce(images(g), g.degree)}), g.name
+                == {frozenset(n) for n in normal_subgroups_bruteforce(g.generators, g.degree)}), g.name
 
 
 # ---------------------------------------------------------------------------
 # quasi-primitivity and typing
 # ---------------------------------------------------------------------------
 
+def quasiprimitive(g):
+    """Quasi-primitivity as the side report states it."""
+    return analyze_raw_group(g).quasiprimitive
+
+
 def test_c4_not_quasiprimitive():
-    assert not is_quasiprimitive(cyclic_group(4))
-    assert classify_qp(cyclic_group(4)).tag == NOT_QUASIPRIMITIVE
+    assert not quasiprimitive(cyclic_group(4))
+    assert classify_qp_with_mns(cyclic_group(4))[0].tag == NOT_QUASIPRIMITIVE
 
 
 def test_s5_on_pairs_quasiprimitive():
     g = induced_action_on_pairs(symmetric_group(5))
-    assert is_quasiprimitive(g)
-    qp = classify_qp(g)
+    assert quasiprimitive(g)
+    qp, _ = classify_qp_with_mns(g)
     assert qp.tag == ALMOST_SIMPLE
     assert qp.mns_orders == (60,)
     assert qp.socle_order == 60
 
 
 def test_s3_quasiprimitive():
-    assert is_quasiprimitive(symmetric_group(3))
+    assert quasiprimitive(symmetric_group(3))
 
 
 def test_a6_classify():
-    qp = classify_qp(alternating_group(6))
+    qp, _ = classify_qp_with_mns(alternating_group(6))
     assert qp.tag == ALMOST_SIMPLE
     assert qp.mns_orders == (360,)
 
 
 def test_trivial_on_four_points_intransitive():
-    assert classify_qp(trivial_group(4)).tag == INTRANSITIVE
+    assert classify_qp_with_mns(trivial_group(4))[0].tag == INTRANSITIVE
 
 
 def test_two_regular_mns_diagonal_type():
@@ -220,14 +218,14 @@ def test_two_regular_mns_diagonal_type():
     index = {e: i for i, e in enumerate(elements)}
 
     def left(p):
-        return Permutation(tuple(index[tuple(p.images[x] for x in e)] for e in elements))
+        return tuple(index[tuple(p[x] for x in e)] for e in elements)
 
     def right(p):
-        return Permutation(tuple(index[tuple(e[x] for x in p.images)] for e in elements))
+        return tuple(index[tuple(e[x] for x in p)] for e in elements)
 
     gens = [left(p) for p in a5.generators] + [right(p) for p in a5.generators]
     gg = perm_group(gens, degree=60, name="A5xA5 on A5")
-    qp = classify_qp(gg)
+    qp, _ = classify_qp_with_mns(gg)
     assert qp.tag == TWO_REGULAR_MNS
     assert qp.mns_orders == (60, 60)
     assert qp.socle_order == 3600
@@ -245,7 +243,7 @@ def test_qp_implication_chain(suite):
         if is_2transitive(g):
             assert is_primitive(g), g.name
         if is_primitive(g):
-            assert is_quasiprimitive(g), g.name
+            assert quasiprimitive(g), g.name
 
 
 def test_almost_simple_socle_index_is_degree(suite):
@@ -264,7 +262,7 @@ def test_almost_simple_socle_index_is_degree(suite):
 
 
 # ---------------------------------------------------------------------------
-# simplicity and the order table
+# simplicity
 # ---------------------------------------------------------------------------
 
 def test_is_simple():
@@ -273,35 +271,6 @@ def test_is_simple():
     assert not is_simple(cyclic_group(4))
     assert not is_simple(symmetric_group(4))
     assert not is_simple(trivial_group(2))
-
-
-def test_simple_order_id_examples():
-    entry = simple_order_id(60)
-    assert len(entry) == 1 and entry[0].startswith("A5")
-    collision = simple_order_id(20160)
-    assert len(collision) == 2
-    assert any("A8" in name for name in collision)
-    assert any("PSL(3,4)" in name for name in collision)
-    assert simple_order_id(100) == []
-    assert simple_order_id(95040) == ["M12"]
-
-
-def test_simple_order_table_known_values():
-    # spot checks against the standard list of simple group orders
-    known = {168: "PSL(2,7)", 360: "A6", 504: "PSL(2,8)", 660: "PSL(2,11)",
-             2520: "A7", 5616: "PSL(3,3)", 6048: "PSU(3,3)", 6072: "PSL(2,23)",
-             7920: "M11", 25920: "PSp(4,3)", 29120: "Sz(8)", 175560: "J1",
-             443520: "M22", 604800: "J2", 1451520: "PSp(6,2)",
-             4245696: "G2(3)", 9999360: "PSL(5,2)"}
-    for o, prefix in known.items():
-        names = simple_order_id(o)
-        assert len(names) == 1 and names[0].startswith(prefix), (o, names)
-
-
-def test_simple_order_table_single_collision():
-    from treelat.simple_orders import simple_order_table
-    collisions = {o: n for o, n in simple_order_table().items() if len(n) > 1}
-    assert list(collisions) == [20160]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +294,7 @@ def test_section_necessary_a5_in_s5():
 
 
 def test_section_necessary_c2_in_s3():
-    c2 = perm_group([Permutation.from_cycles(3, [(0, 1)])], degree=3)
+    c2 = perm_group([from_cycles(3, [(0, 1)])], degree=3)
     rep = section_necessary(c2, symmetric_group(3))
     assert rep.order_divides and rep.prime_spectrum_ok and rep.element_order_spectrum_ok
 
@@ -354,7 +323,7 @@ def test_section_exact_overflow_unknown():
 
 
 def test_section_exact_c2_in_s3():
-    c2 = perm_group([Permutation.from_cycles(3, [(0, 1)])], degree=3)
+    c2 = perm_group([from_cycles(3, [(0, 1)])], degree=3)
     assert section_exact_small(c2, symmetric_group(3)) == YES
 
 
@@ -368,15 +337,15 @@ def test_section_exact_a6_not_in_s5():
 
 
 def test_section_exact_known_facts_psl27():
-    psl27 = perm_group([Permutation.from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)]),
-                        Permutation.from_cycles(8, [(0, 7), (1, 6), (2, 3), (4, 5)])])
+    psl27 = perm_group([from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)]),
+                        from_cycles(8, [(0, 7), (1, 6), (2, 3), (4, 5)])])
     assert order(psl27) == 168
     # A5 needs the prime 5, which 168 lacks
     assert section_exact_small(alternating_group(5), psl27) == NO
     # Sylow subgroups are sections
-    c7 = perm_group([Permutation.from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])])
+    c7 = perm_group([from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])])
     assert section_exact_small(c7, psl27) == YES
-    c5 = perm_group([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    c5 = perm_group([from_cycles(5, [(0, 1, 2, 3, 4)])])
     assert section_exact_small(c5, psl27) == NO
 
 
@@ -388,7 +357,7 @@ def test_section_exact_consistent_with_necessary():
     # exact=yes must mean every necessary flag passes
     cases = [
         (alternating_group(5), symmetric_group(5)),
-        (perm_group([Permutation.from_cycles(3, [(0, 1)])], degree=3), symmetric_group(3)),
+        (perm_group([from_cycles(3, [(0, 1)])], degree=3), symmetric_group(3)),
         (cyclic_group(3), alternating_group(4)),
     ]
     for m, s in cases:
@@ -422,6 +391,6 @@ def test_solvable_outer_group_by_itself():
 
 def test_solvable_outer_not_normal():
     s4 = symmetric_group(4)
-    not_normal = perm_group([Permutation.from_cycles(4, [(0, 1)])], degree=4)
+    not_normal = perm_group([from_cycles(4, [(0, 1)])], degree=4)
     with pytest.raises(NotNormal):
         solvable_outer_check(s4, not_normal, 0)

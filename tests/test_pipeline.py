@@ -15,7 +15,6 @@ from treelat.errors import (
 from treelat.localaction import NOT_APPLICABLE
 from treelat.permcore import (
     alternating_group,
-    cyclic_group,
     induced_action_on_pairs,
     symmetric_group,
 )
@@ -31,8 +30,9 @@ from treelat.pipeline import (
     theorem25_obstruction,
     wang_index_bound,
 )
-from treelat.survey import first_nontrivial_datum
 from treelat.vhcomplex import Alphabet, VhDatum, commuting_datum
+
+from conftest import cyclic_group, first_nontrivial_datum
 
 
 @pytest.fixture(scope="module")

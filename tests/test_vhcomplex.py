@@ -8,20 +8,20 @@ from treelat.errors import (
     MalformedDocument,
     OddAlphabet,
 )
-from treelat.survey import enumerate_complete_data, first_nontrivial_datum
+from treelat.survey import enumerate_complete_data
 from treelat.vhcomplex import (
     Alphabet,
     VhDatum,
-    co_transition,
     commuting_datum,
     dual,
     horizontal_automaton,
     parse_datum,
     serialize_datum,
-    transition,
     validate,
     vertical_automaton,
 )
+
+from conftest import first_nontrivial_datum
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +223,21 @@ def test_every_enumerated_t2t2_datum_counted():
 # transitions
 # ---------------------------------------------------------------------------
 
+# The corner bijection (a, b) -> (b2, a2) with a.b = b2.a2 is row a of the
+# horizontal automaton: out[a][b] = b2, nxt[a][b] = a2.  Its inverse, solving
+# b.a = a*.b*, is row b of the vertical automaton: out[b][a] = a*,
+# nxt[b][a] = b*.
+
+def transition(d, a, b):
+    h = horizontal_automaton(d)
+    return h.out[a][b], h.nxt[a][b]
+
+
+def co_transition(d, b, a):
+    v = vertical_automaton(d)
+    return v.out[b][a], v.nxt[b][a]
+
+
 def test_transition_commuting(commuting):
     for a in range(4):
         for b in range(4):
@@ -235,7 +250,9 @@ def test_transition_missing_pair():
                 vert=Alphabet.with_adjacent_pairs(4),
                 squares=((0, 0, 0, 0),))
     with pytest.raises(InvalidDatum):
-        transition(d, 1, 1)
+        horizontal_automaton(d)
+    with pytest.raises(InvalidDatum):
+        vertical_automaton(d)
 
 
 def test_transition_co_transition_compatibility(nontrivial):
