@@ -26,7 +26,7 @@ from .errors import (
     TowerTooShort,
     UnknownEntry,
 )
-from .localaction import side_label, tower, tower_report
+from .localaction import DEFAULT_DEPTH, side_label, tower, tower_report
 from .permcore import PermGroup, group_from_raw
 from .pipeline import (
     AnalysisCaps,
@@ -161,7 +161,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _caps_from_args(args: argparse.Namespace) -> AnalysisCaps:
-    return AnalysisCaps(depth=args.depth, enum_cap=args.enum_cap,
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
+    return AnalysisCaps(depth=depth, enum_cap=args.enum_cap,
                         section_cap=args.section_cap, strict=args.strict)
 
 
@@ -174,6 +175,10 @@ def _require_tower_depth(depth: int) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
     if args.pair:
+        if args.depth is not None:
+            print("analyze: --depth applies to datum input only; --pair builds "
+                  "no tower", file=sys.stderr)
+            return EXIT_USAGE
         g1 = _load_group(args.pair[0])
         g2 = _load_group(args.pair[1])
         report = analyze_pair(g1, g2, caps,
@@ -182,7 +187,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.path is None:
             print("analyze: either a datum path or --pair is required", file=sys.stderr)
             return EXIT_USAGE
-        _require_tower_depth(args.depth)
+        _require_tower_depth(caps.depth)
         report = analyze_datum(_load_datum(args.path), caps)
     if args.json:
         _print_json(report.to_json())
@@ -263,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="datum JSON file or catalog entry name")
     p_analyze.add_argument("--pair", nargs=2, metavar=("G1", "G2"),
                            help="two raw group JSON files or catalog entry names")
-    p_analyze.add_argument("--depth", type=int, default=5)
+    p_analyze.add_argument("--depth", type=int,
+                           help=f"tower depth for datum input (default {DEFAULT_DEPTH})")
     p_analyze.add_argument("--enum-cap", type=int, default=1_000_000)
     p_analyze.add_argument("--section-cap", type=int, default=2_000)
     p_analyze.add_argument("--strict", action="store_true")
@@ -275,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tower = sub.add_parser("tower", help="local tower of one side")
     p_tower.add_argument("path", help="datum JSON file or catalog entry name")
     p_tower.add_argument("--side", required=True,
-                         help="h/horizontal or v/vertical")
-    p_tower.add_argument("--depth", type=int, default=5)
+                         choices=["h", "horizontal", "v", "vertical"])
+    p_tower.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p_tower.add_argument("--strict", action="store_true")
     p_tower.set_defaults(func=_cmd_tower)
 

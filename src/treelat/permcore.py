@@ -8,7 +8,21 @@ Conventions, fixed once and asserted in the test suite:
   so ``compose(p, q)[x] == p[q[x]]``;
 * stabilizer chains pick each new base point as the smallest point moved
   by the generator being installed, which makes every chain (and hence
-  every order, transversal and report) reproducible.
+  every order, transversal and report) reproducible;
+* a transversal stores inverse representatives: for a point x of the i-th
+  basic orbit it holds an element carrying x to the i-th base point, which
+  is the factor a sift multiplies by.  ``elements()`` inverts them when it
+  lists the group.
+
+Chains are built by the incremental Schreier-Sims algorithm (Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 4.4; Seress,
+*Permutation Group Algorithms*, ch. 4).  Installing a strong generator
+extends the basic orbits it acts on from the points they already have, and
+never replaces a representative.  Each level remembers which Schreier
+generators already sifted to the identity; because orbits only grow, such
+a generator and its sift path never change, so it is never sifted again.
+``StabilizerChain.extend`` grows a finished chain in place, which is how
+``normal_closure`` keeps one chain for the whole closure.
 
 Image tuples are not validated here: outside data enters through
 ``group_from_raw``, which checks that every generator is a bijection.
@@ -19,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -42,7 +57,10 @@ def identity(n: int) -> Perm:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """Product applying q first: compose(p, q)[x] = p[q[x]]."""
-    return tuple(p[i] for i in q)
+    if len(q) < 2:
+        # itemgetter with one index returns the item, not a 1-tuple
+        return tuple(p[i] for i in q)
+    return itemgetter(*q)(p)
 
 
 def inverse(p: Sequence[int]) -> Perm:
@@ -53,7 +71,7 @@ def inverse(p: Sequence[int]) -> Perm:
 
 
 def is_identity(p: Sequence[int]) -> bool:
-    return all(i == j for i, j in enumerate(p))
+    return tuple(p) == identity(len(p))
 
 
 def from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
@@ -89,57 +107,56 @@ def element_order(p: Sequence[int]) -> int:
 class StabilizerChain:
     """Base and strong generating set built by deterministic Schreier-Sims.
 
-    ``base[i]`` is the i-th base point, ``transversals[i]`` maps each point
-    of the i-th basic orbit to a permutation (image tuple) carrying
-    ``base[i]`` to it.  ``strong`` holds every strong generator; the ones
-    relevant at level i are those fixing ``base[:i]`` pointwise.
+    ``base[i]`` is the i-th base point.  ``transversals[i]`` maps each point
+    x of the i-th basic orbit to its inverse representative: an element of
+    the level's group carrying x back to ``base[i]``.  ``strong`` holds every
+    strong generator; the ones relevant at level i are those fixing
+    ``base[:i]`` pointwise, kept in installation order in ``_gens[i]``
+    together with their inverses.
+
+    ``_verified[i]`` maps a point x of the i-th orbit to the number of
+    level-i generators s whose Schreier generator for (x, s) is known to
+    sift to the identity.  Each point's generators are checked in order and
+    the scan stops at the first failure, so the verified ones always form a
+    prefix of ``_gens[i]``.
     """
 
-    __slots__ = ("degree", "base", "strong", "transversals")
+    __slots__ = ("degree", "base", "strong", "transversals", "_gens", "_verified",
+                 "_identity")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]],
                  base_prefix: Sequence[int] = ()):
         self.degree = degree
         self.base: list[int] = []
-        self.strong: list[tuple[int, ...]] = []
-        self.transversals: list[dict[int, tuple[int, ...]]] = []
+        self.strong: list[Perm] = []
+        self.transversals: list[dict[int, Perm]] = []
+        self._gens: list[list[tuple[Perm, Perm]]] = []
+        self._verified: list[dict[int, int]] = []
+        self._identity = identity(degree)
         for b in base_prefix:
             if not 0 <= b < degree:
                 raise PointOutOfRange(f"base point {b} out of range for degree {degree}")
             if b not in self.base:
-                self.base.append(b)
-                self.transversals.append({b: identity(degree)})
+                self._add_level(b)
         for g in generators:
             t = tuple(g)
             if len(t) != degree:
                 raise DegreeMismatch(f"generator degree {len(t)} != {degree}")
-            if not is_identity(t) and t not in self.strong:
+            if t != self._identity and t not in self.strong:
                 self._install(t)
-        self._complete()
+        self._complete(len(self.base) - 1)
 
     # -- construction ------------------------------------------------------
 
-    def _level_gens(self, i: int) -> list[tuple[int, ...]]:
-        prefix = self.base[:i]
-        return [g for g in self.strong if all(g[b] == b for b in prefix)]
+    def _add_level(self, point: int) -> None:
+        self.base.append(point)
+        self.transversals.append({point: self._identity})
+        self._gens.append([])
+        self._verified.append({})
 
-    def _rebuild(self, i: int) -> None:
-        gens = self._level_gens(i)
-        b = self.base[i]
-        trans = {b: identity(self.degree)}
-        queue = [b]
-        while queue:
-            beta = queue.pop(0)
-            u = trans[beta]
-            for s in gens:
-                gamma = s[beta]
-                if gamma not in trans:
-                    trans[gamma] = compose(s, u)
-                    queue.append(gamma)
-        self.transversals[i] = trans
-
-    def _install(self, g: tuple[int, ...]) -> int:
-        """Add a strong generator; returns the deepest level whose gens changed."""
+    def _install(self, g: Perm) -> int:
+        """Add a strong generator and extend the orbits it acts on; returns
+        the deepest level whose generators changed."""
         self.strong.append(g)
         j = None
         for idx, b in enumerate(self.base):
@@ -148,48 +165,89 @@ class StabilizerChain:
                 break
         if j is None:
             # new base point: smallest point moved by the incoming generator
-            point = next(x for x in range(self.degree) if g[x] != x)
-            self.base.append(point)
-            self.transversals.append({})
+            self._add_level(next(x for x in range(self.degree) if g[x] != x))
             j = len(self.base) - 1
+        pair = (g, inverse(g))
         for i in range(j + 1):
-            self._rebuild(i)
+            self._gens[i].append(pair)
+            self._extend_orbit(i, pair)
         return j
 
-    def _sift_from(self, level: int, g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    def _extend_orbit(self, i: int, pair: tuple[Perm, Perm]) -> None:
+        """Close level i's orbit under its generators after `pair` joined
+        them.  Points already present keep their representatives."""
+        trans = self.transversals[i]
+        g, g_inv = pair
+        new = []
+        for x, v in list(trans.items()):
+            y = g[x]
+            if y not in trans:
+                trans[y] = compose(v, g_inv)
+                new.append(y)
+        gens = self._gens[i]
+        for x in new:  # `new` grows while it is walked: a breadth-first search
+            v = trans[x]
+            for s, s_inv in gens:
+                y = s[x]
+                if y not in trans:
+                    trans[y] = compose(v, s_inv)
+                    new.append(y)
+
+    def _sift_from(self, level: int, g: Perm) -> tuple[Perm, int]:
         """Sift g through levels >= level; returns (residue, stuck_level)."""
         for i in range(level, len(self.base)):
-            x = g[self.base[i]]
-            u = self.transversals[i].get(x)
-            if u is None:
+            v = self.transversals[i].get(g[self.base[i]])
+            if v is None:
                 return g, i
-            g = compose(inverse(u), g)
+            g = compose(v, g)
         return g, len(self.base)
 
     def _process_level(self, i: int) -> Optional[int]:
-        """Sift all Schreier generators of level i; install the first residue."""
-        gens = self._level_gens(i)
+        """Sift the Schreier generators of level i not yet verified; install
+        the first non-trivial residue and return the level it changed."""
+        gens = self._gens[i]
         trans = self.transversals[i]
-        for beta in sorted(trans):
-            u_beta = trans[beta]
-            for s in gens:
-                u_gamma = trans[s[beta]]
-                schreier = compose(inverse(u_gamma), compose(s, u_beta))
-                if is_identity(schreier):
-                    continue
-                residue, stuck = self._sift_from(i + 1, schreier)
-                if not is_identity(residue):
-                    return self._install(residue)
+        verified = self._verified[i]
+        ident = self._identity
+        for beta, v_beta in trans.items():
+            done = verified.get(beta, 0)
+            if done == len(gens):
+                continue
+            u_beta = inverse(v_beta)
+            for k in range(done, len(gens)):
+                s = gens[k][0]
+                schreier = compose(trans[s[beta]], compose(s, u_beta))
+                if schreier != ident:
+                    residue, _ = self._sift_from(i + 1, schreier)
+                    if residue != ident:
+                        # the orbits only grow, so every verified pair stays
+                        # verified: its Schreier generator and sift path are
+                        # fixed.  Returning at once also keeps `trans`, which
+                        # _install extends, from changing under this loop.
+                        verified[beta] = k
+                        return self._install(residue)
+            verified[beta] = len(gens)
         return None
 
-    def _complete(self) -> None:
-        i = len(self.base) - 1
+    def _complete(self, level: int) -> None:
+        """Process levels from `level` down to 0, going back to the deepest
+        level an install changed."""
+        i = level
         while i >= 0:
             changed = self._process_level(i)
             if changed is None:
                 i -= 1
             else:
                 i = changed
+
+    def extend(self, g: Perm) -> bool:
+        """Add g to the group in place; False, leaving the chain unchanged,
+        when g is already a member."""
+        residue, _ = self._sift_from(0, g)
+        if residue == self._identity:
+            return False
+        self._complete(self._install(residue))
+        return True
 
     # -- queries -------------------------------------------------------------
 
@@ -199,26 +257,27 @@ class StabilizerChain:
             n *= len(t)
         return n
 
-    def sift(self, g: Sequence[int]) -> tuple[int, ...]:
+    def sift(self, g: Sequence[int]) -> Perm:
         residue, _ = self._sift_from(0, tuple(g))
         return residue
 
     def contains(self, g: Sequence[int]) -> bool:
-        return is_identity(self.sift(g))
+        return self.sift(g) == self._identity
 
-    def elements(self) -> list[tuple[int, ...]]:
+    def elements(self) -> list[Perm]:
         """All group elements as image tuples (size = order)."""
-        elems = [identity(self.degree)]
+        elems = [self._identity]
         for trans in reversed(self.transversals):
-            reps = [trans[x] for x in sorted(trans)]
+            reps = [inverse(trans[x]) for x in sorted(trans)]
             elems = [compose(u, e) for u in reps for e in elems]
         return elems
 
-    def stabilizer_suffix(self) -> tuple[list[tuple[int, ...]], "StabilizerChain"]:
+    def stabilizer_suffix(self) -> tuple[list[Perm], "StabilizerChain"]:
         """Strong generators fixing base[0], plus the chain they head.
 
         The suffix of a verified chain is itself a verified chain for the
-        stabilizer of the first base point.
+        stabilizer of the first base point.  It shares its levels with this
+        chain, so only one of the two may be extended afterwards.
         """
         b0 = self.base[0]
         gens = [g for g in self.strong if g[b0] == b0]
@@ -227,6 +286,9 @@ class StabilizerChain:
         sub.base = self.base[1:]
         sub.strong = gens
         sub.transversals = self.transversals[1:]
+        sub._gens = self._gens[1:]
+        sub._verified = self._verified[1:]
+        sub._identity = self._identity
         return gens, sub
 
 
@@ -324,19 +386,16 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
 
     gens: list[Perm] = []
     chain = StabilizerChain(g.degree, ())
-    queue: list[Perm] = []
     for t in seed_tuples:
-        if not chain.contains(t):
+        if chain.extend(t):
             gens.append(t)
-            chain = StabilizerChain(g.degree, gens)
-            queue.append(t)
+    queue = list(gens)
     while queue:
         h = queue.pop()
         for x, x_inv in conjugators:
             c = compose(x_inv, compose(h, x))
-            if not chain.contains(c):
+            if chain.extend(c):
                 gens.append(c)
-                chain = StabilizerChain(g.degree, gens)
                 queue.append(c)
     return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=chain)
 
@@ -376,9 +435,10 @@ def conjugacy_class_representatives(g: PermGroup,
                                     ) -> list[Perm]:
     """One representative image tuple per conjugacy class of g.
 
-    Classes are found by closing the element set under conjugation by the
-    generators; deterministic because elements() order is deterministic.
-    The result is memoized on the group value (write-once, deterministic).
+    `elements`, when given, must list all of g.  Classes are found by
+    closing the element set under conjugation by the generators;
+    deterministic because elements() order is deterministic.  The result is
+    memoized on the group value (write-once, deterministic).
     """
     cached = getattr(g, "_class_reps", None)
     if cached is not None:
@@ -386,20 +446,22 @@ def conjugacy_class_representatives(g: PermGroup,
     if elements is None:
         elements = g.chain().elements()
     conjugators = [(x, inverse(x)) for x in g.generators]
-    assigned: set[Perm] = set()
+    # the elements not yet in a class; holding the listed tuples rather than
+    # the conjugates found keeps one copy of each element alive, not two
+    unassigned = set(elements)
     reps: list[Perm] = []
     for e in elements:
-        if e in assigned:
+        if e not in unassigned:
             continue
         reps.append(e)
         queue = [e]
-        assigned.add(e)
+        unassigned.remove(e)
         while queue:
             h = queue.pop()
             for x, x_inv in conjugators:
                 c = compose(x_inv, compose(h, x))
-                if c not in assigned:
-                    assigned.add(c)
+                if c in unassigned:
+                    unassigned.remove(c)
                     queue.append(c)
     g._class_reps = reps
     return reps

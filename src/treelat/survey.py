@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .localaction import _local_group_from_automaton
+from .localaction import _local_group_from_automaton, sphere_index
 from .permcore import order
 from .vhcomplex import (
     Alphabet,
@@ -123,13 +123,18 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet,
                         ) -> SurveyResult:
     """Enumerate all complete data and record whether any has |P2| > |P1|."""
     result = SurveyResult()
+    # the vertical automaton acts on horizontal words and vice versa; both
+    # alphabets are fixed, so their spheres are indexed once per survey
+    spheres = [(sphere_index(letters, 1), sphere_index(letters, 2))
+               for letters in (horiz, vert)]
     for d in enumerate_complete_data(horiz, vert):
         result.total += 1
         growth = False
         nontrivial = False
-        for automaton in (vertical_automaton(d), horizontal_automaton(d)):
-            p1 = order(_local_group_from_automaton(automaton, 1))
-            p2 = order(_local_group_from_automaton(automaton, 2))
+        automata = (vertical_automaton(d), horizontal_automaton(d))
+        for automaton, (sphere1, sphere2) in zip(automata, spheres):
+            p1 = order(_local_group_from_automaton(automaton, 1, sphere=sphere1))
+            p2 = order(_local_group_from_automaton(automaton, 2, sphere=sphere2))
             result.max_p1_order = max(result.max_p1_order, p1)
             result.max_p2_order = max(result.max_p2_order, p2)
             result.p1_orders_seen.add(p1)

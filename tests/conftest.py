@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 from typing import Optional
 
@@ -11,6 +13,7 @@ from treelat.permcore import (
     symmetric_group,
     trivial_group,
 )
+from treelat.localaction import tower
 from treelat.survey import enumerate_complete_data
 from treelat.vhcomplex import Alphabet, VhDatum, vertical_automaton
 
@@ -31,6 +34,19 @@ def first_nontrivial_datum(horiz: Alphabet, vert: Alphabet) -> Optional[VhDatum]
                for s in range(aut.states.size)):
             return d
     return None
+
+
+@functools.cache
+def growth_datum() -> VhDatum:
+    """The first datum on two 4-letter alphabets (involution 0<->1, 2<->3)
+    whose horizontal tower orders rise strictly over depths 1..3; its
+    orders are 24 * 27**(k-1) on both sides."""
+    a4 = Alphabet.with_adjacent_pairs(4)
+    for d in enumerate_complete_data(a4, a4):
+        orders = tower(d, "horizontal", 3).orders
+        if orders[0] < orders[1] < orders[2]:
+            return dataclasses.replace(d, name="growth_t4x4")
+    raise LookupError("no datum with strictly rising horizontal tower orders")
 
 
 def named_groups() -> list[PermGroup]:

@@ -17,7 +17,10 @@ def commuting_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -125,6 +128,14 @@ def test_analyze_enum_cap_exceeded(capsys):
     assert "cap" in err.lower()
 
 
+def test_analyze_pair_with_depth_is_usage_error(capsys):
+    code, out, err = run(capsys, "analyze", "--pair", "a6_natural", "s5_on_pairs",
+                         "--depth", "5")
+    assert code == 2
+    assert out == ""
+    assert "--depth" in err
+
+
 def test_analyze_depth_zero_is_usage_error(capsys, commuting_file):
     code, _, err = run(capsys, "analyze", str(commuting_file), "--depth", "0")
     assert code == 2
@@ -192,7 +203,8 @@ def test_tower_depth_one_rejected(capsys, commuting_file):
 
 def test_tower_bad_side(capsys, commuting_file):
     code, _, err = run(capsys, "tower", str(commuting_file), "--side", "x")
-    assert code == 1
+    assert code == 2
+    assert "--side" in err
 
 
 # ---------------------------------------------------------------------------

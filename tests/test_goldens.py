@@ -1,0 +1,53 @@
+"""`analyze --json` output, byte for byte, against recorded reports.
+
+Each file in tests/goldens/ is the stdout of one CLI call.  Regenerate a
+file only when a report is meant to change, and say why in the change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from treelat.cli import main
+from treelat.permcore import alternating_group, group_to_raw
+from treelat.vhcomplex import serialize_datum
+
+from conftest import growth_datum
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+def _write(tmp_path: Path, name: str, doc: dict) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def golden_argv(case: str, tmp_path: Path) -> list[str]:
+    """The CLI arguments whose stdout is recorded in goldens/<case>.json."""
+    if case == "commuting_t4x4":
+        return ["analyze", "commuting_t4x4", "--json"]
+    if case == "growth_t4x4":
+        return ["analyze", _write(tmp_path, case, serialize_datum(growth_datum())),
+                "--json"]
+    if case == "pair_A5_A7":
+        files = [_write(tmp_path, f"A{n}", group_to_raw(alternating_group(n)))
+                 for n in (5, 7)]
+        return ["analyze", "--pair", *files, "--json"]
+    members = {"pair_a6_s5": ("a6_natural", "s5_on_pairs"),
+               "pair_a6_a6": ("a6_natural", "a6_natural"),
+               "pair_a6_m12": ("a6_natural", "m12")}[case]
+    return ["analyze", "--pair", *members, "--json"]
+
+
+CASES = ("commuting_t4x4", "growth_t4x4", "pair_a6_s5", "pair_a6_a6",
+         "pair_a6_m12", "pair_A5_A7")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_analyze_json_matches_golden(case, tmp_path, capsys):
+    code = main(golden_argv(case, tmp_path))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDENS / f"{case}.json").read_text()

@@ -24,7 +24,7 @@ from treelat.vhcomplex import (
     vertical_automaton,
 )
 
-from conftest import first_nontrivial_datum
+from conftest import first_nontrivial_datum, growth_datum
 from oracles import closure_elements
 
 A4 = Alphabet.with_adjacent_pairs(4)
@@ -258,3 +258,10 @@ def test_stabilization_persistence_on_enumerated_data():
         count += 1
         if count >= 80:
             break
+
+
+@pytest.mark.parametrize("side", ["horizontal", "vertical"])
+def test_growth_datum_tower_orders(side):
+    t = tower(growth_datum(), side, 5)
+    assert t.orders == tuple(24 * 27 ** (k - 1) for k in range(1, 6))
+    assert discreteness_verdict(t) == DiscretenessVerdict(kind=NO_STABILIZATION, at=5)

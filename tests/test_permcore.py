@@ -10,6 +10,7 @@ from treelat.errors import (
 )
 from treelat.groupprops import element_order_spectrum
 from treelat.permcore import (
+    StabilizerChain,
     alternating_group,
     compose,
     contains,
@@ -30,7 +31,7 @@ from treelat.permcore import (
     trivial_group,
 )
 
-from conftest import cyclic_group
+from conftest import cyclic_group, engine_suite
 from oracles import closure_elements
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
@@ -65,6 +66,15 @@ def test_compose_identity():
 
 def test_compose_applies_right_factor_first():
     assert compose((1, 0, 2), (2, 1, 0)) == (2, 0, 1)
+
+
+def test_compose_degree_one_and_zero():
+    # the one-index product must still be a tuple
+    assert compose((0,), (0,)) == (0,)
+    assert compose([0], (0,)) == (0,)
+    assert compose((), ()) == ()
+    assert is_identity((0,)) and is_identity([0, 1])
+    assert order(perm_group([(0,)])) == 1
 
 
 def test_compose_degree_mismatch():
@@ -184,6 +194,45 @@ def test_membership_matches_closure(g, data):
     for _ in range(5):
         p = tuple(data.draw(st.permutations(range(g.degree))))
         assert contains(g, p) == (p in closure)
+
+
+@given(small_gen_sets(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_grown_chain_matches_fresh_chain_and_closure(g, data):
+    closure = closure_elements(g.generators, g.degree)
+    probes = [tuple(data.draw(st.permutations(range(g.degree)))) for _ in range(5)]
+    # normal_closure grows one chain a generator at a time; the normal
+    # closure of a group's own generators is the group
+    grown = normal_closure(g, g.generators).chain()
+    fresh = StabilizerChain(g.degree, g.generators)
+    for chain in (grown, fresh):
+        assert chain.order() == len(closure)
+        assert set(chain.elements()) == closure
+        for p in probes:
+            assert chain.contains(p) == (p in closure)
+    assert sorted(grown.elements()) == sorted(fresh.elements())
+    # extend reports membership before growing, at every prefix
+    chain = StabilizerChain(g.degree, ())
+    for k, h in enumerate(g.generators):
+        prefix = closure_elements(g.generators[:k], g.degree)
+        assert chain.extend(h) == (h not in prefix)
+        assert chain.order() == len(closure_elements(g.generators[:k + 1], g.degree))
+
+
+def test_chain_invariants_on_engine_suite():
+    groups = engine_suite() + [symmetric_group(7), alternating_group(8)]
+    # point_stabilizer's chain is the suffix of a chain based at the point
+    chains = [g.chain() for g in groups] + [
+        point_stabilizer(g, g.degree - 1).chain() for g in groups]
+    for chain in chains:
+        for i, (b, trans) in enumerate(zip(chain.base, chain.transversals)):
+            prefix = chain.base[:i]
+            for x, rep in trans.items():
+                # the stored representative carries its orbit point back to
+                # the base point and lies in the level's stabilizer
+                assert rep[x] == b, (chain.base, i, x)
+                assert all(rep[p] == p for p in prefix), (chain.base, i, x)
+                assert chain.contains(rep)
 
 
 # ---------------------------------------------------------------------------
