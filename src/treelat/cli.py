@@ -175,6 +175,10 @@ def _require_tower_depth(depth: int) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
     if args.pair:
+        if args.path is not None:
+            print(f"analyze: give a datum path or --pair, not both (got "
+                  f"{args.path!r} and --pair {' '.join(args.pair)})", file=sys.stderr)
+            return EXIT_USAGE
         if args.depth is not None:
             print("analyze: --depth applies to datum input only; --pair builds "
                   "no tower", file=sys.stderr)
@@ -248,6 +252,16 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treelat",
@@ -270,8 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="two raw group JSON files or catalog entry names")
     p_analyze.add_argument("--depth", type=int,
                            help=f"tower depth for datum input (default {DEFAULT_DEPTH})")
-    p_analyze.add_argument("--enum-cap", type=int, default=1_000_000)
-    p_analyze.add_argument("--section-cap", type=int, default=2_000)
+    default_caps = AnalysisCaps()
+    p_analyze.add_argument("--enum-cap", type=_positive_int,
+                           default=default_caps.enum_cap)
+    p_analyze.add_argument("--section-cap", type=_positive_int,
+                           default=default_caps.section_cap)
     p_analyze.add_argument("--strict", action="store_true")
     p_analyze.add_argument("--no-constant-type", action="store_true",
                            help="do not assert constant local type for raw groups")

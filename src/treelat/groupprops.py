@@ -11,7 +11,8 @@ cap raise TooLarge instead of returning a heuristic answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .errors import (
     DegreeTooSmall,
@@ -335,21 +336,35 @@ def section_necessary(m: PermGroup, s: PermGroup,
 
 
 class _CayleyTable:
-    """Dense multiplication table over the elements of a small group."""
+    """Dense multiplication table over the elements of a small group.
+
+    Elements are sorted image tuples; ``mul[i][j]`` is the index of
+    ``compose(elements[i], elements[j])``.  Only the generators' rows are
+    composed: left multiplication gives row(g∘a) = row_g[row_a[·]], so a
+    breadth-first walk from the identity fills every other row with one
+    ``itemgetter`` call."""
 
     def __init__(self, g: PermGroup):
         elements = g.chain().elements()
         elements.sort()
         self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
+        self.index = index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        self.mul = [[0] * n for _ in range(n)]
-        for i, a in enumerate(elements):
-            row = self.mul[i]
-            for j, b in enumerate(elements):
-                row[j] = self.index[compose(a, b)]
-        self.inv = [self.index[inverse(e)] for e in elements]
-        self.e = self.index[identity(g.degree)]
+        self.e = e = index[identity(g.degree)]
+        gen_rows = {tuple(index[compose(s, b)] for b in elements)
+                    for s in g.generators}
+        mul: list[Optional[tuple[int, ...]]] = [None] * n
+        mul[e] = tuple(range(n))
+        queue = [e]
+        for a in queue:
+            row_a = itemgetter(*mul[a])
+            for row_g in gen_rows:
+                ga = row_g[a]
+                if mul[ga] is None:
+                    mul[ga] = row_a(row_g)
+                    queue.append(ga)
+        self.mul = mul
+        self.inv = [row.index(e) for row in mul]
 
 
 def _extend_subgroup(table: _CayleyTable, elems: list[int],
@@ -375,48 +390,77 @@ def _extend_subgroup(table: _CayleyTable, elems: list[int],
     return frozenset(in_set), new_gens
 
 
+def _double_coset(table: _CayleyTable, elems: list[int],
+                  gens: tuple[int, ...], x: int) -> set[int]:
+    """HxH as a union of left cosets yH, closed under left multiplication
+    by the generators of H."""
+    if len(elems) == 1:
+        return {x}
+    mul = table.mul
+    coset_of = itemgetter(*elems)
+    out = set(coset_of(mul[x]))
+    reps = [x]
+    for y in reps:
+        for g in gens:
+            gy = mul[g][y]
+            if gy not in out:
+                out.update(coset_of(mul[gy]))
+                reps.append(gy)
+    return out
+
+
 def _conjugate_set(table: _CayleyTable, elems: frozenset, g: int) -> frozenset:
     g_inv = table.inv[g]
     mul = table.mul
     return frozenset(mul[mul[g_inv][t]][g] for t in elems)
 
 
+class _SubgroupCountCapExceeded(Exception):
+    """The lattice walk met more than _SUBGROUP_COUNT_CAP subgroups."""
+
+
 def _subgroup_class_reps(table: _CayleyTable
-                         ) -> Optional[list[tuple[frozenset, tuple[int, ...]]]]:
-    """One representative subgroup per conjugacy class, as (element set,
-    generator list); None if the total subgroup count cap is exceeded.
+                         ) -> Iterator[tuple[frozenset, tuple[int, ...]]]:
+    """Yield one representative subgroup per conjugacy class, as (element
+    set, generator list), each as soon as it is found; raise
+    _SubgroupCountCapExceeded once more than _SUBGROUP_COUNT_CAP distinct
+    subgroups (all conjugates of the representatives) are known.
 
     Extending class representatives by every element reaches every class:
     any chain H < <H, x> descends to a representative chain after
     conjugation.  Enough here because section existence is a
-    conjugation-invariant question."""
+    conjugation-invariant question.  Since <H, h1 x h2> = <H, x> for h1, h2
+    in H, x is adjoined to H once per double coset HxH; the other members
+    of HxH would give the same subgroup, so the representatives and their
+    order are those of adjoining every element."""
     trivial = (frozenset({table.e}), ())
     known: set[frozenset] = {trivial[0]}
-    reps = [trivial]
+    yield trivial
     frontier = [trivial]
     n = len(table.elements)
     while frontier:
         nxt = []
         for elems_set, gens in frontier:
             elems = sorted(elems_set)
+            done = set(elems_set)
             for x in range(n):
-                if x in elems_set:
+                if x in done:
                     continue
                 sub = _extend_subgroup(table, elems, gens, x)
+                done |= _double_coset(table, elems, gens, x)
                 if sub[0] in known:
                     continue
-                reps.append(sub)
                 nxt.append(sub)
                 for g in range(n):
                     known.add(_conjugate_set(table, sub[0], g))
                     if len(known) > _SUBGROUP_COUNT_CAP:
-                        return None
+                        raise _SubgroupCountCapExceeded
+                yield sub
         frontier = nxt
-    return reps
 
 
-def _class_closure(table: _CayleyTable, sub_elems: frozenset,
-                   sub_gens: tuple[int, ...], x: int) -> list[int]:
+def _class_closure(table: _CayleyTable, sub_gens: tuple[int, ...],
+                   x: int) -> list[int]:
     """Conjugacy class of x under the subgroup's generators."""
     cls = {x}
     queue = [x]
@@ -441,7 +485,7 @@ def _maximal_normal_subgroup(table: _CayleyTable, sub: tuple[frozenset, tuple[in
     for x in sorted(elems_set):
         if x == table.e or x in seen_classes or x in current[0]:
             continue
-        cls = _class_closure(table, elems_set, gens, x)
+        cls = _class_closure(table, gens, x)
         seen_classes.update(cls)
         candidate = current
         for y in cls:
@@ -465,6 +509,21 @@ def _quotient_spectrum(table: _CayleyTable, big: frozenset, small: frozenset) ->
     return spectrum
 
 
+def _has_factor(table: _CayleyTable, sub: tuple[frozenset, tuple[int, ...]],
+                om: int, spec_m: set[int]) -> bool:
+    """Whether a composition factor of sub has order om and element-order
+    spectrum spec_m, walking one composition series from the top (by
+    Jordan-Hölder every series has the same factors)."""
+    current = sub
+    while len(current[0]) % om == 0:
+        nmax = _maximal_normal_subgroup(table, current)
+        factor_order = len(current[0]) // len(nmax[0])
+        if factor_order == om and _quotient_spectrum(table, current[0], nmax[0]) == spec_m:
+            return True
+        current = nmax
+    return False
+
+
 def section_exact_small(m: PermGroup, s: PermGroup,
                         cap: int = DEFAULT_SECTION_CAP) -> str:
     """Exact section test: is m isomorphic to H/K for some K normal in H <= s?
@@ -473,7 +532,12 @@ def section_exact_small(m: PermGroup, s: PermGroup,
     conjugacy (section existence is conjugation-invariant) and walking each
     class representative's composition series; factors are matched to m by
     order plus element-order spectrum, which determines a finite simple
-    group.  Returns "unknown" when any bound is exceeded.
+    group.  The answer is a union over subgroups, so each representative
+    is tested as the enumeration yields it and the first match returns
+    "yes"; "no" needs the whole lattice.  Returns "unknown" when |s| > cap,
+    or when the enumeration passes _SUBGROUP_COUNT_CAP subgroups before a
+    factor is found, so a "yes" certified before that cap is reached is
+    returned even if the full lattice would exceed it.
     """
     om = order(m)
     if om == 1 or not is_simple(m):
@@ -488,22 +552,13 @@ def section_exact_small(m: PermGroup, s: PermGroup,
     if os_ > cap:
         return UNKNOWN
     table = _CayleyTable(s)
-    subgroups = _subgroup_class_reps(table)
-    if subgroups is None:
-        return UNKNOWN
     spec_m = element_order_spectrum(m)
-    for sub in sorted(subgroups, key=lambda t: len(t[0])):
-        if len(sub[0]) % om != 0:
-            continue
-        current = sub
-        while len(current[0]) > 1:
-            nmax = _maximal_normal_subgroup(table, current)
-            factor_order = len(current[0]) // len(nmax[0])
-            if factor_order == om and _quotient_spectrum(table, current[0], nmax[0]) == spec_m:
+    try:
+        for sub in _subgroup_class_reps(table):
+            if _has_factor(table, sub, om, spec_m):
                 return YES
-            if len(nmax[0]) % om != 0:
-                break
-            current = nmax
+    except _SubgroupCountCapExceeded:
+        return UNKNOWN
     return NO
 
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .groupprops import (
     ALMOST_SIMPLE,
+    DEFAULT_SECTION_CAP,
     INTRANSITIVE,
     NO,
     NOT_QUASIPRIMITIVE,
@@ -63,7 +64,7 @@ class AnalysisCaps:
 
     depth: int = DEFAULT_DEPTH
     enum_cap: int = DEFAULT_ENUM_CAP
-    section_cap: int = 2_000
+    section_cap: int = DEFAULT_SECTION_CAP
     word_bound: int = DEFAULT_WORD_BOUND
     strict: bool = False
 

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import random
+import signal
+import threading
 from typing import Optional
 
 import pytest
@@ -18,6 +20,34 @@ from treelat.survey import enumerate_complete_data
 from treelat.vhcomplex import Alphabet, VhDatum, vertical_automaton
 
 SUITE_SEED = 20260808
+
+# The slowest test takes a few seconds; an engine fault that loops forever
+# (a wrong stabilizer chain never completes) fails its test after this long.
+TEST_TIMEOUT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _fail_after_timeout(request):
+    """Fail the running test once it has taken TEST_TIMEOUT_S seconds.
+
+    SIGALRM interrupts only the main thread, and only where setitimer
+    exists; elsewhere tests run without a limit."""
+    if (not hasattr(signal, "setitimer")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+
+    def on_alarm(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran longer than {TEST_TIMEOUT_S} s",
+                    pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIMEOUT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cyclic_group(n: int) -> PermGroup:

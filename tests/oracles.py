@@ -16,6 +16,13 @@ def compose_t(p, q):
     return tuple(p[i] for i in q)
 
 
+def _inverse_t(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
 def closure_elements(gens, degree) -> set[tuple]:
     """All products of the generators, by breadth-first closure."""
     identity = tuple(range(degree))
@@ -108,14 +115,6 @@ def _element_table(gens, degree):
     return elements, index, mul
 
 
-def _element_order_idx(mul, identity_idx, x):
-    k, y = 1, x
-    while y != identity_idx:
-        y = mul[y][x]
-        k += 1
-    return k
-
-
 def _is_prime_power(n):
     if n < 2:
         return False
@@ -135,12 +134,24 @@ def all_subgroups_bruteforce(gens, degree) -> list[frozenset]:
     Closure enumeration over the multiplication table, growing one
     prime-power-order generator at a time (every subgroup chain refines to
     such steps, since each element is a product of its own prime-power
-    powers)."""
+    powers).  One generator per cyclic subgroup is tried, and x is not
+    tried on a subgroup S once some y with x in SyS was: then
+    <S, x> = <S, y>."""
     elements, index, mul = _element_table(gens, degree)
     n = len(elements)
     e_idx = index[tuple(range(degree))]
-    candidates = [x for x in range(n)
-                  if _is_prime_power(_element_order_idx(mul, e_idx, x))]
+    candidates = []
+    cyclic_seen = set()
+    for x in range(n):
+        powers = {x}
+        y = x
+        while y != e_idx:
+            y = mul[y][x]
+            powers.add(y)
+        cyclic = frozenset(powers)
+        if _is_prime_power(len(cyclic)) and cyclic not in cyclic_seen:
+            cyclic_seen.add(cyclic)
+            candidates.append(x)
 
     def closure_idx(gen_list):
         seen = {e_idx}
@@ -163,9 +174,12 @@ def all_subgroups_bruteforce(gens, degree) -> list[frozenset]:
     while frontier:
         new = []
         for sub, sub_gens in frontier:
+            tried = set(sub)
             for x in candidates:
-                if x in sub:
+                if x in tried:
                     continue
+                x_sub = [mul[x][h] for h in sub]
+                tried.update(mul[h][y] for h in sub for y in x_sub)
                 grown_gens = sub_gens + (x,)
                 grown = closure_idx(grown_gens)
                 if grown not in found:
@@ -178,12 +192,7 @@ def all_subgroups_bruteforce(gens, degree) -> list[frozenset]:
 
 def normal_subgroups_bruteforce(gens, degree) -> list[frozenset]:
     gens = [tuple(g) for g in gens]
-    invs = []
-    for g in gens:
-        inv = [0] * degree
-        for i, j in enumerate(g):
-            inv[j] = i
-        invs.append(tuple(inv))
+    invs = [_inverse_t(g) for g in gens]
     normal = []
     for sub in all_subgroups_bruteforce(gens, degree):
         if all(compose_t(inv, compose_t(h, g)) in sub
@@ -247,3 +256,42 @@ def minimal_normal_bruteforce(gens, degree) -> list[frozenset]:
     normal = [n for n in normal_subgroups_bruteforce(gens, degree) if len(n) > 1]
     return [n for n in normal
             if not any(len(m) < len(n) and m < n for m in normal)]
+
+
+def _quotient_spectrum_t(big, small) -> set[int]:
+    """Element orders of big/small: for each x, the least d with x^d in small."""
+    spectrum = set()
+    for x in big:
+        d, y = 1, x
+        while y not in small:
+            y = compose_t(y, x)
+            d += 1
+        spectrum.add(d)
+    return spectrum
+
+
+def section_bruteforce(m_gens, s_gens, degree) -> bool:
+    """Whether the group generated by m_gens is a section H/K of the group
+    generated by s_gens (on `degree` points): some subgroup H and normal
+    K of H with |H/K| = |m| whose quotient has m's element-order spectrum.
+
+    Every subgroup comes from all_subgroups_bruteforce; the normal K are
+    the listed subgroups inside H that every element of H conjugates to
+    themselves.  Order plus element-order spectrum identifies the simple
+    groups this is used with."""
+    m_gens = [tuple(g) for g in m_gens]
+    m_elements = closure_elements(m_gens, len(m_gens[0]))
+    om = len(m_elements)
+    spec_m = _quotient_spectrum_t(m_elements, {tuple(range(len(m_gens[0])))})
+    subgroups = all_subgroups_bruteforce(s_gens, degree)
+    for h in subgroups:
+        if len(h) % om:
+            continue
+        conjugators = [(x, _inverse_t(x)) for x in h]
+        for k in subgroups:
+            if (len(k) * om == len(h) and k <= h
+                    and all(compose_t(compose_t(x, y), x_inv) in k
+                            for x, x_inv in conjugators for y in k)
+                    and _quotient_spectrum_t(h, k) == spec_m):
+                return True
+    return False

@@ -136,6 +136,24 @@ def test_analyze_pair_with_depth_is_usage_error(capsys):
     assert "--depth" in err
 
 
+def test_analyze_path_and_pair_is_usage_error(capsys, commuting_file):
+    code, out, err = run(capsys, "analyze", str(commuting_file),
+                         "--pair", "a6_natural", "s5_on_pairs", "--json")
+    assert code == 2
+    assert out == ""
+    assert str(commuting_file) in err and "a6_natural s5_on_pairs" in err
+
+
+@pytest.mark.parametrize("flag", ["--enum-cap", "--section-cap"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_analyze_cap_below_one_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "analyze", "--pair", "a6_natural", "s5_on_pairs",
+                         flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_analyze_depth_zero_is_usage_error(capsys, commuting_file):
     code, _, err = run(capsys, "analyze", str(commuting_file), "--depth", "0")
     assert code == 2

@@ -1,5 +1,6 @@
 import pytest
 
+from treelat import groupprops
 from treelat.errors import (
     NotNormal,
     NotTransitive,
@@ -40,9 +41,11 @@ from treelat.pipeline import analyze_raw_group
 
 from conftest import cyclic_group
 from oracles import (
+    all_subgroups_bruteforce,
     invariant_partitions_bruteforce,
     minimal_normal_bruteforce,
     primitive_bruteforce,
+    section_bruteforce,
     transitive_bruteforce,
     two_transitive_bruteforce,
 )
@@ -365,6 +368,55 @@ def test_section_exact_consistent_with_necessary():
             rep = section_necessary(m, s)
             assert rep.order_divides and rep.prime_spectrum_ok
             assert rep.element_order_spectrum_ok
+
+
+def _f20_x_s4():
+    """AGL(1,5) on points 0..4 times S4 on points 5..8: order 480."""
+    c = from_cycles
+    return perm_group([c(9, [(0, 1, 2, 3, 4)]), c(9, [(1, 2, 4, 3)]),
+                       c(9, [(5, 6, 7, 8)]), c(9, [(5, 6)])], name="F20xS4")
+
+
+def _necessary_flags_pass_but_no():
+    """Groups where A5 passes every necessary flag and is not a section."""
+    c = from_cycles
+    return [
+        perm_group([c(9, [(0, 1, 2)]), c(9, [(0, 1), (2, 3)]),
+                    c(9, [(4, 5, 6, 7, 8)])], name="A4xC5"),
+        perm_group([c(12, [(0, 1, 2)]), c(12, [(3, 4, 5, 6)]),
+                    c(12, [(7, 8, 9, 10, 11)])], name="C3xC4xC5"),
+        _f20_x_s4(),
+    ]
+
+
+def test_all_subgroups_oracle_known_counts():
+    psl27 = perm_group([from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)]),
+                        from_cycles(8, [(0, 7), (1, 6), (2, 3), (4, 5)])])
+    for g, count in ((symmetric_group(4), 30), (alternating_group(5), 59),
+                     (symmetric_group(5), 156), (psl27, 179)):
+        assert len(all_subgroups_bruteforce(g.generators, g.degree)) == count
+
+
+def test_section_exact_matches_bruteforce(suite):
+    ms = [cyclic_group(2), cyclic_group(3), cyclic_group(5), alternating_group(5)]
+    small = [g for g in suite if order(g) <= 200]
+    for s in small:
+        for m in ms:
+            oracle = section_bruteforce(m.generators, s.generators, s.degree)
+            assert section_exact_small(m, s) == (YES if oracle else NO), (m.name, s.name)
+    a5 = alternating_group(5)
+    for s in _necessary_flags_pass_but_no():
+        assert section_necessary(a5, s).exact == UNKNOWN, s.name
+        assert not section_bruteforce(a5.generators, s.generators, s.degree), s.name
+        assert section_exact_small(a5, s) == NO, s.name
+
+
+def test_section_exact_subgroup_count_cap(monkeypatch):
+    # A6 has 501 subgroups and F20xS4 912, so neither lattice fits under
+    # 300; A6 certifies an A5 while fewer than 300 are known
+    monkeypatch.setattr(groupprops, "_SUBGROUP_COUNT_CAP", 300)
+    assert section_exact_small(alternating_group(5), _f20_x_s4()) == UNKNOWN
+    assert section_exact_small(alternating_group(5), alternating_group(6)) == YES
 
 
 def test_element_order_spectrum():
