@@ -4,8 +4,11 @@ Transitivity grades, minimal block systems (Atkinson refinement),
 quasi-primitivity via minimal normal subgroups, almost-simple typing,
 and the section tests that drive the obstruction reports.
 
-Everything here is exact: groups too large for the requested enumeration
-cap raise TooLarge instead of returning a heuristic answer.
+Everything here is exact.  Almost simple typing and simplicity are first
+proved without listing the group (``_simple_residual``); where that proof
+does not apply, the group is enumerated.  TooLarge means only that an
+enumeration which had to run would list more elements than the cap allows;
+no heuristic answer is ever returned instead.
 """
 
 from __future__ import annotations
@@ -211,6 +214,97 @@ def minimal_normal_subgroups(g: PermGroup,
     return minimal
 
 
+def _no_regular_mns(n: int, h_order: int) -> bool:
+    """Condition (d) of _simple_residual: a group of degree n with point
+    stabilizer of order h_order has no regular minimal normal subgroup."""
+    primes = _prime_factors(n)
+    if len(primes) != 1:
+        return n < 60
+    p = primes.pop()
+    # n = p^d and |GL(d, p)| = (n - 1)(n - p)...(n - p^(d-1))
+    gl_order, q = 1, 1
+    while q < n:
+        gl_order *= n - q
+        q *= p
+    return gl_order % h_order != 0
+
+
+def _minimal_normal_of_stabilizer(h: PermGroup, enum_cap: int) -> Optional[list[PermGroup]]:
+    """The minimal normal subgroups of h, through _simple_residual on the
+    points h moves when that proves one, else by enumeration; None when
+    |h| exceeds the cap."""
+    support = sorted({x for s in h.generators for x in range(h.degree) if s[x] != x})
+    label = {x: i for i, x in enumerate(support)}
+    on_support = PermGroup(degree=len(support),
+                           generators=tuple(tuple(label[s[x]] for x in support)
+                                            for s in h.generators))
+    socle = _simple_residual(on_support, enum_cap)
+    if socle is not None:
+        gens = []
+        for s in socle.generators:
+            images = list(range(h.degree))
+            for i, x in enumerate(support):
+                images[x] = support[s[i]]
+            gens.append(tuple(images))
+        return [PermGroup(degree=h.degree, generators=tuple(gens))]
+    if order(h) > enum_cap:
+        return None
+    return minimal_normal_subgroups(h, enum_cap)
+
+
+def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
+    """The solvable residual D of g, when it is provably nonabelian simple
+    and the only minimal normal subgroup of g; otherwise None.
+
+    Nothing of the size of g is enumerated.  Let g be transitive on its n
+    points, D the last term of its derived series (so D is perfect) and
+    H = D_0.  D is simple and g's only minimal normal subgroup when
+
+    (a) D is transitive and primitive;
+    (b) H != 1;
+    (c) for every minimal normal subgroup K of H, the normal closure of K
+        in D is D;
+    (d) D has no regular minimal normal subgroup: either n < 60 and n is
+        not a prime power, or n = p^d and |H| does not divide |GL(d, p)|.
+
+    Proof.  Let N be a minimal normal subgroup of D; N is transitive
+    because D is primitive.  If N ∩ H != 1, it is normal in H and contains
+    some K of (c), so N contains the closure of K, which is D.
+    Otherwise N is regular and characteristically simple.  If N is
+    elementary abelian of order n = p^d, then D = N ⋊ H and H acts
+    faithfully on N by conjugation (the centralizer of a regular group is
+    semiregular), so H embeds in GL(d, p); if N is nonabelian,
+    n = |N| >= 60 and n is not a prime power.  (d) rules out both, so D is
+    simple, and nonabelian because it is perfect.  Being simple and normal
+    in g, D is minimal normal in g.  Primitivity of D and H != 1 give
+    N_D(H) = H, so the centralizer of D in the symmetric group, which is
+    isomorphic to N_D(H)/H, is trivial; a second minimal normal subgroup of
+    g would centralize D, so there is none.
+
+    (c) takes the minimal normal subgroups of H by the same test, run on
+    the points H moves; where it fails, H is enumerated under enum_cap
+    (Seress, *Permutation Group Algorithms*, ch. 6, reduces simplicity
+    through point stabilizers in the same way).
+    """
+    n = g.degree
+    if n < 2 or len(orbit(g, 0)) != n:
+        return None
+    d = derived_series(g)[-1]
+    d_order = order(d)
+    if d_order == 1 or len(orbit(d, 0)) != n:
+        return None
+    h = point_stabilizer(d, 0)
+    h_order = order(h)
+    if h_order == 1 or not _no_regular_mns(n, h_order) or minimal_block_systems(d):
+        return None
+    mns = _minimal_normal_of_stabilizer(h, enum_cap)
+    if mns is None:
+        return None
+    if all(order(normal_closure(d, k.generators)) == d_order for k in mns):
+        return d
+    return None
+
+
 def is_abelian(g: PermGroup) -> bool:
     gens = g.generators
     for i, a in enumerate(gens):
@@ -221,13 +315,18 @@ def is_abelian(g: PermGroup) -> bool:
 
 
 def is_simple(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Simplicity by the normal-closure criterion: the closure of every
-    non-identity element (one per conjugacy class) is the whole group."""
+    """Simplicity: proved without enumeration when _simple_residual finds
+    that g is its own simple residual, else by the normal-closure
+    criterion: the closure of every non-identity element (one per
+    conjugacy class) is the whole group."""
     n = order(g)
-    if n > enum_cap:
-        raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
     if n == 1:
         return False
+    d = _simple_residual(g, enum_cap)
+    if d is not None and order(d) == n:
+        return True
+    if n > enum_cap:
+        raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
     for rep in conjugacy_class_representatives(g):
         if is_identity(rep):
             continue
@@ -241,10 +340,18 @@ def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
     """Quasi-primitivity type per the almost-simple / two-regular split,
     together with the minimal normal subgroups themselves.
 
-    A quasi-primitive group is expected to have one or two minimal normal
-    subgroups; more than two is reported as an internal error rather than
-    silently trusted away.
+    When _simple_residual proves the solvable residual simple and the only
+    minimal normal subgroup, g is almost simple and nothing is enumerated.
+    Otherwise the minimal normal subgroups are enumerated.  A
+    quasi-primitive group is expected to have one or two of them; more
+    than two is reported as an internal error rather than silently trusted
+    away.
     """
+    socle = _simple_residual(g, enum_cap)
+    if socle is not None:
+        socle_order = order(socle)
+        return QpType(tag=ALMOST_SIMPLE, mns_orders=(socle_order,),
+                      socle_order=socle_order), [socle]
     mns = minimal_normal_subgroups(g, enum_cap)
     mns_orders = tuple(order(m) for m in mns)
     socle_gens = tuple(p for m in mns for p in m.generators)
@@ -342,7 +449,8 @@ class _CayleyTable:
     ``compose(elements[i], elements[j])``.  Only the generators' rows are
     composed: left multiplication gives row(g∘a) = row_g[row_a[·]], so a
     breadth-first walk from the identity fills every other row with one
-    ``itemgetter`` call."""
+    ``itemgetter`` call.  ``gens`` holds the indices of g's non-identity
+    generators."""
 
     def __init__(self, g: PermGroup):
         elements = g.chain().elements()
@@ -353,6 +461,7 @@ class _CayleyTable:
         self.e = e = index[identity(g.degree)]
         gen_rows = {tuple(index[compose(s, b)] for b in elements)
                     for s in g.generators}
+        self.gens = sorted({index[s] for s in g.generators} - {e})
         mul: list[Optional[tuple[int, ...]]] = [None] * n
         mul[e] = tuple(range(n))
         queue = [e]
@@ -451,10 +560,18 @@ def _subgroup_class_reps(table: _CayleyTable
                 if sub[0] in known:
                     continue
                 nxt.append(sub)
-                for g in range(n):
-                    known.add(_conjugate_set(table, sub[0], g))
-                    if len(known) > _SUBGROUP_COUNT_CAP:
-                        raise _SubgroupCountCapExceeded
+                # the conjugacy class of sub: its orbit under conjugation
+                # by the generators of the group
+                known.add(sub[0])
+                conjugates = [sub[0]]
+                for h in conjugates:
+                    for s in table.gens:
+                        c = _conjugate_set(table, h, s)
+                        if c not in known:
+                            known.add(c)
+                            conjugates.append(c)
+                if len(known) > _SUBGROUP_COUNT_CAP:
+                    raise _SubgroupCountCapExceeded
                 yield sub
         frontier = nxt
 

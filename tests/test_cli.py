@@ -4,7 +4,7 @@ import pytest
 
 from treelat import catalog
 from treelat.cli import main
-from treelat.permcore import group_from_raw, order
+from treelat.permcore import alternating_group, group_from_raw, group_to_raw, order
 from treelat.vhcomplex import parse_datum, serialize_datum, validate
 
 
@@ -122,10 +122,33 @@ def test_analyze_requires_input(capsys):
 
 
 def test_analyze_enum_cap_exceeded(capsys):
-    code, _, err = run(capsys, "analyze", "--pair", "m12", "m12",
+    # the section test lists the 360 elements of A6 for its spectrum
+    code, _, err = run(capsys, "analyze", "--pair", "a6_natural", "m12",
                        "--enum-cap", "100")
     assert code == 3
     assert "cap" in err.lower()
+
+
+def test_analyze_enum_cap_bounds_only_enumerations(capsys):
+    # M12 is typed without listing it, so a cap far below |M12| changes nothing
+    code, capped, _ = run(capsys, "analyze", "--pair", "m12", "m12",
+                          "--enum-cap", "100", "--json")
+    assert code == 0
+    code, uncapped, _ = run(capsys, "analyze", "--pair", "m12", "m12", "--json")
+    assert code == 0
+    assert capped == uncapped
+
+
+def test_analyze_natural_a10_pair(capsys, tmp_path):
+    # |A10| = 1,814,400 exceeds the default enumeration cap of 10^6
+    path = tmp_path / "a10.json"
+    path.write_text(json.dumps(group_to_raw(alternating_group(10))))
+    code, out, _ = run(capsys, "analyze", "--pair", str(path), str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    for side in ("side1", "side2"):
+        assert report[side]["qp_type"]["tag"] == "AlmostSimple"
+        assert report[side]["m_order"] == 1814400
 
 
 def test_analyze_pair_with_depth_is_usage_error(capsys):

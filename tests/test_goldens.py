@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from treelat.cli import main
-from treelat.permcore import alternating_group, group_to_raw
+from treelat.permcore import alternating_group, group_to_raw, symmetric_group
 from treelat.vhcomplex import serialize_datum
 
 from conftest import growth_datum
@@ -31,18 +31,22 @@ def golden_argv(case: str, tmp_path: Path) -> list[str]:
     if case == "growth_t4x4":
         return ["analyze", _write(tmp_path, case, serialize_datum(growth_datum())),
                 "--json"]
-    if case == "pair_A5_A7":
-        files = [_write(tmp_path, f"A{n}", group_to_raw(alternating_group(n)))
-                 for n in (5, 7)]
+    raw = {"pair_A5_A7": (alternating_group(5), alternating_group(7)),
+           "pair_A9_A9": (alternating_group(9), alternating_group(9)),
+           "pair_S5_S7": (symmetric_group(5), symmetric_group(7))}
+    if case in raw:
+        files = [_write(tmp_path, f"{g.name}_{i}", group_to_raw(g))
+                 for i, g in enumerate(raw[case])]
         return ["analyze", "--pair", *files, "--json"]
     members = {"pair_a6_s5": ("a6_natural", "s5_on_pairs"),
                "pair_a6_a6": ("a6_natural", "a6_natural"),
-               "pair_a6_m12": ("a6_natural", "m12")}[case]
+               "pair_a6_m12": ("a6_natural", "m12"),
+               "pair_m12_m12": ("m12", "m12")}[case]
     return ["analyze", "--pair", *members, "--json"]
 
 
 CASES = ("commuting_t4x4", "growth_t4x4", "pair_a6_s5", "pair_a6_a6",
-         "pair_a6_m12", "pair_A5_A7")
+         "pair_a6_m12", "pair_A5_A7", "pair_m12_m12", "pair_A9_A9", "pair_S5_S7")
 
 
 @pytest.mark.parametrize("case", CASES)

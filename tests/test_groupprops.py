@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from treelat import groupprops
@@ -12,6 +14,7 @@ from treelat.groupprops import (
     INTRANSITIVE,
     NO,
     NOT_QUASIPRIMITIVE,
+    OTHER_QUASIPRIMITIVE,
     TWO_REGULAR_MNS,
     UNKNOWN,
     YES,
@@ -274,6 +277,120 @@ def test_is_simple():
     assert not is_simple(cyclic_group(4))
     assert not is_simple(symmetric_group(4))
     assert not is_simple(trivial_group(2))
+
+
+# ---------------------------------------------------------------------------
+# almost-simple typing without enumeration
+# ---------------------------------------------------------------------------
+
+def matrix_group(p, d, matrices, name, affine=True):
+    """The given d x d matrices over F_p, with the translations when affine,
+    acting on the vectors of F_p^d; on the nonzero vectors otherwise."""
+    vectors = list(itertools.product(range(p), repeat=d))[0 if affine else 1:]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def linear(a):
+        return tuple(index[tuple(sum(a[i][j] * v[j] for j in range(d)) % p
+                                 for i in range(d))] for v in vectors)
+
+    gens = [linear(a) for a in matrices]
+    if affine:
+        gens.append(tuple(index[((v[0] + 1) % p,) + v[1:]] for v in vectors))
+    return perm_group(gens, degree=len(vectors), name=name)
+
+
+SL2 = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+
+
+def sl_2_5_on_vectors():
+    # perfect, transitive and not simple: -1 is central and swaps v, -v
+    return matrix_group(5, 2, SL2, "SL(2,5) on F5^2 - 0", affine=False)
+
+
+def agl_3_2():
+    # two transvections and the cyclic coordinate shift generate GL(3,2)
+    return matrix_group(2, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                               [[0, 0, 1], [1, 0, 0], [0, 1, 0]]], "AGL(3,2)")
+
+
+def diagonal_a5_x_a5():
+    """A5 x A5 acting on A5 by left and right translation."""
+    a5 = alternating_group(5)
+    elements = sorted(a5.chain().elements())
+    index = {e: i for i, e in enumerate(elements)}
+    left = [tuple(index[tuple(p[x] for x in e)] for e in elements) for p in a5.generators]
+    right = [tuple(index[tuple(e[x] for x in p)] for e in elements) for p in a5.generators]
+    return perm_group(left + right, degree=60, name="A5xA5 on A5")
+
+
+def fast_path_cases(suite):
+    groups = list(suite)
+    for n in range(3, 9):
+        for g in (alternating_group(n), symmetric_group(n)):
+            groups += [g, induced_action_on_pairs(g)]
+    groups += [matrix_group(p, 1, [[[r]]], f"AGL(1,{p})")
+               for p, r in ((5, 2), (7, 3), (11, 2), (13, 2))]
+    groups += [matrix_group(3, 2, SL2, "ASL(2,3)"), agl_3_2(), sl_2_5_on_vectors(),
+               diagonal_a5_x_a5()]
+    return groups
+
+
+def by_enumeration(monkeypatch, g):
+    """classify_qp_with_mns and is_simple with the fast path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(groupprops, "_simple_residual", lambda g, enum_cap: None)
+        qp, mns = classify_qp_with_mns(g)
+        return qp, mns, is_simple(g)
+
+
+def test_fast_path_matches_enumeration(suite, monkeypatch):
+    proved = set()
+    for g in fast_path_cases(suite):
+        qp, mns = classify_qp_with_mns(g)
+        enum_qp, enum_mns, enum_simple = by_enumeration(monkeypatch, g)
+        assert qp == enum_qp, g.name
+        assert is_simple(g) == enum_simple, g.name
+        if order(g) <= 2000:
+            assert ([frozenset(m.chain().elements()) for m in mns]
+                    == [frozenset(m.chain().elements()) for m in enum_mns]), g.name
+        if groupprops._simple_residual(g, 10 ** 6) is not None:
+            proved.add(g.name)
+    # natural A_n, S_n and their actions on pairs are typed by the fast path
+    expected = {f"{x}{n}{on}" for x in "AS" for n in range(5, 9) for on in ("", "_on_pairs")}
+    assert expected <= proved
+
+
+def test_agl_3_2_falls_back():
+    # perfect and primitive, but |GL(3,2)| = |H| = 168, so condition (d)
+    # cannot exclude a regular normal subgroup: the translations are one
+    g = agl_3_2()
+    assert order(g) == 1344
+    assert groupprops._simple_residual(g, 10 ** 6) is None
+    qp, mns = classify_qp_with_mns(g)
+    assert qp.tag == OTHER_QUASIPRIMITIVE
+    assert qp.mns_orders == (8,)
+
+
+def test_imprimitive_perfect_group_falls_back():
+    # conditions (b)-(d) hold, and only primitivity excludes the centre
+    g = sl_2_5_on_vectors()
+    assert order(g) == 120
+    assert groupprops._simple_residual(g, 10 ** 6) is None
+    qp, _ = classify_qp_with_mns(g)
+    assert qp.tag == NOT_QUASIPRIMITIVE
+    assert qp.mns_orders == (2,)
+
+
+@pytest.mark.parametrize("g, socle", [(alternating_group(10), 1814400),
+                                      (alternating_group(11), 19958400),
+                                      (symmetric_group(12), 239500800)])
+def test_large_natural_groups_typed_under_small_cap(g, socle):
+    # nothing of more than 1000 elements is listed
+    qp, mns = classify_qp_with_mns(g, enum_cap=1000)
+    assert qp.tag == ALMOST_SIMPLE
+    assert qp.mns_orders == (socle,)
+    assert qp.socle_order == socle
+    assert is_simple(mns[0], enum_cap=1000)
 
 
 # ---------------------------------------------------------------------------
