@@ -20,18 +20,15 @@ from treelat.vhcomplex import parse_datum  # noqa: E402
 def main() -> int:
     for entry in catalog.entries():
         start = time.perf_counter()
-        if entry.kind == catalog.DATUM and entry.payload:
+        if entry.kind == catalog.DATUM:
             report = analyze_datum(parse_datum(catalog.load_document(entry.name)))
         elif entry.kind == catalog.RAW_GROUP_PAIR:
             g1 = catalog.load_group(entry.members[0])
             g2 = catalog.load_group(entry.members[1])
             report = analyze_pair(g1, g2)
-        elif entry.kind == catalog.RAW_GROUP and entry.payload:
+        else:
             g = catalog.load_group(entry.name)
             report = analyze_pair(g, g)
-        else:
-            print(f"{entry.name:18s} skipped (external source only)")
-            continue
         elapsed = time.perf_counter() - start
         t01 = "applicable" if report.theorem01.applicable else "not applicable"
         t25 = "-"

@@ -1,10 +1,12 @@
 """Bundled catalog: example inputs, their provenance, and golden summaries.
 
-Everything bundled is generated programmatically and verified by the test
-suite (the Mathieu group's order, for instance, is recomputed by the BSGS
-engine at test time).  Square tables published elsewhere in the literature
-are represented by payload-free slots carrying their citation: the tool
-ships nothing it cannot verify and fabricates nothing.
+Each datum and raw-group entry is built by its own builder and shipped as
+`data/<name>.json`; the test suite checks every file against its builder
+(the Mathieu group's order, for instance, is recomputed by the BSGS engine
+at test time).  A pair entry names two bundled raw groups and ships no file
+of its own.  The tool ships nothing it cannot verify and fabricates
+nothing: square tables published elsewhere in the literature are not
+reproduced here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import UnknownEntry
 from .permcore import (
@@ -36,11 +38,12 @@ RAW_GROUP_PAIR = "raw_group_pair"
 class CatalogEntry:
     name: str
     kind: str
-    payload: Optional[str]  # bundled file name under treelat/data, or None
     source: str
     description: str
     expected: Optional[dict] = None
     members: tuple[str, ...] = ()  # for raw_group_pair entries
+    # builds the datum or raw group behind data/<name>.json; None for pairs
+    build: Optional[Callable[[], VhDatum | PermGroup]] = None
 
 
 def mathieu_group_12() -> PermGroup:
@@ -51,29 +54,11 @@ def mathieu_group_12() -> PermGroup:
     return perm_group([a, b], name="m12")
 
 
-def build_group(name: str) -> PermGroup:
-    if name == "a6_natural":
-        g = alternating_group(6)
-        return PermGroup(degree=6, generators=g.generators, name="a6_natural")
-    if name == "s5_on_pairs":
-        g = induced_action_on_pairs(symmetric_group(5))
-        return PermGroup(degree=10, generators=g.generators, name="s5_on_pairs")
-    if name == "m12":
-        return mathieu_group_12()
-    raise UnknownEntry(f"no raw group builder named {name!r}")
-
-
-def build_datum(name: str) -> VhDatum:
-    if name == "commuting_t4x4":
-        return commuting_datum(4, 4)
-    raise UnknownEntry(f"no datum builder named {name!r}")
-
-
 _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="commuting_t4x4",
         kind=DATUM,
-        payload="commuting_t4x4.json",
+        build=lambda: commuting_datum(4, 4),
         source="direct product construction (built in)",
         description="Commuting relations a.b = b.a on two 4-letter alphabets; "
                     "both local towers are trivial, the projections are discrete.",
@@ -86,7 +71,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="a6_natural",
         kind=RAW_GROUP,
-        payload="a6_natural.json",
+        build=lambda: alternating_group(6),
         source="generated: alternating group on 6 points",
         description="A6 in its natural 2-transitive action.",
         expected={
@@ -99,7 +84,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="s5_on_pairs",
         kind=RAW_GROUP,
-        payload="s5_on_pairs.json",
+        build=lambda: induced_action_on_pairs(symmetric_group(5)),
         source="generated: S5 natural action induced on the ten 2-element subsets",
         description="S5 acting primitively but not 2-transitively on the "
                     "2-element subsets of a 5-element set.",
@@ -113,7 +98,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="m12",
         kind=RAW_GROUP,
-        payload="m12.json",
+        build=mathieu_group_12,
         source="standard two-generator set for the Mathieu group M12 "
                "(ATLAS-style generators); order re-verified by the BSGS engine "
                "in the test suite",
@@ -128,7 +113,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="pair_a6_s5",
         kind=RAW_GROUP_PAIR,
-        payload=None,
         members=("a6_natural", "s5_on_pairs"),
         source="local action pair of an irreducible lattice on a product of a "
                "6-regular and a 10-regular tree (D. Rattaggi, Computations in "
@@ -143,7 +127,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="pair_a6_a6",
         kind=RAW_GROUP_PAIR,
-        payload=None,
         members=("a6_natural", "a6_natural"),
         source="local action pair realized by one-vertex complexes on a product "
                "of two 6-regular trees (D. Rattaggi, PhD thesis, ETH Zurich, 2004)",
@@ -156,7 +139,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="pair_a6_m12",
         kind=RAW_GROUP_PAIR,
-        payload=None,
         members=("a6_natural", "m12"),
         source="local action pair realized by one-vertex complexes on a product "
                "of a 6-regular and a 12-regular tree (D. Rattaggi, PhD thesis, "
@@ -165,35 +147,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         expected={"theorem01_applicable": True,
                   "obstruction_established": True,
                   "chain_contradiction": True},
-    ),
-    CatalogEntry(
-        name="a6_s5_datum",
-        kind=DATUM,
-        payload=None,
-        source="square table published in D. Rattaggi, Computations in groups "
-               "acting on a product of trees, PhD thesis, ETH Zurich, 2004 "
-               "(T6 x T10 one-vertex complex realizing (A6, S5 on pairs))",
-        description="Slot for the explicit one-vertex square table; the table "
-                    "is not reproduced here and must be ingested from the "
-                    "cited source.",
-    ),
-    CatalogEntry(
-        name="a6_m12_datum",
-        kind=DATUM,
-        payload=None,
-        source="square table published in D. Rattaggi, PhD thesis, ETH Zurich, "
-               "2004 (T6 x T12 one-vertex complex realizing (A6, M12))",
-        description="Slot for the explicit square table realizing (A6, M12); "
-                    "ingest from the cited source.",
-    ),
-    CatalogEntry(
-        name="a6_a6_datum",
-        kind=DATUM,
-        payload=None,
-        source="square table published in D. Rattaggi, PhD thesis, ETH Zurich, "
-               "2004 (T6 x T6 one-vertex complex realizing (A6, A6))",
-        description="Slot for the explicit square table realizing (A6, A6); "
-                    "ingest from the cited source.",
     ),
 )
 
@@ -210,13 +163,13 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def load_document(name: str) -> dict:
-    """The bundled JSON document for a catalog entry with a payload."""
+    """The bundled JSON document of a datum or raw-group entry."""
     entry = get_entry(name)
-    if entry.payload is None:
+    if entry.kind == RAW_GROUP_PAIR:
         raise UnknownEntry(
-            f"catalog entry {name!r} has no bundled payload "
-            f"(external source: {entry.source})")
-    text = resources.files("treelat.data").joinpath(entry.payload).read_text()
+            f"catalog entry {name!r} is a pair of bundled groups, not a document; "
+            f"run `treelat analyze --pair {' '.join(entry.members)}`")
+    text = resources.files("treelat.data").joinpath(f"{name}.json").read_text()
     return json.loads(text)
 
 
@@ -226,9 +179,12 @@ def load_group(name: str) -> PermGroup:
 
 def regenerate_documents() -> dict[str, dict]:
     """The documents the bundled data files must contain, built from scratch."""
-    return {
-        "commuting_t4x4.json": serialize_datum(build_datum("commuting_t4x4")),
-        "a6_natural.json": group_to_raw(build_group("a6_natural")),
-        "s5_on_pairs.json": group_to_raw(build_group("s5_on_pairs")),
-        "m12.json": group_to_raw(build_group("m12")),
-    }
+    documents = {}
+    for entry in _ENTRIES:
+        if entry.kind == DATUM:
+            documents[f"{entry.name}.json"] = serialize_datum(entry.build())
+        elif entry.kind == RAW_GROUP:
+            g = entry.build()
+            documents[f"{entry.name}.json"] = group_to_raw(
+                PermGroup(degree=g.degree, generators=g.generators, name=entry.name))
+    return documents

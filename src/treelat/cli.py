@@ -54,10 +54,8 @@ def _load_json(path_or_name: str) -> dict:
             raise MalformedDocument(f"{path}: {exc}") from exc
     try:
         return catalog.load_document(path_or_name)
-    except UnknownEntry:
-        raise MalformedDocument(
-            f"{path_or_name!r} is neither an existing file nor a bundled "
-            "catalog entry") from None
+    except UnknownEntry as exc:
+        raise MalformedDocument(f"no file {path_or_name!r}, and {exc}") from None
 
 
 def _load_datum(path_or_name: str) -> VhDatum:
@@ -227,8 +225,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action == "list":
         for entry in catalog.entries():
-            bundled = "bundled" if entry.payload else (
-                "pair" if entry.kind == catalog.RAW_GROUP_PAIR else "external source only")
+            bundled = "pair" if entry.kind == catalog.RAW_GROUP_PAIR else "bundled"
             print(f"{entry.name:18s} {entry.kind:15s} {bundled}")
         return EXIT_OK
     entry = catalog.get_entry(args.name)
@@ -240,11 +237,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         print(f"members:     {', '.join(entry.members)}")
     if entry.expected:
         print(f"expected:    {json.dumps(entry.expected)}")
-    if entry.payload:
+    if entry.kind != catalog.RAW_GROUP_PAIR:
         print("payload:")
         _print_json(catalog.load_document(entry.name))
-    elif entry.kind == catalog.DATUM:
-        print("payload:     not bundled; ingest the square table from the cited source")
     return EXIT_OK
 
 

@@ -197,8 +197,7 @@ def minimal_normal_subgroups(g: PermGroup,
         raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
     if n == 1:
         return []
-    elements = g.chain().elements()
-    reps = conjugacy_class_representatives(g, elements)
+    reps = conjugacy_class_representatives(g)
     closures: list[PermGroup] = []
     for rep in reps:
         if is_identity(rep):

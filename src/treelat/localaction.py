@@ -33,7 +33,8 @@ from .vhcomplex import (
     automaton_for_side,
 )
 
-DEFAULT_WORD_BOUND = 1_000_000
+# the most words a sphere may have
+WORD_BOUND = 1_000_000
 DEFAULT_DEPTH = 5
 
 Word = tuple[int, ...]
@@ -66,15 +67,14 @@ def sphere_size(n: int, k: int) -> int:
     return n * (n - 1) ** (k - 1)
 
 
-def sphere_index(alphabet: Alphabet, k: int,
-                 word_bound: int = DEFAULT_WORD_BOUND) -> SphereIndex:
+def sphere_index(alphabet: Alphabet, k: int) -> SphereIndex:
     """All reduced words of length k, lexicographically."""
     if k < 1:
         raise DepthOverflow(f"sphere depth must be >= 1, got {k}")
     count = sphere_size(alphabet.size, k)
-    if count > word_bound:
+    if count > WORD_BOUND:
         raise DepthOverflow(
-            f"sphere of depth {k} has {count} words, exceeding bound {word_bound}")
+            f"sphere of depth {k} has {count} words, exceeding bound {WORD_BOUND}")
     words: list[Word] = [(a,) for a in range(alphabet.size)]
     for _ in range(k - 1):
         words = [w + (c,) for w in words
@@ -124,28 +124,21 @@ class DiscretenessVerdict:
         return {"kind": self.kind, "at": self.at}
 
 
-def local_group(d: VhDatum, side: str, k: int,
-                word_bound: int = DEFAULT_WORD_BOUND) -> PermGroup:
+def local_group(d: VhDatum, side: str, k: int) -> PermGroup:
     """The group of permutations of the depth-k sphere words generated by
     the states of the other side's automaton."""
     aut = automaton_for_side(d, side)
-    return _local_group_from_automaton(aut, k, word_bound)
+    return _local_group_from_automaton(aut, sphere_index(aut.letters, k))
 
 
-def _local_group_from_automaton(aut: MealyAutomaton, k: int,
-                                word_bound: int = DEFAULT_WORD_BOUND,
-                                sphere: Optional[SphereIndex] = None) -> PermGroup:
-    """The states' action on the depth-k sphere; pass `sphere` when the
-    caller has already indexed it."""
-    if sphere is None:
-        sphere = sphere_index(aut.letters, k, word_bound)
+def _local_group_from_automaton(aut: MealyAutomaton, sphere: SphereIndex) -> PermGroup:
+    """The states' action on the words of an indexed sphere."""
     gens = tuple(tuple(sphere.position(act_word(aut, s, w)) for w in sphere.words)
                  for s in range(aut.states.size))
     return PermGroup(degree=len(sphere), generators=gens)
 
 
-def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH,
-          word_bound: int = DEFAULT_WORD_BOUND) -> LocalTower:
+def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH) -> LocalTower:
     """P_1 ... P_depth with generator-wise restriction compatibility checked
     during construction."""
     if depth < 1:
@@ -154,8 +147,8 @@ def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH,
     groups = []
     spheres = []
     for k in range(1, depth + 1):
-        spheres.append(sphere_index(aut.letters, k, word_bound))
-        groups.append(_local_group_from_automaton(aut, k, word_bound, spheres[-1]))
+        spheres.append(sphere_index(aut.letters, k))
+        groups.append(_local_group_from_automaton(aut, spheres[-1]))
     for k in range(len(groups) - 1):
         _assert_restriction(spheres[k], spheres[k + 1], groups[k], groups[k + 1])
     return LocalTower(side=side, groups=tuple(groups),

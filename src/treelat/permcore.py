@@ -430,21 +430,17 @@ def derived_series(g: PermGroup) -> list[PermGroup]:
         current = nxt
 
 
-def conjugacy_class_representatives(g: PermGroup,
-                                    elements: Optional[list[Perm]] = None
-                                    ) -> list[Perm]:
+def conjugacy_class_representatives(g: PermGroup) -> list[Perm]:
     """One representative image tuple per conjugacy class of g.
 
-    `elements`, when given, must list all of g.  Classes are found by
-    closing the element set under conjugation by the generators;
-    deterministic because elements() order is deterministic.  The result is
-    memoized on the group value (write-once, deterministic).
+    Classes are found by closing the element set under conjugation by the
+    generators; deterministic because elements() order is deterministic.
+    The result is memoized on the group value (write-once, deterministic).
     """
     cached = getattr(g, "_class_reps", None)
     if cached is not None:
         return cached
-    if elements is None:
-        elements = g.chain().elements()
+    elements = g.chain().elements()
     conjugators = [(x, inverse(x)) for x in g.generators]
     # the elements not yet in a class; holding the listed tuples rather than
     # the conjugates found keeps one copy of each element alive, not two

@@ -44,7 +44,6 @@ from .localaction import (
     NO_STABILIZATION,
     NOT_APPLICABLE,
     DEFAULT_DEPTH,
-    DEFAULT_WORD_BOUND,
     DiscretenessVerdict,
     discreteness_verdict,
     tower,
@@ -65,7 +64,6 @@ class AnalysisCaps:
     depth: int = DEFAULT_DEPTH
     enum_cap: int = DEFAULT_ENUM_CAP
     section_cap: int = DEFAULT_SECTION_CAP
-    word_bound: int = DEFAULT_WORD_BOUND
     strict: bool = False
 
 
@@ -184,7 +182,7 @@ def analyze_datum_side(d: VhDatum, side: str,
     report = validate(d, strict=caps.strict)
     if not report.ok:
         raise InvalidDatum("; ".join(report.violations))
-    t = tower(d, side, caps.depth, caps.word_bound)
+    t = tower(d, side, caps.depth)
     verdict = discreteness_verdict(t)
     label = f"datum:{d.name}:{side}" if d.name else f"datum:{side}"
     return _analyze_group(t.groups[0], source=label, discreteness=verdict,

@@ -133,8 +133,8 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet,
         nontrivial = False
         automata = (vertical_automaton(d), horizontal_automaton(d))
         for automaton, (sphere1, sphere2) in zip(automata, spheres):
-            p1 = order(_local_group_from_automaton(automaton, 1, sphere=sphere1))
-            p2 = order(_local_group_from_automaton(automaton, 2, sphere=sphere2))
+            p1 = order(_local_group_from_automaton(automaton, sphere1))
+            p2 = order(_local_group_from_automaton(automaton, sphere2))
             result.max_p1_order = max(result.max_p1_order, p1)
             result.max_p2_order = max(result.max_p2_order, p2)
             result.p1_orders_seen.add(p1)

@@ -24,7 +24,7 @@ Orbits under these rules have size 4, or size 2 exactly when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import (
     InvalidDatum,
@@ -203,31 +203,6 @@ def validate(d: VhDatum, strict: bool = False) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# corner maps
-# ---------------------------------------------------------------------------
-
-def _phi_map(d: VhDatum) -> dict[tuple[int, int], tuple[int, int]]:
-    """(a, b) -> (b2, a2); raises InvalidDatum on duplicates."""
-    phi: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b, a2, b2 in d.squares:
-        if (a, b) in phi:
-            raise InvalidDatum(f"pair ({a},{b}) covered by more than one square")
-        phi[(a, b)] = (b2, a2)
-    return phi
-
-
-def _co_map(d: VhDatum) -> dict[tuple[int, int], tuple[int, int]]:
-    """(b, a) -> (a*, b*) where the square (a*, b*, a, b) exists, i.e. the
-    solution of b . a = a* . b*."""
-    co: dict[tuple[int, int], tuple[int, int]] = {}
-    for a_star, b_star, a, b in d.squares:
-        if (b, a) in co:
-            raise InvalidDatum(f"pair ({b},{a}) has more than one co-square")
-        co[(b, a)] = (a_star, b_star)
-    return co
-
-
-# ---------------------------------------------------------------------------
 # Mealy automata
 # ---------------------------------------------------------------------------
 
@@ -248,48 +223,37 @@ class MealyAutomaton:
                     f"state {s}: output row {self.out[s]} is not a permutation of letters")
 
 
+def _automaton(states: Alphabet, letters: Alphabet,
+               moves: Iterable[tuple[int, int, int, int]]) -> MealyAutomaton:
+    """The automaton with out[s][x] = y and nxt[s][x] = t for each move
+    (s, x, y, t); every state must read every letter in exactly one move."""
+    out = [[-1] * letters.size for _ in range(states.size)]
+    nxt = [[-1] * letters.size for _ in range(states.size)]
+    for s, x, y, t in moves:
+        if out[s][x] != -1:
+            raise InvalidDatum(f"state {s} reads letter {x} in more than one square")
+        out[s][x] = y
+        nxt[s][x] = t
+    for s, row in enumerate(out):
+        if -1 in row:
+            raise InvalidDatum(f"no square where state {s} reads letter {row.index(-1)}")
+    return MealyAutomaton(states=states, letters=letters,
+                          out=tuple(map(tuple, out)), nxt=tuple(map(tuple, nxt)))
+
+
 def vertical_automaton(d: VhDatum) -> MealyAutomaton:
     """States are the vertical letters, input letters the horizontal ones;
-    row b sends a to a* with next state b*, from b . a = a* . b*."""
-    co = _co_map(d)
-    out_rows = []
-    nxt_rows = []
-    for b in range(d.m):
-        out_row = []
-        nxt_row = []
-        for a in range(d.n):
-            try:
-                a_star, b_star = co[(b, a)]
-            except KeyError:
-                raise InvalidDatum(f"no square resolving co-corner ({b},{a})") from None
-            out_row.append(a_star)
-            nxt_row.append(b_star)
-        out_rows.append(tuple(out_row))
-        nxt_rows.append(tuple(nxt_row))
-    return MealyAutomaton(states=d.vert, letters=d.horiz,
-                          out=tuple(out_rows), nxt=tuple(nxt_rows))
+    row b sends a to a* with next state b*, from b . a = a* . b*, that is
+    from the square (a*, b*, a, b)."""
+    return _automaton(d.vert, d.horiz,
+                      ((b, a, a_star, b_star) for a_star, b_star, a, b in d.squares))
 
 
 def horizontal_automaton(d: VhDatum) -> MealyAutomaton:
     """Dual construction: states are horizontal letters acting on vertical
     words, row a sends b to b2 with next state a2, from a . b = b2 . a2."""
-    phi = _phi_map(d)
-    out_rows = []
-    nxt_rows = []
-    for a in range(d.n):
-        out_row = []
-        nxt_row = []
-        for b in range(d.m):
-            try:
-                b2, a2 = phi[(a, b)]
-            except KeyError:
-                raise InvalidDatum(f"no square with first corner ({a},{b})") from None
-            out_row.append(b2)
-            nxt_row.append(a2)
-        out_rows.append(tuple(out_row))
-        nxt_rows.append(tuple(nxt_row))
-    return MealyAutomaton(states=d.horiz, letters=d.vert,
-                          out=tuple(out_rows), nxt=tuple(nxt_rows))
+    return _automaton(d.horiz, d.vert,
+                      ((a, b, b2, a2) for a, b, a2, b2 in d.squares))
 
 
 def automaton_for_side(d: VhDatum, side: str) -> MealyAutomaton:

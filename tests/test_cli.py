@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,12 @@ def test_analyze_hypothesis_failure_is_exit_zero(capsys, commuting_file):
 def test_analyze_depth_one_tower_too_short(capsys, commuting_file):
     code, _, err = run(capsys, "analyze", str(commuting_file), "--depth", "1")
     assert code == 2
+
+
+def test_analyze_pair_entry_names_the_pair_command(capsys):
+    code, _, err = run(capsys, "analyze", "pair_a6_a6")
+    assert code == 2
+    assert "--pair a6_natural a6_natural" in err
 
 
 def test_analyze_requires_input(capsys):
@@ -279,9 +286,11 @@ def test_bound_unparseable(capsys):
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
-    for name in ("commuting_t4x4", "a6_natural", "s5_on_pairs", "m12",
-                 "a6_s5_datum"):
-        assert name in out
+    lines = out.splitlines()
+    assert len(lines) == len(catalog.entries())
+    for entry, line in zip(catalog.entries(), lines):
+        status = "pair" if entry.kind == catalog.RAW_GROUP_PAIR else "bundled"
+        assert line.split() == [entry.name, entry.kind, status]
 
 
 def test_catalog_show_pair(capsys):
@@ -289,13 +298,6 @@ def test_catalog_show_pair(capsys):
     assert code == 0
     assert "Rattaggi" in out
     assert "a6_natural" in out
-
-
-def test_catalog_show_external_slot(capsys):
-    code, out, _ = run(capsys, "catalog", "show", "a6_s5_datum")
-    assert code == 0
-    assert "not bundled" in out
-    assert "Rattaggi" in out
 
 
 def test_catalog_show_unknown(capsys):
@@ -307,9 +309,22 @@ def test_catalog_show_unknown(capsys):
 # bundled payload integrity
 # ---------------------------------------------------------------------------
 
+def test_catalog_ships_one_file_per_non_pair_entry():
+    entries = catalog.entries()
+    files = {f"{e.name}.json" for e in entries if e.kind != catalog.RAW_GROUP_PAIR}
+    assert set(catalog.regenerate_documents()) == files
+    data_dir = Path(catalog.__file__).parent / "data"
+    assert {p.name for p in data_dir.iterdir()} == files
+    for entry in entries:
+        if entry.kind == catalog.RAW_GROUP_PAIR:
+            assert len(entry.members) == 2
+            for member in entry.members:
+                assert catalog.get_entry(member).kind == catalog.RAW_GROUP
+
+
 def test_every_bundled_payload_parses_and_validates():
     for entry in catalog.entries():
-        if entry.payload is None:
+        if entry.kind == catalog.RAW_GROUP_PAIR:
             continue
         doc = catalog.load_document(entry.name)
         if entry.kind == catalog.DATUM:
@@ -327,7 +342,7 @@ def test_bundled_files_match_programmatic_builders():
 
 def test_bundled_datum_files_round_trip_byte_normalized():
     for entry in catalog.entries():
-        if entry.kind != catalog.DATUM or entry.payload is None:
+        if entry.kind != catalog.DATUM:
             continue
         doc = catalog.load_document(entry.name)
         rebuilt = serialize_datum(parse_datum(doc))

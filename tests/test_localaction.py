@@ -65,7 +65,7 @@ def test_sphere_words_reduced_and_lexicographic():
 
 def test_sphere_depth_overflow():
     with pytest.raises(DepthOverflow):
-        sphere_index(A6, 10, word_bound=1000)
+        sphere_index(A6, 9)  # 6 * 5**8 = 2,343,750 words
     with pytest.raises(DepthOverflow):
         sphere_index(A4, 0)
 
@@ -75,7 +75,7 @@ def test_sphere_depth_overflow():
 def test_sphere_count_formula(k, size_choice):
     n = (4, 6, 8)[size_choice]
     alphabet = Alphabet.with_adjacent_pairs(n)
-    assert len(sphere_index(alphabet, k, word_bound=10 ** 6)) == n * (n - 1) ** (k - 1)
+    assert len(sphere_index(alphabet, k)) == n * (n - 1) ** (k - 1)
 
 
 # ---------------------------------------------------------------------------

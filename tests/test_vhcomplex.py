@@ -255,6 +255,17 @@ def test_transition_missing_pair():
         vertical_automaton(d)
 
 
+def test_automaton_rejects_repeated_move():
+    a4 = Alphabet.with_adjacent_pairs(4)
+    # two squares leave the corner (0, 0); two squares arrive at (0, 0)
+    twice_from = VhDatum(horiz=a4, vert=a4, squares=((0, 0, 0, 0), (0, 0, 1, 1)))
+    twice_into = VhDatum(horiz=a4, vert=a4, squares=((0, 0, 0, 0), (1, 1, 0, 0)))
+    with pytest.raises(InvalidDatum, match="more than one square"):
+        horizontal_automaton(twice_from)
+    with pytest.raises(InvalidDatum, match="more than one square"):
+        vertical_automaton(twice_into)
+
+
 def test_transition_co_transition_compatibility(nontrivial):
     # the square providing transition(a, b) = (b2, a2) is the square
     # providing co_transition(b2, a2) = (a, b)
