@@ -26,7 +26,7 @@ from .errors import (
     TowerTooShort,
     UnknownEntry,
 )
-from .localaction import DEFAULT_DEPTH, side_label, tower, tower_report
+from .localaction import DEFAULT_DEPTH, tower, tower_report
 from .permcore import PermGroup, group_from_raw
 from .pipeline import (
     AnalysisCaps,
@@ -36,7 +36,7 @@ from .pipeline import (
     analyze_pair,
     wang_index_bound,
 )
-from .vhcomplex import VhDatum, parse_datum, validate
+from .vhcomplex import HORIZONTAL, VERTICAL, VhDatum, parse_datum, validate
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -206,7 +206,8 @@ def _cmd_tower(args: argparse.Namespace) -> int:
         for v in report.violations:
             print(f"violation: {v}", file=sys.stderr)
         return EXIT_DOMAIN
-    t = tower(d, side_label(args.side), args.depth)
+    side = {"h": HORIZONTAL, "v": VERTICAL}.get(args.side, args.side)
+    t = tower(d, side, args.depth)
     _print_json(tower_report(t))
     return EXIT_OK
 

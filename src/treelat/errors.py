@@ -96,5 +96,9 @@ class RatioBelowOne(DomainError):
     pass
 
 
+class RatioTooLarge(ResourceCapExceeded):
+    """Covolume ratio above the cap on N of the index bound."""
+
+
 class UnknownEntry(DomainError):
     pass

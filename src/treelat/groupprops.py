@@ -113,7 +113,7 @@ def is_2transitive(g: PermGroup) -> bool:
         raise DegreeTooSmall(f"2-transitivity needs degree >= 2, got {g.degree}")
     if not is_transitive(g):
         return False
-    stab = point_stabilizer(g, 0)
+    stab = point_stabilizer(g)
     return len(orbit(stab, 1)) == g.degree - 1
 
 
@@ -292,7 +292,7 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     d_order = order(d)
     if d_order == 1 or len(orbit(d, 0)) != n:
         return None
-    h = point_stabilizer(d, 0)
+    h = point_stabilizer(d)
     h_order = order(h)
     if h_order == 1 or not _no_regular_mns(n, h_order) or minimal_block_systems(d):
         return None
@@ -692,8 +692,8 @@ def is_normal_in(m: PermGroup, p: PermGroup) -> bool:
     return True
 
 
-def solvable_outer_check(p: PermGroup, m: PermGroup, point: int = 0) -> bool:
-    """With S the stabilizer of the point in p and M∩S its stabilizer in m:
+def solvable_outer_check(p: PermGroup, m: PermGroup) -> bool:
+    """With S the stabilizer of point 0 in p and M∩S its stabilizer in m:
     does the derived series of S descend into M∩S?
 
     This operationalizes solvability of S/(S∩M) without forming the
@@ -703,8 +703,8 @@ def solvable_outer_check(p: PermGroup, m: PermGroup, point: int = 0) -> bool:
         raise NotNormal("m is not normal in p")
     if not is_transitive(p):
         raise NotTransitive("solvable-outer check requires a transitive group")
-    s = point_stabilizer(p, point)
-    m_cap_s = point_stabilizer(m, point)
+    s = point_stabilizer(p)
+    m_cap_s = point_stabilizer(m)
     chain = m_cap_s.chain()
     for term in derived_series(s):
         if all(chain.contains(q) for q in term.generators):

@@ -25,8 +25,6 @@ from .errors import (
 )
 from .permcore import PermGroup, order
 from .vhcomplex import (
-    HORIZONTAL,
-    VERTICAL,
     Alphabet,
     MealyAutomaton,
     VhDatum,
@@ -195,11 +193,3 @@ def tower_report(t: LocalTower) -> dict:
         "orders": list(t.orders),
         "verdict": discreteness_verdict(t).to_json(),
     }
-
-
-def side_label(side: str) -> str:
-    if side in (HORIZONTAL, "h"):
-        return HORIZONTAL
-    if side in (VERTICAL, "v"):
-        return VERTICAL
-    raise LetterOutOfRange(f"unknown side {side!r}")

@@ -6,9 +6,11 @@ Conventions, fixed once and asserted in the test suite:
 * a permutation is its image tuple: ``p[x]`` is the image of ``x``;
 * permutations act on the left, ``compose(p, q)`` applies ``q`` first,
   so ``compose(p, q)[x] == p[q[x]]``;
-* stabilizer chains pick each new base point as the smallest point moved
-  by the generator being installed, which makes every chain (and hence
-  every order, transversal and report) reproducible;
+* every chain ``StabilizerChain`` builds starts at base point 0, so the
+  stabilizer of point 0 is read off the group's own chain; each later
+  base point is the smallest point moved by the generator being
+  installed, which makes every chain (and hence every order, transversal
+  and report) reproducible;
 * a transversal stores inverse representatives: for a point x of the i-th
   basic orbit it holds an element carrying x to the i-th base point, which
   is the factor a sift multiplies by.  ``elements()`` inverts them when it
@@ -22,7 +24,9 @@ never replaces a representative.  Each level remembers which Schreier
 generators already sifted to the identity; because orbits only grow, such
 a generator and its sift path never change, so it is never sifted again.
 ``StabilizerChain.extend`` grows a finished chain in place, which is how
-``normal_closure`` keeps one chain for the whole closure.
+``normal_closure`` keeps one chain for the whole closure.  That private
+chain is the only one ever extended: a group shares its chain's levels
+with its point stabilizer.
 
 Image tuples are not validated here: outside data enters through
 ``group_from_raw``, which checks that every generator is a bijection.
@@ -124,8 +128,7 @@ class StabilizerChain:
     __slots__ = ("degree", "base", "strong", "transversals", "_gens", "_verified",
                  "_identity")
 
-    def __init__(self, degree: int, generators: Iterable[Sequence[int]],
-                 base_prefix: Sequence[int] = ()):
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
         self.degree = degree
         self.base: list[int] = []
         self.strong: list[Perm] = []
@@ -133,11 +136,9 @@ class StabilizerChain:
         self._gens: list[list[tuple[Perm, Perm]]] = []
         self._verified: list[dict[int, int]] = []
         self._identity = identity(degree)
-        for b in base_prefix:
-            if not 0 <= b < degree:
-                raise PointOutOfRange(f"base point {b} out of range for degree {degree}")
-            if b not in self.base:
-                self._add_level(b)
+        # the first level is point 0's orbit, trivial when every generator
+        # fixes 0; the chain from level 1 on is then the stabilizer's own
+        self._add_level(0)
         for g in generators:
             t = tuple(g)
             if len(t) != degree:
@@ -272,25 +273,6 @@ class StabilizerChain:
             elems = [compose(u, e) for u in reps for e in elems]
         return elems
 
-    def stabilizer_suffix(self) -> tuple[list[Perm], "StabilizerChain"]:
-        """Strong generators fixing base[0], plus the chain they head.
-
-        The suffix of a verified chain is itself a verified chain for the
-        stabilizer of the first base point.  It shares its levels with this
-        chain, so only one of the two may be extended afterwards.
-        """
-        b0 = self.base[0]
-        gens = [g for g in self.strong if g[b0] == b0]
-        sub = StabilizerChain.__new__(StabilizerChain)
-        sub.degree = self.degree
-        sub.base = self.base[1:]
-        sub.strong = gens
-        sub.transversals = self.transversals[1:]
-        sub._gens = self._gens[1:]
-        sub._verified = self._verified[1:]
-        sub._identity = self._identity
-        return gens, sub
-
 
 # ---------------------------------------------------------------------------
 # PermGroup and its operations
@@ -302,7 +284,10 @@ class PermGroup:
 
     Treated as immutable after construction; the only mutation is the
     write-once attachment of the stabilizer chain, which is deterministic
-    for fixed input and therefore safe to share between threads.
+    for fixed input and therefore safe to share between threads.  The
+    chain is never extended: a point stabilizer shares its levels, and
+    only ``normal_closure`` extends a chain, the private one it grows
+    before it returns the group.
     """
 
     degree: int
@@ -363,14 +348,25 @@ def contains(g: PermGroup, p: Sequence[int]) -> bool:
     return g.chain().contains(p)
 
 
-def point_stabilizer(g: PermGroup, point: int) -> PermGroup:
-    """Stabilizer of a point: the strong generators fixing it in a chain
-    based at that point, with the rest of that chain as its own."""
-    if not 0 <= point < g.degree:
-        raise PointOutOfRange(f"point {point} out of range for degree {g.degree}")
-    chain = StabilizerChain(g.degree, g.generators, base_prefix=(point,))
-    gens, sub = chain.stabilizer_suffix()
-    return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=sub)
+def point_stabilizer(g: PermGroup) -> PermGroup:
+    """Stabilizer of point 0: the strong generators of g's chain that fix
+    0, with the chain's levels after the first as its own chain.  No chain
+    is built; the two groups share levels, which is safe because a
+    PermGroup's chain is never extended."""
+    if all(s[0] == 0 for s in g.generators):
+        # g is its own stabilizer; this covers every chain that does not
+        # start at 0, since those are the chains of stabilizers
+        return g
+    chain = g.chain()
+    stab = StabilizerChain.__new__(StabilizerChain)
+    stab.degree = g.degree
+    stab.base = chain.base[1:]
+    stab.strong = [s for s in chain.strong if s[0] == 0]
+    stab.transversals = chain.transversals[1:]
+    stab._gens = chain._gens[1:]
+    stab._verified = chain._verified[1:]
+    stab._identity = chain._identity
+    return PermGroup(degree=g.degree, generators=tuple(stab.strong), bsgs=stab)
 
 
 def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:

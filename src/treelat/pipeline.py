@@ -21,6 +21,7 @@ from .errors import (
     NotAlmostSimple,
     PreconditionFailed,
     RatioBelowOne,
+    RatioTooLarge,
 )
 from .groupprops import (
     ALMOST_SIMPLE,
@@ -120,7 +121,7 @@ def _analyze_group(g: PermGroup, source: str, discreteness: DiscretenessVerdict,
     s_group = None
     s_order = None
     if transitive:
-        s_group = point_stabilizer(g, 0)
+        s_group = point_stabilizer(g)
         s_order = order(s_group)
         if s_order * g.degree != p1_order:
             raise InternalInvariantError(
@@ -133,12 +134,12 @@ def _analyze_group(g: PermGroup, source: str, discreteness: DiscretenessVerdict,
     if qp_type.tag == ALMOST_SIMPLE:
         m_group = mns[0]
         m_order = order(m_group)
-        m_cap_s_order = order(point_stabilizer(m_group, 0))
+        m_cap_s_order = order(point_stabilizer(m_group))
         if m_cap_s_order * g.degree != m_order:
             raise InternalInvariantError(
                 f"almost-simple socle index {m_order}/{m_cap_s_order} "
                 f"is not the degree {g.degree}")
-        solvable_outer = solvable_outer_check(g, m_group, 0)
+        solvable_outer = solvable_outer_check(g, m_group)
 
     return SideReport(
         degree=g.degree,
@@ -383,6 +384,10 @@ def analyze_pair(g1: PermGroup, g2: PermGroup,
 
 Ratio = Union[int, float, Fraction]
 
+# the largest N whose (N-1)! the bound computes: 999! has 2,565 digits,
+# within Python's 4,300-digit limit on int-to-string conversion
+INDEX_BOUND_MAX_N = 1000
+
 
 @dataclass(frozen=True)
 class WangIndexBound:
@@ -397,6 +402,8 @@ def wang_index_bound(vol_ratio: Ratio) -> WangIndexBound:
     """N = floor(vol_ratio) and the (N-1)! bound on the index of the kernel
     of the coset action inside the lattice."""
     if vol_ratio < 1:
-        raise RatioBelowOne(f"covolume ratio must be >= 1, got {vol_ratio}")
+        raise RatioBelowOne(f"covolume ratio must be >= 1, got {float(vol_ratio)}")
     n = math.floor(vol_ratio)
+    if n > INDEX_BOUND_MAX_N:
+        raise RatioTooLarge(f"N = floor(ratio) exceeds the index-bound cap {INDEX_BOUND_MAX_N}")
     return WangIndexBound(N=n, index_bound=math.factorial(n - 1))

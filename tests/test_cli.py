@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,24 @@ def test_bound_examples(capsys):
 def test_bound_below_one(capsys):
     code, _, err = run(capsys, "bound", "--ratio", "0.25")
     assert code == 2
+
+
+def test_bound_cap_exits_3(capsys):
+    # (1999)! has more digits than int-to-string conversion allows, and
+    # the factorial for 1e12 would never finish: both stop at the N cap
+    for ratio in ("2000", "1e12"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bound", "--ratio", ratio)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert "index-bound cap" in err and "Traceback" not in err
+
+
+def test_bound_tiny_ratio_below_one(capsys):
+    # the message prints the ratio, whose 5001-digit denominator could not
+    # be converted to a string
+    code, _, err = run(capsys, "bound", "--ratio", "1e-5000")
+    assert code == 2 and "must be >= 1" in err
 
 
 def test_bound_unparseable(capsys):

@@ -71,7 +71,7 @@ def test_s5_on_pairs_not_2transitive():
     assert not is_2transitive(g)
     assert not two_transitive_bruteforce(g.generators, 10)
     # the pair-stabilizer splits the other 9 points into orbits of 3 and 6
-    stab = point_stabilizer(g, 0)
+    stab = point_stabilizer(g)
     from treelat.permcore import orbit
     sizes = sorted({len(orbit(stab, x)) for x in range(1, 10)})
     assert sizes == [3, 6]
@@ -262,7 +262,7 @@ def test_almost_simple_socle_index_is_degree(suite):
         m = mns[0]
         from treelat.permcore import orbit
         assert len(orbit(m, 0)) == g.degree
-        cap = order(point_stabilizer(m, 0))
+        cap = order(point_stabilizer(m))
         assert cap < order(m)
         assert order(m) // cap == g.degree
 
@@ -400,7 +400,7 @@ def test_large_natural_groups_typed_under_small_cap(g, socle):
 def test_section_necessary_order_fails():
     # |m| = 60 does not divide |s| = 12
     a5 = alternating_group(5)
-    s2 = point_stabilizer(induced_action_on_pairs(symmetric_group(5)), 0)
+    s2 = point_stabilizer(induced_action_on_pairs(symmetric_group(5)))
     rep = section_necessary(a5, s2)
     assert not rep.order_divides
     assert rep.exact == NO
@@ -437,7 +437,7 @@ def test_section_exact_a5_in_s4():
 def test_section_exact_overflow_unknown():
     # stabilizer of a point in M12 has order 7920 > default cap 2000
     from treelat.catalog import mathieu_group_12
-    s = point_stabilizer(mathieu_group_12(), 0)
+    s = point_stabilizer(mathieu_group_12())
     assert order(s) == 7920
     assert section_exact_small(alternating_group(5), s) == UNKNOWN
 
@@ -548,18 +548,18 @@ def test_element_order_spectrum():
 def test_solvable_outer_s5_on_pairs():
     g = induced_action_on_pairs(symmetric_group(5))
     m = minimal_normal_subgroups(g)[0]
-    assert solvable_outer_check(g, m, 0)
+    assert solvable_outer_check(g, m)
 
 
 def test_solvable_outer_group_by_itself():
     a6 = alternating_group(6)
-    assert solvable_outer_check(a6, a6, 0)
+    assert solvable_outer_check(a6, a6)
     a5 = alternating_group(5)
-    assert solvable_outer_check(a5, a5, 0)
+    assert solvable_outer_check(a5, a5)
 
 
 def test_solvable_outer_not_normal():
     s4 = symmetric_group(4)
     not_normal = perm_group([from_cycles(4, [(0, 1)])], degree=4)
     with pytest.raises(NotNormal):
-        solvable_outer_check(s4, not_normal, 0)
+        solvable_outer_check(s4, not_normal)

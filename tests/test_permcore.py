@@ -163,6 +163,21 @@ def test_build_bsgs_caches_and_validates():
         assert chain.contains(p)
 
 
+def test_every_chain_starts_at_point_zero():
+    fixes_zero_first = perm_group([from_cycles(5, [(1, 2)]), from_cycles(5, [(0, 3)])])
+    fixes_zero = perm_group([from_cycles(5, [(2, 3, 4)])])
+    groups = [trivial_group(1), trivial_group(4), fixes_zero_first, fixes_zero,
+              *engine_suite()]
+    for g in groups:
+        assert g.chain().base[0] == 0
+    assert len(fixes_zero.chain().transversals[0]) == 1
+    assert order(fixes_zero) == 3
+    assert order(fixes_zero_first) == 4
+    # normal_closure grows its chain from an empty one, which starts at 0 too
+    assert StabilizerChain(3, ()).base == [0]
+    assert normal_closure(symmetric_group(4), [from_cycles(4, [(1, 2, 3)])]).chain().base[0] == 0
+
+
 def test_bsgs_deterministic():
     gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
     c1 = perm_group(gens).chain()
@@ -221,9 +236,9 @@ def test_grown_chain_matches_fresh_chain_and_closure(g, data):
 
 def test_chain_invariants_on_engine_suite():
     groups = engine_suite() + [symmetric_group(7), alternating_group(8)]
-    # point_stabilizer's chain is the suffix of a chain based at the point
+    # point_stabilizer's chain is the suffix of the group's own chain
     chains = [g.chain() for g in groups] + [
-        point_stabilizer(g, g.degree - 1).chain() for g in groups]
+        point_stabilizer(g).chain() for g in groups]
     for chain in chains:
         for i, (b, trans) in enumerate(zip(chain.base, chain.transversals)):
             prefix = chain.base[:i]
@@ -266,7 +281,7 @@ def test_enumerate_matches_closure_oracle():
 # ---------------------------------------------------------------------------
 
 def test_point_stabilizer_a6():
-    stab = point_stabilizer(alternating_group(6), 0)
+    stab = point_stabilizer(alternating_group(6))
     assert order(stab) == 60
     for p in stab.generators:
         assert p[0] == 0
@@ -279,24 +294,47 @@ def test_point_stabilizer_s5_on_pairs():
     fixing = [e for e in closure_elements(g.generators, 10)
               if e[0] == 0]
     assert len(fixing) == 12
-    assert order(point_stabilizer(g, 0)) == 12
+    assert order(point_stabilizer(g)) == 12
 
 
 def test_point_stabilizer_trivial_group():
-    assert order(point_stabilizer(trivial_group(5), 3)) == 1
+    assert order(point_stabilizer(trivial_group(5))) == 1
 
 
-@given(small_gen_sets(), st.data())
+@given(small_gen_sets())
 @settings(max_examples=40, deadline=None)
-def test_orbit_stabilizer(g, data):
-    point = data.draw(st.integers(min_value=0, max_value=g.degree - 1))
-    assert order(point_stabilizer(g, point)) * len(orbit(g, point)) == order(g)
+def test_orbit_stabilizer(g):
+    assert order(point_stabilizer(g)) * len(orbit(g, 0)) == order(g)
 
 
-def test_stabilizer_orders_conjugate_across_points():
-    g = alternating_group(5)
-    orders = {order(point_stabilizer(g, x)) for x in range(5)}
-    assert orders == {12}
+@given(small_gen_sets())
+@settings(max_examples=40, deadline=None)
+def test_point_stabilizer_matches_closure(g):
+    fixing = {e for e in closure_elements(g.generators, g.degree) if e[0] == 0}
+    stab = point_stabilizer(g)
+    assert all(s[0] == 0 for s in stab.generators)
+    assert set(stab.chain().elements()) == fixing
+    assert closure_elements(stab.generators, g.degree) == fixing
+    # a group fixing 0 is its own stabilizer, although its chain does not
+    # start at 0
+    assert order(point_stabilizer(stab)) == len(fixing)
+
+
+def test_point_stabilizer_reuses_the_group_chain(monkeypatch):
+    groups = engine_suite() + [symmetric_group(7)]
+    for g in groups:
+        g.chain()
+    built = []
+    original = StabilizerChain.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+    for g in groups:
+        assert order(point_stabilizer(g)) * len(orbit(g, 0)) == order(g)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

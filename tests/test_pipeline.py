@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from treelat.errors import (
     NotAlmostSimple,
     PreconditionFailed,
     RatioBelowOne,
+    RatioTooLarge,
     TowerTooShort,
 )
 from treelat.localaction import NOT_APPLICABLE
@@ -19,6 +21,7 @@ from treelat.permcore import (
     symmetric_group,
 )
 from treelat.pipeline import (
+    INDEX_BOUND_MAX_N,
     AnalysisCaps,
     analyze_datum,
     analyze_datum_side,
@@ -296,6 +299,15 @@ def test_wang_index_bound_examples():
     assert wang_index_bound(1).to_json() == {"N": 1, "index_bound": 1}
     assert wang_index_bound(6.5).to_json() == {"N": 6, "index_bound": 120}
     assert wang_index_bound(Fraction(13, 2)).to_json() == {"N": 6, "index_bound": 120}
+
+
+def test_wang_index_bound_caps_n():
+    assert wang_index_bound(INDEX_BOUND_MAX_N).index_bound == math.factorial(
+        INDEX_BOUND_MAX_N - 1)
+    with pytest.raises(RatioTooLarge):
+        wang_index_bound(INDEX_BOUND_MAX_N + 1)
+    with pytest.raises(RatioTooLarge):
+        wang_index_bound(Fraction(10 ** 12))
 
 
 def test_wang_index_bound_rejects_below_one():
