@@ -2,7 +2,8 @@
 
 Subcommands: validate, analyze, tower, bound, catalog.
 
-Exit codes: 0 success (a negative verdict in a report is still success),
+Exit codes: 0 success (a negative verdict in a report is still success,
+and so is output cut short because the reader closed the pipe),
 1 domain-level negative (invalid datum, unmet mathematical precondition),
 2 usage or parse errors, 3 resource caps exceeded.
 """
@@ -10,7 +11,9 @@ Exit codes: 0 success (a negative verdict in a report is still success),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -66,8 +69,25 @@ def _load_group(path_or_name: str) -> PermGroup:
     return group_from_raw(_load_json(path_or_name))
 
 
-def _print_json(document: dict) -> None:
-    print(json.dumps(document, indent=2, ensure_ascii=False))
+def json_data(value: object) -> object:
+    """JSON data for a report, a document holding reports, or a plain value.
+
+    A report dataclass becomes a dict of the fields its repr shows, in
+    declaration order, so `repr=False` fields (the groups a `SideReport`
+    keeps for the later stages) stay out.  Field values, dict values and
+    tuple or list items are encoded the same way; tuples become lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: json_data(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.repr}
+    if isinstance(value, dict):
+        return {key: json_data(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [json_data(item) for item in value]
+    return value
+
+
+def _print_json(value: object) -> None:
+    print(json.dumps(json_data(value), indent=2, ensure_ascii=False))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +166,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     d = _load_datum(args.path)
     report = validate(d, strict=args.strict)
     if args.json:
-        _print_json(report.to_json())
+        _print_json(report)
     else:
         if report.ok:
             print(f"ok: {len(d.squares)} oriented squares "
@@ -192,7 +212,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _require_tower_depth(caps.depth)
         report = analyze_datum(_load_datum(args.path), caps)
     if args.json:
-        _print_json(report.to_json())
+        _print_json(report)
     else:
         print(_render_report(report))
     return EXIT_OK
@@ -218,8 +238,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"bound: cannot parse ratio {args.ratio!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = wang_index_bound(ratio)
-    _print_json(result.to_json())
+    _print_json(wang_index_bound(ratio))
     return EXIT_OK
 
 
@@ -318,7 +337,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show requires an entry name")
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows here, not in the flush at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early and the work is done; the interpreter's
+        # own flush at exit now writes what is left to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (MalformedDocument, UnknownEntry, TowerTooShort, RatioBelowOne) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

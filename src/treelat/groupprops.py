@@ -27,6 +27,7 @@ from .errors import (
 )
 from .permcore import (
     DEFAULT_ENUM_CAP,
+    Perm,
     PermGroup,
     compose,
     conjugacy_class_representatives,
@@ -66,10 +67,6 @@ class QpType:
     mns_orders: tuple[int, ...]
     socle_order: int
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "mns_orders": list(self.mns_orders),
-                "socle_order": self.socle_order}
-
 
 @dataclass(frozen=True)
 class SectionReport:
@@ -89,13 +86,6 @@ class SectionReport:
             raise InternalInvariantError("exact section with a failed necessary flag")
         if not all(flags) and self.exact != NO:
             raise InternalInvariantError("failed necessary flag must force exact=no")
-
-    def to_json(self) -> dict:
-        return {"order_divides": self.order_divides,
-                "prime_spectrum_ok": self.prime_spectrum_ok,
-                "element_order_spectrum_ok": self.element_order_spectrum_ok,
-                "exact": self.exact,
-                "witness": self.witness}
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +357,9 @@ def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
             f"quasi-primitive group with {len(mns)} minimal normal subgroups")
     if len(mns) == 1:
         m = mns[0]
-        # when the unique MNS is the whole group, test simplicity on g
-        # itself so the memoized conjugacy classes are reused
-        probe = g if order(m) == order(g) else m
-        if not is_abelian(m) and is_simple(probe, enum_cap):
+        # a minimal normal subgroup equal to g leaves g no proper nontrivial
+        # normal subgroup: g is simple by definition
+        if not is_abelian(m) and (order(m) == order(g) or is_simple(m, enum_cap)):
             return QpType(tag=ALMOST_SIMPLE, mns_orders=mns_orders,
                           socle_order=socle_order), mns
     if len(mns) == 2 and all(o == g.degree for o in mns_orders):
@@ -397,11 +386,15 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> set[int]:
+def _elements_under_cap(g: PermGroup, enum_cap: int) -> list[Perm]:
     n = order(g)
     if n > enum_cap:
         raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
-    return {element_order(t) for t in g.chain().elements()}
+    return g.chain().elements()
+
+
+def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> set[int]:
+    return {element_order(t) for t in _elements_under_cap(g, enum_cap)}
 
 
 def section_necessary(m: PermGroup, s: PermGroup,
@@ -426,13 +419,17 @@ def section_necessary(m: PermGroup, s: PermGroup,
         witness = f"primes {bad} divide |m| but not |s|"
     spectrum_ok = True
     if order_divides and prime_ok:
-        spec_m = element_order_spectrum(m, enum_cap)
-        spec_s = element_order_spectrum(s, enum_cap)
-        missing = sorted(o for o in spec_m
-                         if not any(o2 % o == 0 for o2 in spec_s))
+        # the orders of m that divide no order of s seen so far; the scan
+        # of s stops once there are none
+        missing = element_order_spectrum(m, enum_cap)
+        for t in _elements_under_cap(s, enum_cap):
+            if not missing:
+                break
+            o2 = element_order(t)
+            missing = {o for o in missing if o2 % o}
         if missing:
             spectrum_ok = False
-            witness = f"element orders {missing} of m divide no element order of s"
+            witness = f"element orders {sorted(missing)} of m divide no element order of s"
     exact = UNKNOWN if (order_divides and prime_ok and spectrum_ok) else NO
     return SectionReport(order_divides=order_divides,
                          prime_spectrum_ok=prime_ok,

@@ -118,9 +118,6 @@ class DiscretenessVerdict:
     kind: str  # "discrete" | "no_stabilization" | "not_applicable"
     at: Optional[int]
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "at": self.at}
-
 
 def local_group(d: VhDatum, side: str, k: int) -> PermGroup:
     """The group of permutations of the depth-k sphere words generated by
@@ -186,10 +183,6 @@ def discreteness_verdict(t: LocalTower) -> DiscretenessVerdict:
 
 
 def tower_report(t: LocalTower) -> dict:
-    """The tower JSON document."""
-    return {
-        "side": t.side,
-        "depths": t.depth,
-        "orders": list(t.orders),
-        "verdict": discreteness_verdict(t).to_json(),
-    }
+    """The tower document; `cli.json_data` encodes its verdict."""
+    return {"side": t.side, "depths": t.depth, "orders": t.orders,
+            "verdict": discreteness_verdict(t)}

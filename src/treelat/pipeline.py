@@ -90,24 +90,6 @@ class SideReport:
     m_group: Optional[PermGroup] = field(repr=False, default=None)
     s_group: Optional[PermGroup] = field(repr=False, default=None)
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "p1_order": self.p1_order,
-            "transitive": self.transitive,
-            "primitive": self.primitive,
-            "two_transitive": self.two_transitive,
-            "quasiprimitive": self.quasiprimitive,
-            "qp_type": self.qp_type.to_json(),
-            "m_order": self.m_order,
-            "s_order": self.s_order,
-            "m_cap_s_order": self.m_cap_s_order,
-            "solvable_outer": self.solvable_outer,
-            "discreteness": self.discreteness.to_json(),
-            "source": self.source,
-            "constant_type": self.constant_type,
-        }
-
 
 def _analyze_group(g: PermGroup, source: str, discreteness: DiscretenessVerdict,
                    constant_type: str, caps: AnalysisCaps) -> SideReport:
@@ -196,11 +178,6 @@ class Theorem01Verdict:
     caveats: tuple[str, ...]
     conclusion: str
 
-    def to_json(self) -> dict:
-        return {"applicable": self.applicable,
-                "caveats": list(self.caveats),
-                "conclusion": self.conclusion}
-
 
 def theorem01_verdict(r1: SideReport, r2: SideReport) -> Theorem01Verdict:
     """Applicability of the finiteness criterion: both sides quasi-primitive
@@ -247,12 +224,6 @@ class Theorem25Report:
     obstruction_established: bool
     conclusion: Optional[str]
 
-    def to_json(self) -> dict:
-        return {"m1_in_s2": self.m1_in_s2.to_json(),
-                "m2_in_s1": self.m2_in_s1.to_json(),
-                "obstruction_established": self.obstruction_established,
-                "conclusion": self.conclusion}
-
 
 def _section_combined(m: PermGroup, s: PermGroup, caps: AnalysisCaps) -> SectionReport:
     report = section_necessary(m, s, caps.enum_cap, check_simple=False)
@@ -292,12 +263,6 @@ class ChainReport:
     m2_le_s1capm1: bool
     contradiction: bool
     notes: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"m1_le_s2capm2": self.m1_le_s2capm2,
-                "m2_le_s1capm1": self.m2_le_s1capm1,
-                "contradiction": self.contradiction,
-                "notes": list(self.notes)}
 
 
 def contradiction_chain(r1: SideReport, r2: SideReport) -> ChainReport:
@@ -342,15 +307,6 @@ class WangReport:
     theorem25: Optional[Theorem25Report]
     chain: Optional[ChainReport]
 
-    def to_json(self) -> dict:
-        return {
-            "side1": self.side1.to_json(),
-            "side2": self.side2.to_json(),
-            "theorem01": self.theorem01.to_json(),
-            "theorem25": self.theorem25.to_json() if self.theorem25 else None,
-            "chain": self.chain.to_json() if self.chain else None,
-        }
-
 
 def assemble_report(r1: SideReport, r2: SideReport,
                     caps: AnalysisCaps = AnalysisCaps()) -> WangReport:
@@ -393,9 +349,6 @@ INDEX_BOUND_MAX_N = 1000
 class WangIndexBound:
     N: int
     index_bound: int
-
-    def to_json(self) -> dict:
-        return {"N": self.N, "index_bound": self.index_bound}
 
 
 def wang_index_bound(vol_ratio: Ratio) -> WangIndexBound:

@@ -66,12 +66,8 @@ def enumerate_complete_data(horiz: Alphabet, vert: Alphabet) -> Iterator[VhDatum
                     continue
                 ok = True
                 for corner, image in orbit:
-                    ci = corner_idx[corner]
-                    ii = image[0] * m + image[1]
-                    if (assign[ci] is not None and corner != (a, b)) or used_img[ii]:
-                        ok = False
-                        break
-                    if corner == (a, b) and assign[ci] is not None:
+                    if (assign[corner_idx[corner]] is not None
+                            or used_img[image[0] * m + image[1]]):
                         ok = False
                         break
                 if not ok:

@@ -125,12 +125,6 @@ class ValidationReport:
     warnings: tuple[str, ...]
     geometric_count: Optional[int] = None
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "violations": list(self.violations),
-                "warnings": list(self.warnings),
-                "geometric_count": self.geometric_count}
-
 
 def validate(d: VhDatum, strict: bool = False) -> ValidationReport:
     """Check completeness (the corner map is a total bijection) and

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -296,6 +299,35 @@ def test_bound_tiny_ratio_below_one(capsys):
 def test_bound_unparseable(capsys):
     code, _, err = run(capsys, "bound", "--ratio", "abc")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# output into a closed pipe
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # the reader of stdout has gone (`treelat analyze ... --json | head -1`):
+    # the work is done, so the run succeeds and prints no traceback; with
+    # buffering the write fails at the last flush, without it at `print`
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from treelat.cli import main; "
+             "sys.exit(main())", "analyze", "commuting_t4x4", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""`analyze --json` output, byte for byte, against recorded reports.
+"""CLI JSON output, byte for byte, against recorded reports.
 
-Each file in tests/goldens/ is the stdout of one CLI call.  Regenerate a
-file only when a report is meant to change, and say why in the change.
+Each file in tests/goldens/ is the stdout of one CLI call: `analyze --json`
+on datum and pair input, `validate --json` on a valid and a broken datum,
+`tower` and `bound`.  Regenerate a file only when a report is meant to
+change, and say why in the change.
 """
 
 import json
@@ -9,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from treelat import catalog
 from treelat.cli import main
 from treelat.permcore import alternating_group, group_to_raw, symmetric_group
-from treelat.vhcomplex import serialize_datum
+from treelat.vhcomplex import parse_datum, serialize_datum
 
 from conftest import growth_datum
 
@@ -31,6 +34,19 @@ def golden_argv(case: str, tmp_path: Path) -> list[str]:
     if case == "growth_t4x4":
         return ["analyze", _write(tmp_path, case, serialize_datum(growth_datum())),
                 "--json"]
+    if case == "validate_commuting_t4x4":
+        return ["validate", "commuting_t4x4", "--json"]
+    if case == "validate_broken_oriented":
+        # the commuting datum's oriented squares, one of them missing
+        doc = serialize_datum(parse_datum(catalog.load_document("commuting_t4x4")),
+                              oriented=True)
+        del doc["squares"][0]
+        return ["validate", _write(tmp_path, case, doc), "--json"]
+    if case == "tower_growth_h4":
+        return ["tower", _write(tmp_path, case, serialize_datum(growth_datum())),
+                "--side", "h", "--depth", "4"]
+    if case == "bound_13_2":
+        return ["bound", "--ratio", "13/2"]
     raw = {"pair_A5_A7": (alternating_group(5), alternating_group(7)),
            "pair_A9_A9": (alternating_group(9), alternating_group(9)),
            "pair_S5_S7": (symmetric_group(5), symmetric_group(7))}
@@ -47,6 +63,10 @@ def golden_argv(case: str, tmp_path: Path) -> list[str]:
 
 CASES = ("commuting_t4x4", "growth_t4x4", "pair_a6_s5", "pair_a6_a6",
          "pair_a6_m12", "pair_A5_A7", "pair_m12_m12", "pair_A9_A9", "pair_S5_S7")
+OTHER_CASES = ("validate_commuting_t4x4", "validate_broken_oriented",
+               "tower_growth_h4", "bound_13_2")
+# the exit code of each case that does not exit with 0
+EXIT_CODES = {"validate_broken_oriented": 1}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -54,4 +74,12 @@ def test_analyze_json_matches_golden(case, tmp_path, capsys):
     code = main(golden_argv(case, tmp_path))
     out = capsys.readouterr().out
     assert code == 0
+    assert out == (GOLDENS / f"{case}.json").read_text()
+
+
+@pytest.mark.parametrize("case", OTHER_CASES)
+def test_other_json_matches_golden(case, tmp_path, capsys):
+    code = main(golden_argv(case, tmp_path))
+    out = capsys.readouterr().out
+    assert code == EXIT_CODES.get(case, 0)
     assert out == (GOLDENS / f"{case}.json").read_text()

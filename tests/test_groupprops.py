@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from treelat import groupprops
+from treelat import catalog, groupprops
 from treelat.errors import (
     NotNormal,
     NotTransitive,
@@ -31,6 +31,7 @@ from treelat.groupprops import (
     solvable_outer_check,
 )
 from treelat.permcore import (
+    PermGroup,
     alternating_group,
     from_cycles,
     induced_action_on_pairs,
@@ -240,7 +241,6 @@ def test_two_regular_mns_diagonal_type():
 def test_qp_implication_chain(suite):
     # 2-transitive => primitive => quasi-primitive, on the engine suite and
     # every bundled catalog group
-    from treelat import catalog
     groups = list(suite) + [catalog.load_group(n)
                             for n in ("a6_natural", "s5_on_pairs", "m12")]
     for g in groups:
@@ -411,6 +411,42 @@ def test_section_necessary_a5_in_s5():
     rep = section_necessary(alternating_group(5), symmetric_group(5))
     assert rep.order_divides and rep.prime_spectrum_ok and rep.element_order_spectrum_ok
     assert rep.exact == UNKNOWN
+
+
+def _abelian_order_360() -> PermGroup:
+    """C2^3 x C3^2 x C5: the order of A6, but exponent 30."""
+    supports = [(0, 1), (2, 3), (4, 5), (6, 7, 8), (9, 10, 11), (12, 13, 14, 15, 16)]
+    return perm_group([from_cycles(17, [c]) for c in supports], degree=17)
+
+
+def test_section_necessary_spectrum_fails_with_witness():
+    rep = section_necessary(alternating_group(6), _abelian_order_360())
+    assert rep.order_divides and rep.prime_spectrum_ok
+    assert not rep.element_order_spectrum_ok
+    assert rep.exact == NO
+    assert rep.witness == "element orders [4] of m divide no element order of s"
+
+
+@pytest.mark.parametrize("m_name,s_name", [("A5", "S5"), ("A5", "A6"), ("A5", "C360"),
+                                           ("A6", "S6"), ("A6", "M11"), ("A6", "C360")])
+def test_section_necessary_spectrum_flag_matches_full_spectra(m_name, s_name):
+    # the scan of s stops once every element order of m divides one seen;
+    # flag and witness must be those the two full spectra give
+    groups = {"A5": lambda: alternating_group(5), "A6": lambda: alternating_group(6),
+              "S5": lambda: symmetric_group(5), "S6": lambda: symmetric_group(6),
+              "M11": lambda: point_stabilizer(catalog.load_group("m12")),
+              "C360": _abelian_order_360}
+    m, s = groups[m_name](), groups[s_name]()
+    rep = section_necessary(m, s, enum_cap=10_000)
+    spec_s = element_order_spectrum(s, enum_cap=10_000)
+    missing = sorted(o for o in element_order_spectrum(m)
+                     if not any(o2 % o == 0 for o2 in spec_s))
+    assert rep.order_divides and rep.prime_spectrum_ok
+    assert rep.element_order_spectrum_ok == (not missing)
+    assert rep.exact == (NO if missing else UNKNOWN)
+    if missing:
+        assert rep.witness == (f"element orders {missing} of m divide no element "
+                               "order of s")
 
 
 def test_section_necessary_c2_in_s3():

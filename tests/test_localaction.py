@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelat.cli import json_data
 from treelat.errors import DepthOverflow, LetterOutOfRange, TowerTooShort
 from treelat.localaction import (
     DISCRETE,
@@ -202,7 +203,7 @@ def test_dual_swaps_tower_sides(nontrivial):
 
 def test_tower_report_schema(commuting):
     t = tower(commuting, "vertical", 3)
-    doc = tower_report(t)
+    doc = json_data(tower_report(t))
     assert doc == {"side": "vertical", "depths": 3, "orders": [1, 1, 1],
                    "verdict": {"kind": "discrete", "at": 1}}
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelat.cli import json_data
 from treelat.errors import (
     InvalidDatum,
     NotAlmostSimple,
@@ -236,7 +237,7 @@ def test_chain_strictness_all_almost_simple_sides(a6_report, s5p_report):
 
 def test_full_report_json_keys(a6_report, s5p_report):
     rep = assemble_report(a6_report, s5p_report)
-    doc = rep.to_json()
+    doc = json_data(rep)
     assert set(doc) == {"side1", "side2", "theorem01", "theorem25", "chain"}
     side_keys = {"degree", "p1_order", "transitive", "primitive", "two_transitive",
                  "quasiprimitive", "qp_type", "m_order", "s_order", "m_cap_s_order",
@@ -249,8 +250,8 @@ def test_full_report_json_keys(a6_report, s5p_report):
 
 
 def test_report_idempotent(a6_report, s5p_report):
-    rep1 = assemble_report(a6_report, s5p_report).to_json()
-    rep2 = assemble_report(a6_report, s5p_report).to_json()
+    rep1 = json_data(assemble_report(a6_report, s5p_report))
+    rep2 = json_data(assemble_report(a6_report, s5p_report))
     assert rep1 == rep2
 
 
@@ -295,10 +296,10 @@ def test_analyze_pair_a6_m12_unknown_direction():
 # ---------------------------------------------------------------------------
 
 def test_wang_index_bound_examples():
-    assert wang_index_bound(3).to_json() == {"N": 3, "index_bound": 2}
-    assert wang_index_bound(1).to_json() == {"N": 1, "index_bound": 1}
-    assert wang_index_bound(6.5).to_json() == {"N": 6, "index_bound": 120}
-    assert wang_index_bound(Fraction(13, 2)).to_json() == {"N": 6, "index_bound": 120}
+    assert json_data(wang_index_bound(3)) == {"N": 3, "index_bound": 2}
+    assert json_data(wang_index_bound(1)) == {"N": 1, "index_bound": 1}
+    assert json_data(wang_index_bound(6.5)) == {"N": 6, "index_bound": 120}
+    assert json_data(wang_index_bound(Fraction(13, 2))) == {"N": 6, "index_bound": 120}
 
 
 def test_wang_index_bound_caps_n():
