@@ -64,6 +64,17 @@ class MalformedDocument(DomainError):
     pass
 
 
+def optional_field(document: dict, key: str, kind: type, default=None):
+    """document[key] when the key is present, which must then be exactly a
+    `kind` (a JSON boolean is no int, a null no string); else `default`."""
+    if key not in document:
+        return default
+    value = document[key]
+    if type(value) is not kind:
+        raise MalformedDocument(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 class OddAlphabet(MalformedDocument):
     pass
 

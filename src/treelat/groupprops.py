@@ -524,8 +524,8 @@ class _SubgroupCountCapExceeded(Exception):
     """The lattice walk met more than _SUBGROUP_COUNT_CAP subgroups."""
 
 
-def _subgroup_class_reps(table: _CayleyTable
-                         ) -> Iterator[tuple[frozenset, tuple[int, ...]]]:
+def _subgroup_class_representatives(
+        table: _CayleyTable) -> Iterator[tuple[frozenset, tuple[int, ...]]]:
     """Yield one representative subgroup per conjugacy class, as (element
     set, generator list), each as soon as it is found; raise
     _SubgroupCountCapExceeded once more than _SUBGROUP_COUNT_CAP distinct
@@ -667,7 +667,7 @@ def section_exact_small(m: PermGroup, s: PermGroup,
     table = _CayleyTable(s)
     spec_m = element_order_spectrum(m)
     try:
-        for sub in _subgroup_class_reps(table):
+        for sub in _subgroup_class_representatives(table):
             if _has_factor(table, sub, om, spec_m):
                 return YES
     except _SubgroupCountCapExceeded:

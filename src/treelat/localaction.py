@@ -14,7 +14,7 @@ the permutation degree stays as small as possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -42,31 +42,13 @@ NO_STABILIZATION = "no_stabilization"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class SphereIndex:
-    """Reduced words of a fixed length in lexicographic order."""
-
-    alphabet: Alphabet
-    depth: int
-    words: tuple[Word, ...]
-    _position: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._position.update({w: i for i, w in enumerate(self.words)})
-
-    def position(self, word: Word) -> int:
-        return self._position[word]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
 def sphere_size(n: int, k: int) -> int:
     return n * (n - 1) ** (k - 1)
 
 
-def sphere_index(alphabet: Alphabet, k: int) -> SphereIndex:
-    """All reduced words of length k, lexicographically."""
+def sphere_index(alphabet: Alphabet, k: int) -> dict[Word, int]:
+    """Each reduced word of length k mapped to its lexicographic position;
+    the dict iterates the words in that order."""
     if k < 1:
         raise DepthOverflow(f"sphere depth must be >= 1, got {k}")
     count = sphere_size(alphabet.size, k)
@@ -77,7 +59,7 @@ def sphere_index(alphabet: Alphabet, k: int) -> SphereIndex:
     for _ in range(k - 1):
         words = [w + (c,) for w in words
                  for c in range(alphabet.size) if c != alphabet.inv(w[-1])]
-    return SphereIndex(alphabet=alphabet, depth=k, words=tuple(words))
+    return {w: i for i, w in enumerate(words)}
 
 
 def act_word(aut: MealyAutomaton, state: int, word: Word) -> Word:
@@ -126,9 +108,9 @@ def local_group(d: VhDatum, side: str, k: int) -> PermGroup:
     return _local_group_from_automaton(aut, sphere_index(aut.letters, k))
 
 
-def _local_group_from_automaton(aut: MealyAutomaton, sphere: SphereIndex) -> PermGroup:
+def _local_group_from_automaton(aut: MealyAutomaton, sphere: dict[Word, int]) -> PermGroup:
     """The states' action on the words of an indexed sphere."""
-    gens = tuple(tuple(sphere.position(act_word(aut, s, w)) for w in sphere.words)
+    gens = tuple(tuple(sphere[act_word(aut, s, w)] for w in sphere)
                  for s in range(aut.states.size))
     return PermGroup(degree=len(sphere), generators=gens)
 
@@ -139,22 +121,21 @@ def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH) -> LocalTower:
     if depth < 1:
         raise DepthOverflow(f"tower depth must be >= 1, got {depth}")
     aut = automaton_for_side(d, side)
-    groups = []
-    spheres = []
-    for k in range(1, depth + 1):
-        spheres.append(sphere_index(aut.letters, k))
-        groups.append(_local_group_from_automaton(aut, spheres[-1]))
-    for k in range(len(groups) - 1):
+    # deepest first: a sphere over the word bound is refused before any
+    # level is built
+    spheres = [sphere_index(aut.letters, k) for k in range(depth, 0, -1)][::-1]
+    groups = [_local_group_from_automaton(aut, sphere) for sphere in spheres]
+    for k in range(depth - 1):
         _assert_restriction(spheres[k], spheres[k + 1], groups[k], groups[k + 1])
     return LocalTower(side=side, groups=tuple(groups),
                       orders=tuple(order(g) for g in groups))
 
 
-def _assert_restriction(small: SphereIndex, big: SphereIndex,
+def _assert_restriction(small: dict[Word, int], big: dict[Word, int],
                         p_small: PermGroup, p_big: PermGroup) -> None:
     """Truncating each depth-(k+1) generator must reproduce the matching
     depth-k generator."""
-    parent = [small.position(w[:-1]) for w in big.words]
+    parent = [small[w[:-1]] for w in big]
     for g_small, g_big in zip(p_small.generators, p_big.generators):
         for i, j in enumerate(g_big):
             if g_small[parent[i]] != parent[j]:
@@ -164,8 +145,19 @@ def _assert_restriction(small: SphereIndex, big: SphereIndex,
 
 def discreteness_verdict(t: LocalTower) -> DiscretenessVerdict:
     """Discrete(k) at the first k with |P_{k+1}| = |P_k|; stabilization must
-    then persist through the computed depth (a violation would contradict
-    the self-similar section structure and raises an internal error)."""
+    then persist through the computed depth, and a violation raises an
+    internal error.
+
+    Persistence is a lemma of Burger and Mozes (*Groups acting on trees:
+    from local to global structure*, Publ. IHÉS 92, 2000).  Let H be the
+    closure of the projection and H_x^{(k)} the elements of H_x fixing the
+    k-ball about x, so P_k = H_x/H_x^{(k)}.  |P_{k+1}| = |P_k| means
+    H_x^{(k)} = H_x^{(k+1)}, at every vertex as H is vertex-transitive.  So
+    g in H_x^{(k)} fixes the (k+1)-ball about x, hence the k-ball about each
+    neighbour y, hence the (k+1)-ball about y: the (k+2)-ball about x.
+    Walking outward, g = 1, so H_x^{(k)} = 1 and every later order is
+    |P_k|.  The check below guards the computation, not the lemma.
+    """
     if t.depth < 2:
         raise TowerTooShort(f"discreteness needs a tower of depth >= 2, got {t.depth}")
     stabilized = None

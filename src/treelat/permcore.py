@@ -44,6 +44,7 @@ from .errors import (
     DegreeMismatch,
     MalformedDocument,
     PointOutOfRange,
+    optional_field,
 )
 
 DEFAULT_ENUM_CAP = 1_000_000
@@ -113,10 +114,9 @@ class StabilizerChain:
 
     ``base[i]`` is the i-th base point.  ``transversals[i]`` maps each point
     x of the i-th basic orbit to its inverse representative: an element of
-    the level's group carrying x back to ``base[i]``.  ``strong`` holds every
-    strong generator; the ones relevant at level i are those fixing
-    ``base[:i]`` pointwise, kept in installation order in ``_gens[i]``
-    together with their inverses.
+    the level's group carrying x back to ``base[i]``.  ``_gens[i]`` holds
+    the strong generators fixing ``base[:i]`` pointwise, in installation
+    order, each with its inverse; ``_gens[0]`` holds them all.
 
     ``_verified[i]`` maps a point x of the i-th orbit to the number of
     level-i generators s whose Schreier generator for (x, s) is known to
@@ -125,13 +125,11 @@ class StabilizerChain:
     prefix of ``_gens[i]``.
     """
 
-    __slots__ = ("degree", "base", "strong", "transversals", "_gens", "_verified",
-                 "_identity")
+    __slots__ = ("degree", "base", "transversals", "_gens", "_verified", "_identity")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
         self.degree = degree
         self.base: list[int] = []
-        self.strong: list[Perm] = []
         self.transversals: list[dict[int, Perm]] = []
         self._gens: list[list[tuple[Perm, Perm]]] = []
         self._verified: list[dict[int, int]] = []
@@ -139,11 +137,10 @@ class StabilizerChain:
         # the first level is point 0's orbit, trivial when every generator
         # fixes 0; the chain from level 1 on is then the stabilizer's own
         self._add_level(0)
-        for g in generators:
-            t = tuple(g)
-            if len(t) != degree:
-                raise DegreeMismatch(f"generator degree {len(t)} != {degree}")
-            if t != self._identity and t not in self.strong:
+        # degrees are checked by PermGroup and by normal_closure's seeds;
+        # a repeated generator is installed once
+        for t in dict.fromkeys(tuple(g) for g in generators):
+            if t != self._identity:
                 self._install(t)
         self._complete(len(self.base) - 1)
 
@@ -158,7 +155,6 @@ class StabilizerChain:
     def _install(self, g: Perm) -> int:
         """Add a strong generator and extend the orbits it acts on; returns
         the deepest level whose generators changed."""
-        self.strong.append(g)
         j = None
         for idx, b in enumerate(self.base):
             if g[b] != b:
@@ -194,14 +190,15 @@ class StabilizerChain:
                     trans[y] = compose(v, s_inv)
                     new.append(y)
 
-    def _sift_from(self, level: int, g: Perm) -> tuple[Perm, int]:
-        """Sift g through levels >= level; returns (residue, stuck_level)."""
+    def _sift_from(self, level: int, g: Perm) -> Perm:
+        """Sift g through levels >= level; returns the residue, which is the
+        identity exactly when g lies in the level's group."""
         for i in range(level, len(self.base)):
             v = self.transversals[i].get(g[self.base[i]])
             if v is None:
-                return g, i
+                return g
             g = compose(v, g)
-        return g, len(self.base)
+        return g
 
     def _process_level(self, i: int) -> Optional[int]:
         """Sift the Schreier generators of level i not yet verified; install
@@ -219,7 +216,7 @@ class StabilizerChain:
                 s = gens[k][0]
                 schreier = compose(trans[s[beta]], compose(s, u_beta))
                 if schreier != ident:
-                    residue, _ = self._sift_from(i + 1, schreier)
+                    residue = self._sift_from(i + 1, schreier)
                     if residue != ident:
                         # the orbits only grow, so every verified pair stays
                         # verified: its Schreier generator and sift path are
@@ -244,7 +241,7 @@ class StabilizerChain:
     def extend(self, g: Perm) -> bool:
         """Add g to the group in place; False, leaving the chain unchanged,
         when g is already a member."""
-        residue, _ = self._sift_from(0, g)
+        residue = self._sift_from(0, g)
         if residue == self._identity:
             return False
         self._complete(self._install(residue))
@@ -258,12 +255,8 @@ class StabilizerChain:
             n *= len(t)
         return n
 
-    def sift(self, g: Sequence[int]) -> Perm:
-        residue, _ = self._sift_from(0, tuple(g))
-        return residue
-
     def contains(self, g: Sequence[int]) -> bool:
-        return self.sift(g) == self._identity
+        return self._sift_from(0, tuple(g)) == self._identity
 
     def elements(self) -> list[Perm]:
         """All group elements as image tuples (size = order)."""
@@ -350,9 +343,9 @@ def contains(g: PermGroup, p: Sequence[int]) -> bool:
 
 def point_stabilizer(g: PermGroup) -> PermGroup:
     """Stabilizer of point 0: the strong generators of g's chain that fix
-    0, with the chain's levels after the first as its own chain.  No chain
-    is built; the two groups share levels, which is safe because a
-    PermGroup's chain is never extended."""
+    0, which are its level-1 generators, with the chain's levels after the
+    first as its own chain.  No chain is built; the two groups share
+    levels, which is safe because a PermGroup's chain is never extended."""
     if all(s[0] == 0 for s in g.generators):
         # g is its own stabilizer; this covers every chain that does not
         # start at 0, since those are the chains of stabilizers
@@ -361,12 +354,13 @@ def point_stabilizer(g: PermGroup) -> PermGroup:
     stab = StabilizerChain.__new__(StabilizerChain)
     stab.degree = g.degree
     stab.base = chain.base[1:]
-    stab.strong = [s for s in chain.strong if s[0] == 0]
     stab.transversals = chain.transversals[1:]
     stab._gens = chain._gens[1:]
     stab._verified = chain._verified[1:]
     stab._identity = chain._identity
-    return PermGroup(degree=g.degree, generators=tuple(stab.strong), bsgs=stab)
+    # a regular g has one level and a trivial stabilizer
+    gens = tuple(s for s, _ in stab._gens[0]) if stab._gens else ()
+    return PermGroup(degree=g.degree, generators=gens, bsgs=stab)
 
 
 def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
@@ -431,11 +425,7 @@ def conjugacy_class_representatives(g: PermGroup) -> list[Perm]:
 
     Classes are found by closing the element set under conjugation by the
     generators; deterministic because elements() order is deterministic.
-    The result is memoized on the group value (write-once, deterministic).
     """
-    cached = getattr(g, "_class_reps", None)
-    if cached is not None:
-        return cached
     elements = g.chain().elements()
     conjugators = [(x, inverse(x)) for x in g.generators]
     # the elements not yet in a class; holding the listed tuples rather than
@@ -455,7 +445,6 @@ def conjugacy_class_representatives(g: PermGroup) -> list[Perm]:
                 if c in unassigned:
                     unassigned.remove(c)
                     queue.append(c)
-    g._class_reps = reps
     return reps
 
 
@@ -479,7 +468,7 @@ def group_from_raw(document: dict) -> PermGroup:
                 or sorted(images) != list(range(degree))):
             raise MalformedDocument(
                 f"generator {images!r} is not a bijection of 0..{degree - 1}")
-    name = document.get("name")
+    name = optional_field(document, "name", str)
     return PermGroup(degree=degree, generators=tuple(tuple(x) for x in raw_gens),
                      name=name)
 

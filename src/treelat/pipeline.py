@@ -60,7 +60,10 @@ CONSTANT_NOT_ASSERTED = "not_asserted"
 
 @dataclass(frozen=True)
 class AnalysisCaps:
-    """Resource budgets; the desk-scale defaults live here and nowhere else."""
+    """Tower depth and enumeration budgets, defaulting to
+    `localaction.DEFAULT_DEPTH`, `permcore.DEFAULT_ENUM_CAP` and
+    `groupprops.DEFAULT_SECTION_CAP`; `strict` is no budget, it makes
+    validation reject self-paired squares."""
 
     depth: int = DEFAULT_DEPTH
     enum_cap: int = DEFAULT_ENUM_CAP

@@ -31,6 +31,7 @@ from .errors import (
     InvolutionNotFpf,
     MalformedDocument,
     OddAlphabet,
+    optional_field,
 )
 
 Square = tuple[int, int, int, int]
@@ -310,7 +311,9 @@ def parse_datum(document: dict) -> VhDatum:
         raise OddAlphabet(f"alphabet sizes must be even integers >= 2, got n={n}, m={m}")
     horiz = _involution_from_pairs(n, h_pairs, "h_involution")
     vert = _involution_from_pairs(m, v_pairs, "v_involution")
-    oriented = document.get("oriented", False)
+    oriented = optional_field(document, "oriented", bool, False)
+    name = optional_field(document, "name", str)
+    source = optional_field(document, "source", str)
     if not isinstance(raw_squares, list):
         raise MalformedDocument("squares must be a list of 4-element lists")
     squares: list[Square] = []
@@ -327,7 +330,7 @@ def parse_datum(document: dict) -> VhDatum:
             expanded |= _orientation_orbit(horiz, vert, sq)
         squares = sorted(expanded)
     return VhDatum(horiz=horiz, vert=vert, squares=tuple(squares),
-                   name=document.get("name"), source=document.get("source"))
+                   name=name, source=source)
 
 
 def _involution_pairs(alphabet: Alphabet) -> list[list[int]]:

@@ -198,7 +198,7 @@ def test_criterion_7_tower_properties_catalog(capsys):
             for k in range(1, depth):
                 small = sphere_index(aut.letters, k)
                 big = sphere_index(aut.letters, k + 1)
-                parent = [small.position(w[:-1]) for w in big.words]
+                parent = [small[w[:-1]] for w in big]
                 for g_small, g_big in zip(t.groups[k - 1].generators,
                                           t.groups[k].generators):
                     for i, j in enumerate(g_big):
@@ -214,7 +214,7 @@ def test_criterion_7_tower_properties_catalog(capsys):
             for k in range(1, 5):
                 sphere = sphere_index(aut.letters, k)
                 for s in range(aut.states.size):
-                    for w in sphere.words:
+                    for w in sphere:
                         image = act_word(aut, s, w)
                         for x, y in zip(image, image[1:]):
                             assert y != aut.letters.inv(x)

@@ -12,6 +12,8 @@ from treelat.cli import main
 from treelat.permcore import alternating_group, group_from_raw, group_to_raw, order
 from treelat.vhcomplex import parse_datum, serialize_datum, validate
 
+from conftest import growth_datum
+
 
 @pytest.fixture()
 def commuting_file(tmp_path):
@@ -234,9 +236,48 @@ def test_datum_broken_involution_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("oriented", "false"), ("oriented", 0), ("oriented", None),
+    ("name", [1, 2]), ("name", None), ("source", 7)])
+def test_datum_mistyped_optional_field_is_usage_error(capsys, tmp_path, key, value):
+    # a truthy string must not read as "oriented", nor a list print as a name
+    doc = catalog.load_document("commuting_t4x4")
+    doc[key] = value
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert key in err
+
+
+def test_raw_group_mistyped_name_is_usage_error(capsys, tmp_path):
+    doc = group_to_raw(alternating_group(5))
+    doc["name"] = {"x": 1}
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", "--pair", str(path), str(path))
+    assert code == 2 and out == ""
+    assert "name" in err
+
+
 # ---------------------------------------------------------------------------
 # tower
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [("tower", "--side", "h", "--depth", "40"),
+                                  ("analyze", "--depth", "13")])
+def test_over_deep_tower_exits_3_at_once(capsys, tmp_path, argv):
+    # depth 13 is the first whose 2,125,764-word sphere exceeds the word
+    # bound; no shallower level may be built before the cap is reported
+    path = tmp_path / "growth.json"
+    path.write_text(json.dumps(serialize_datum(growth_datum())))
+    command, *options = argv
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path), *options)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "exceeding bound" in err and "Traceback" not in err
+
 
 def test_tower_command(capsys, commuting_file):
     code, out, _ = run(capsys, "tower", str(commuting_file), "--side", "h",

@@ -183,7 +183,7 @@ def test_bsgs_deterministic():
     c1 = perm_group(gens).chain()
     c2 = perm_group(gens).chain()
     assert c1.base == c2.base
-    assert c1.strong == c2.strong
+    assert c1._gens[0] == c2._gens[0]
 
 
 def test_contains_odd_permutation_not_in_a6():
@@ -248,6 +248,22 @@ def test_chain_invariants_on_engine_suite():
                 assert rep[x] == b, (chain.base, i, x)
                 assert all(rep[p] == p for p in prefix), (chain.base, i, x)
                 assert chain.contains(rep)
+        # level i's generators are exactly the level-0 ones fixing base[:i],
+        # in installation order, each stored with its inverse
+        for i, level in enumerate(chain._gens):
+            fixing = [s for s, _ in chain._gens[0]
+                      if all(s[p] == p for p in chain.base[:i])]
+            assert [s for s, _ in level] == fixing, (chain.base, i)
+            assert all(s_inv == inverse(s) for s, s_inv in level)
+    # a point stabilizer's generators are its group's level-1 generators
+    # (a group fixing 0 is its own stabilizer)
+    for g in groups:
+        if all(s[0] == 0 for s in g.generators):
+            assert point_stabilizer(g) is g
+            continue
+        chain = g.chain()
+        expected = tuple(s for s, _ in chain._gens[1]) if len(chain.base) > 1 else ()
+        assert point_stabilizer(g).generators == expected, g.name
 
 
 # ---------------------------------------------------------------------------
