@@ -46,15 +46,20 @@ def sphere_size(n: int, k: int) -> int:
     return n * (n - 1) ** (k - 1)
 
 
-def sphere_index(alphabet: Alphabet, k: int) -> dict[Word, int]:
-    """Each reduced word of length k mapped to its lexicographic position;
-    the dict iterates the words in that order."""
+def check_sphere(alphabet: Alphabet, k: int) -> None:
+    """Refuse a depth below 1 or a sphere of more than WORD_BOUND words."""
     if k < 1:
         raise DepthOverflow(f"sphere depth must be >= 1, got {k}")
     count = sphere_size(alphabet.size, k)
     if count > WORD_BOUND:
         raise DepthOverflow(
             f"sphere of depth {k} has {count} words, exceeding bound {WORD_BOUND}")
+
+
+def sphere_index(alphabet: Alphabet, k: int) -> dict[Word, int]:
+    """Each reduced word of length k mapped to its lexicographic position;
+    the dict iterates the words in that order."""
+    check_sphere(alphabet, k)
     words: list[Word] = [(a,) for a in range(alphabet.size)]
     for _ in range(k - 1):
         words = [w + (c,) for w in words
@@ -118,12 +123,10 @@ def _local_group_from_automaton(aut: MealyAutomaton, sphere: dict[Word, int]) ->
 def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH) -> LocalTower:
     """P_1 ... P_depth with generator-wise restriction compatibility checked
     during construction."""
-    if depth < 1:
-        raise DepthOverflow(f"tower depth must be >= 1, got {depth}")
     aut = automaton_for_side(d, side)
-    # deepest first: a sphere over the word bound is refused before any
-    # level is built
-    spheres = [sphere_index(aut.letters, k) for k in range(depth, 0, -1)][::-1]
+    # the deepest sphere is the largest: refuse it before any level is built
+    check_sphere(aut.letters, depth)
+    spheres = [sphere_index(aut.letters, k) for k in range(1, depth + 1)]
     groups = [_local_group_from_automaton(aut, sphere) for sphere in spheres]
     for k in range(depth - 1):
         _assert_restriction(spheres[k], spheres[k + 1], groups[k], groups[k + 1])

@@ -46,6 +46,7 @@ from .localaction import (
     NOT_APPLICABLE,
     DEFAULT_DEPTH,
     DiscretenessVerdict,
+    check_sphere,
     discreteness_verdict,
     tower,
 )
@@ -324,6 +325,9 @@ def assemble_report(r1: SideReport, r2: SideReport,
 
 
 def analyze_datum(d: VhDatum, caps: AnalysisCaps = AnalysisCaps()) -> WangReport:
+    # either side's over-deep sphere is refused before any tower is built
+    for letters in (d.horiz, d.vert):
+        check_sphere(letters, caps.depth)
     r1 = analyze_datum_side(d, HORIZONTAL, caps)
     r2 = analyze_datum_side(d, VERTICAL, caps)
     return assemble_report(r1, r2, caps)

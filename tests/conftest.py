@@ -9,6 +9,7 @@ import pytest
 
 from treelat.permcore import (
     PermGroup,
+    StabilizerChain,
     alternating_group,
     from_cycles,
     perm_group,
@@ -48,6 +49,20 @@ def _fail_after_timeout(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def chain_builds(monkeypatch) -> list:
+    """Gains one item per StabilizerChain constructed during the test."""
+    builds: list = []
+    init = StabilizerChain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+    return builds
 
 
 def cyclic_group(n: int) -> PermGroup:

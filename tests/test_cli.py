@@ -10,7 +10,7 @@ import pytest
 from treelat import catalog
 from treelat.cli import main
 from treelat.permcore import alternating_group, group_from_raw, group_to_raw, order
-from treelat.vhcomplex import parse_datum, serialize_datum, validate
+from treelat.vhcomplex import commuting_datum, parse_datum, serialize_datum, validate
 
 from conftest import growth_datum
 
@@ -277,6 +277,17 @@ def test_over_deep_tower_exits_3_at_once(capsys, tmp_path, argv):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert "exceeding bound" in err and "Traceback" not in err
+
+
+def test_over_deep_second_side_exits_3_before_any_chain(capsys, tmp_path, chain_builds):
+    # side 1 has 4 letters (324 words at depth 5), side 2 has 34 letters
+    # (40,321,314 words): neither side's tower may be built
+    path = tmp_path / "t4x34.json"
+    path.write_text(json.dumps(serialize_datum(commuting_datum(4, 34))))
+    code, out, err = run(capsys, "analyze", str(path), "--depth", "5")
+    assert code == 3 and out == ""
+    assert "exceeding bound" in err and "Traceback" not in err
+    assert chain_builds == []
 
 
 def test_tower_command(capsys, commuting_file):

@@ -317,6 +317,19 @@ def test_point_stabilizer_trivial_group():
     assert order(point_stabilizer(trivial_group(5))) == 1
 
 
+@given(small_gen_sets(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_order_depends_only_on_the_generator_set(g, data):
+    # the survey keys its order memo by frozenset(generators)
+    gens = list(g.generators)
+    shuffled = data.draw(st.permutations(gens))
+    repeated, with_identity = list(gens), list(gens)
+    repeated.insert(data.draw(st.integers(0, len(gens))), data.draw(st.sampled_from(gens)))
+    with_identity.insert(data.draw(st.integers(0, len(gens))), identity(g.degree))
+    for variant in (shuffled, repeated, with_identity):
+        assert order(perm_group(variant, degree=g.degree)) == order(g)
+
+
 @given(small_gen_sets())
 @settings(max_examples=40, deadline=None)
 def test_orbit_stabilizer(g):

@@ -1,6 +1,8 @@
 """Smoke tests of the runnable scripts under scripts/."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 from treelat import catalog
@@ -22,3 +24,15 @@ def test_analyze_catalog_prints_one_verdict_per_entry(capsys):
     for line in lines:
         assert "finiteness:" in line
         assert "skipped" not in line
+
+
+def test_survey_t4x4_writes_and_prints_the_record(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "s.json"
+    monkeypatch.setattr(sys, "argv", ["survey_t4x4.py", "--json", str(path)])
+    assert _load("survey_t4x4").main() == 0
+    record = json.loads(path.read_text())
+    assert record["total"] == 1564 and record["growth_count"] == 616
+    assert "squares" in record["first_growth_datum"]
+    lines = capsys.readouterr().out.splitlines()
+    assert "complete data found:        1564" in lines
+    assert "with |P2| > |P1| somewhere: 616" in lines
