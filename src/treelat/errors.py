@@ -93,10 +93,6 @@ class DepthOverflow(ResourceCapExceeded):
     """Sphere word count would exceed the configured bound."""
 
 
-class LetterOutOfRange(DomainError):
-    pass
-
-
 class TowerTooShort(DomainError):
     pass
 

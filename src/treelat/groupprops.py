@@ -398,17 +398,16 @@ def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> se
 
 
 def section_necessary(m: PermGroup, s: PermGroup,
-                      enum_cap: int = DEFAULT_ENUM_CAP,
-                      check_simple: bool = True) -> SectionReport:
-    """Necessary conditions for m (simple) to be a section of s.
+                      enum_cap: int = DEFAULT_ENUM_CAP) -> SectionReport:
+    """Necessary conditions for m to be a section of s.
 
     (a) |m| divides |s|; (b) every prime of |m| divides |s|; (c) every
     element order of m divides some element order of s.  A failed flag
     settles the exact answer as "no"; all flags passing leaves "unknown".
+    m need not be simple: a section H/N of s has order dividing |s|, and
+    each element order of H/N divides the order of a preimage in s.
     """
     om, os_ = order(m), order(s)
-    if check_simple and (om == 1 or not is_simple(m, enum_cap)):
-        raise PreconditionFailed("section tests require a simple, non-trivial m")
     order_divides = os_ % om == 0
     prime_ok = _prime_factors(om) <= _prime_factors(os_)
     witness = None

@@ -15,14 +15,9 @@ the permutation degree stays as small as possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .errors import (
-    DepthOverflow,
-    InternalInvariantError,
-    LetterOutOfRange,
-    TowerTooShort,
-)
+from .errors import DepthOverflow, InternalInvariantError, InvalidDatum, TowerTooShort
 from .permcore import PermGroup, order
 from .vhcomplex import (
     Alphabet,
@@ -35,50 +30,22 @@ from .vhcomplex import (
 WORD_BOUND = 1_000_000
 DEFAULT_DEPTH = 5
 
-Word = tuple[int, ...]
-
 DISCRETE = "discrete"
 NO_STABILIZATION = "no_stabilization"
 NOT_APPLICABLE = "not_applicable"
 
 
-def sphere_size(n: int, k: int) -> int:
-    return n * (n - 1) ** (k - 1)
-
-
-def check_sphere(alphabet: Alphabet, k: int) -> None:
-    """Refuse a depth below 1 or a sphere of more than WORD_BOUND words."""
+def sphere_index(alphabet: Alphabet, k: int) -> range:
+    """The positions of the reduced words of length k in lexicographic
+    order; a depth below 1 or more than WORD_BOUND words is refused."""
     if k < 1:
         raise DepthOverflow(f"sphere depth must be >= 1, got {k}")
-    count = sphere_size(alphabet.size, k)
+    n = alphabet.size
+    count = n * (n - 1) ** (k - 1)
     if count > WORD_BOUND:
         raise DepthOverflow(
             f"sphere of depth {k} has {count} words, exceeding bound {WORD_BOUND}")
-
-
-def sphere_index(alphabet: Alphabet, k: int) -> dict[Word, int]:
-    """Each reduced word of length k mapped to its lexicographic position;
-    the dict iterates the words in that order."""
-    check_sphere(alphabet, k)
-    words: list[Word] = [(a,) for a in range(alphabet.size)]
-    for _ in range(k - 1):
-        words = [w + (c,) for w in words
-                 for c in range(alphabet.size) if c != alphabet.inv(w[-1])]
-    return {w: i for i, w in enumerate(words)}
-
-
-def act_word(aut: MealyAutomaton, state: int, word: Word) -> Word:
-    """Rewrite a word letter by letter: emit out[s][x], continue in nxt[s][x]."""
-    if not 0 <= state < aut.states.size:
-        raise LetterOutOfRange(f"state {state} out of range")
-    out = []
-    s = state
-    for x in word:
-        if not 0 <= x < aut.letters.size:
-            raise LetterOutOfRange(f"letter {x} out of range")
-        out.append(aut.out[s][x])
-        s = aut.nxt[s][x]
-    return tuple(out)
+    return range(count)
 
 
 @dataclass(frozen=True)
@@ -106,44 +73,71 @@ class DiscretenessVerdict:
     at: Optional[int]
 
 
+def _local_group_from_automaton(aut: MealyAutomaton, sphere: range,
+                                below: Optional[PermGroup]) -> PermGroup:
+    """The states' action on the depth-k sphere, from their action `below`
+    on the depth-(k-1) sphere; at depth 1, with `below` None, the action is
+    the `out` rows.
+
+    Under state s the word x.w' goes to y = out[s][x] followed by the image
+    of w' under nxt[s][x].  The B = (n-1)^(k-1) words that begin with x hold
+    positions x*B onwards, in the order of their tails one level down, where
+    the tails that begin with inv(x) are skipped; so a tail's rank drops by
+    the size of that block when it lies past it.  The same holds on the
+    image side with inv(y)."""
+    inv = aut.letters.involution
+    if below is None:
+        # x.a is reduced for every a but inv(x), so the state after x must
+        # send inv(x) to inv(out[s][x]) for all images to stay reduced
+        if any(aut.out[t][inv[x]] != inv[y] for row, moves in zip(aut.out, aut.nxt)
+               for x, (y, t) in enumerate(zip(row, moves))):
+            raise InvalidDatum("the automaton sends a reduced word to an unreduced one")
+        return PermGroup(degree=len(sphere), generators=aut.out)
+    q = aut.letters.size - 1
+    block = len(sphere) // aut.letters.size
+    tail = block // q
+    gens = []
+    for s, (row, moves) in enumerate(zip(aut.out, aut.nxt)):
+        image: list[int] = []
+        for x, (y, t) in enumerate(zip(row, moves)):
+            tails = below.generators[t]
+            skip = inv[x] * tail
+            base, cut = y * block, inv[y] * tail
+            image += [r + base if r < cut else r + base - tail
+                      for r in tails[:skip] + tails[skip + tail:]]
+        # truncation guard: the parent of word j is word j // q, and
+        # dropping the last letter must commute with the action
+        if [r // q for r in image] != [p for p in below.generators[s] for _ in range(q)]:
+            raise InternalInvariantError(
+                "tower restriction mismatch: truncated generator disagrees")
+        gens.append(tuple(image))
+    return PermGroup(degree=len(sphere), generators=tuple(gens))
+
+
+def local_groups(aut: MealyAutomaton, depth: int) -> Iterator[PermGroup]:
+    """P_1 ... P_depth of the automaton's states, each level built from the
+    one below; the deepest sphere is the largest, so it is refused before
+    any level is built."""
+    deepest = sphere_index(aut.letters, depth)
+    below = None
+    for k in range(1, depth):
+        below = _local_group_from_automaton(aut, sphere_index(aut.letters, k), below)
+        yield below
+    yield _local_group_from_automaton(aut, deepest, below)
+
+
 def local_group(d: VhDatum, side: str, k: int) -> PermGroup:
     """The group of permutations of the depth-k sphere words generated by
     the states of the other side's automaton."""
-    aut = automaton_for_side(d, side)
-    return _local_group_from_automaton(aut, sphere_index(aut.letters, k))
-
-
-def _local_group_from_automaton(aut: MealyAutomaton, sphere: dict[Word, int]) -> PermGroup:
-    """The states' action on the words of an indexed sphere."""
-    gens = tuple(tuple(sphere[act_word(aut, s, w)] for w in sphere)
-                 for s in range(aut.states.size))
-    return PermGroup(degree=len(sphere), generators=gens)
+    *_, group = local_groups(automaton_for_side(d, side), k)
+    return group
 
 
 def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH) -> LocalTower:
-    """P_1 ... P_depth with generator-wise restriction compatibility checked
-    during construction."""
-    aut = automaton_for_side(d, side)
-    # the deepest sphere is the largest: refuse it before any level is built
-    check_sphere(aut.letters, depth)
-    spheres = [sphere_index(aut.letters, k) for k in range(1, depth + 1)]
-    groups = [_local_group_from_automaton(aut, sphere) for sphere in spheres]
-    for k in range(depth - 1):
-        _assert_restriction(spheres[k], spheres[k + 1], groups[k], groups[k + 1])
-    return LocalTower(side=side, groups=tuple(groups),
+    """P_1 ... P_depth and their orders."""
+    groups = tuple(local_groups(automaton_for_side(d, side), depth))
+    return LocalTower(side=side, groups=groups,
                       orders=tuple(order(g) for g in groups))
-
-
-def _assert_restriction(small: dict[Word, int], big: dict[Word, int],
-                        p_small: PermGroup, p_big: PermGroup) -> None:
-    """Truncating each depth-(k+1) generator must reproduce the matching
-    depth-k generator."""
-    parent = [small[w[:-1]] for w in big]
-    for g_small, g_big in zip(p_small.generators, p_big.generators):
-        for i, j in enumerate(g_big):
-            if g_small[parent[i]] != parent[j]:
-                raise InternalInvariantError(
-                    "tower restriction mismatch: truncated generator disagrees")
 
 
 def discreteness_verdict(t: LocalTower) -> DiscretenessVerdict:

@@ -46,8 +46,8 @@ from .localaction import (
     NOT_APPLICABLE,
     DEFAULT_DEPTH,
     DiscretenessVerdict,
-    check_sphere,
     discreteness_verdict,
+    sphere_index,
     tower,
 )
 from .permcore import DEFAULT_ENUM_CAP, PermGroup, order, point_stabilizer
@@ -162,13 +162,10 @@ def analyze_raw_group(g: PermGroup, caps: AnalysisCaps = AnalysisCaps(),
     )
 
 
-def analyze_datum_side(d: VhDatum, side: str,
-                       caps: AnalysisCaps = AnalysisCaps()) -> SideReport:
-    """Side analysis for a one-vertex datum: local tower plus the property
-    battery on P1.  Constant type is structural for vertex-transitive data."""
-    report = validate(d, strict=caps.strict)
-    if not report.ok:
-        raise InvalidDatum("; ".join(report.violations))
+def _analyze_datum_side(d: VhDatum, side: str, caps: AnalysisCaps) -> SideReport:
+    """Side analysis for a validated one-vertex datum: local tower plus the
+    property battery on P1.  Constant type is structural for
+    vertex-transitive data."""
     t = tower(d, side, caps.depth)
     verdict = discreteness_verdict(t)
     label = f"datum:{d.name}:{side}" if d.name else f"datum:{side}"
@@ -230,7 +227,7 @@ class Theorem25Report:
 
 
 def _section_combined(m: PermGroup, s: PermGroup, caps: AnalysisCaps) -> SectionReport:
-    report = section_necessary(m, s, caps.enum_cap, check_simple=False)
+    report = section_necessary(m, s, caps.enum_cap)
     if report.exact == UNKNOWN:
         exact = section_exact_small(m, s, caps.section_cap)
         if exact != UNKNOWN:
@@ -327,9 +324,12 @@ def assemble_report(r1: SideReport, r2: SideReport,
 def analyze_datum(d: VhDatum, caps: AnalysisCaps = AnalysisCaps()) -> WangReport:
     # either side's over-deep sphere is refused before any tower is built
     for letters in (d.horiz, d.vert):
-        check_sphere(letters, caps.depth)
-    r1 = analyze_datum_side(d, HORIZONTAL, caps)
-    r2 = analyze_datum_side(d, VERTICAL, caps)
+        sphere_index(letters, caps.depth)
+    report = validate(d, strict=caps.strict)
+    if not report.ok:
+        raise InvalidDatum("; ".join(report.violations))
+    r1 = _analyze_datum_side(d, HORIZONTAL, caps)
+    r2 = _analyze_datum_side(d, VERTICAL, caps)
     return assemble_report(r1, r2, caps)
 
 

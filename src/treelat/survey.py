@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .localaction import _local_group_from_automaton, sphere_index
-from .permcore import order
+from .localaction import local_groups
+from .permcore import PermGroup, order
 from .vhcomplex import (
     Alphabet,
-    MealyAutomaton,
     VhDatum,
     horizontal_automaton,
     vertical_automaton,
@@ -124,14 +123,9 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet,
     distinct set's order is computed once per call: with involutions
     0<->1, 2<->3 the T4 x T4 survey has 6,256 local groups on 135 sets."""
     result = SurveyResult()
-    # the vertical automaton acts on horizontal words and vice versa; both
-    # alphabets are fixed, so their spheres are indexed once per survey
-    spheres = [(sphere_index(letters, 1), sphere_index(letters, 2))
-               for letters in (horiz, vert)]
     orders: dict[frozenset, int] = {}
 
-    def order_of(automaton: MealyAutomaton, sphere: dict) -> int:
-        group = _local_group_from_automaton(automaton, sphere)
+    def order_of(group: PermGroup) -> int:
         key = frozenset(group.generators)
         if key not in orders:
             orders[key] = order(group)
@@ -141,10 +135,8 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet,
         result.total += 1
         growth = False
         nontrivial = False
-        automata = (vertical_automaton(d), horizontal_automaton(d))
-        for automaton, (sphere1, sphere2) in zip(automata, spheres):
-            p1 = order_of(automaton, sphere1)
-            p2 = order_of(automaton, sphere2)
+        for automaton in (vertical_automaton(d), horizontal_automaton(d)):
+            p1, p2 = map(order_of, local_groups(automaton, 2))
             result.max_p1_order = max(result.max_p1_order, p1)
             result.max_p2_order = max(result.max_p2_order, p2)
             result.p1_orders_seen.add(p1)

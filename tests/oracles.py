@@ -2,8 +2,10 @@
 
 Nothing here touches stabilizer chains: closures are plain BFS over
 products, block systems come from enumerating every equal-size partition,
-and the normal-subgroup lattice from enumerating every subgroup.  These
-are the reference answers the engine is checked against.
+and the normal-subgroup lattice from enumerating every subgroup.  Local
+groups on tree spheres come from listing the reduced words and rewriting
+each one letter by letter.  These are the reference answers the engine is
+checked against.
 """
 
 from __future__ import annotations
@@ -295,3 +297,32 @@ def section_bruteforce(m_gens, s_gens, degree) -> bool:
                     and _quotient_spectrum_t(h, k) == spec_m):
                 return True
     return False
+
+
+def sphere_words(alphabet, k) -> list[tuple[int, ...]]:
+    """The reduced words of length k over the alphabet, in lexicographic
+    order."""
+    words = [(a,) for a in range(alphabet.size)]
+    for _ in range(k - 1):
+        words = [w + (c,) for w in words
+                 for c in range(alphabet.size) if c != alphabet.inv(w[-1])]
+    return words
+
+
+def act_word(aut, state, word) -> tuple[int, ...]:
+    """Rewrite a word letter by letter: emit out[s][x], continue in nxt[s][x]."""
+    out = []
+    s = state
+    for x in word:
+        out.append(aut.out[s][x])
+        s = aut.nxt[s][x]
+    return tuple(out)
+
+
+def local_group_generators(aut, k) -> tuple[tuple[int, ...], ...]:
+    """Each state's permutation of the depth-k sphere, as the positions of
+    the rewritten words in `sphere_words` order."""
+    words = sphere_words(aut.letters, k)
+    index = {w: i for i, w in enumerate(words)}
+    return tuple(tuple(index[act_word(aut, s, w)] for w in words)
+                 for s in range(aut.states.size))

@@ -9,7 +9,7 @@ import time
 from treelat import catalog
 from treelat.cli import main as cli_main
 from treelat.groupprops import ALMOST_SIMPLE
-from treelat.localaction import act_word, sphere_index, tower
+from treelat.localaction import tower
 from treelat.permcore import contains, order
 from treelat.pipeline import analyze_raw_group, contradiction_chain, wang_index_bound
 from treelat.survey import enumerate_complete_data, survey_level_growth
@@ -23,9 +23,11 @@ from treelat.vhcomplex import (
 
 from conftest import engine_suite
 from oracles import (
+    act_word,
     closure_elements,
     minimal_normal_bruteforce,
     primitive_bruteforce,
+    sphere_words,
 )
 
 
@@ -196,9 +198,8 @@ def test_criterion_7_tower_properties_catalog(capsys):
             # generator-wise truncation surjectivity
             aut = automaton_for_side(d, side)
             for k in range(1, depth):
-                small = sphere_index(aut.letters, k)
-                big = sphere_index(aut.letters, k + 1)
-                parent = [small[w[:-1]] for w in big]
+                small = {w: i for i, w in enumerate(sphere_words(aut.letters, k))}
+                parent = [small[w[:-1]] for w in sphere_words(aut.letters, k + 1)]
                 for g_small, g_big in zip(t.groups[k - 1].generators,
                                           t.groups[k].generators):
                     for i, j in enumerate(g_big):
@@ -212,9 +213,8 @@ def test_criterion_7_tower_properties_catalog(capsys):
                     stabilized = True
             # reduced-word preservation up to depth 4
             for k in range(1, 5):
-                sphere = sphere_index(aut.letters, k)
                 for s in range(aut.states.size):
-                    for w in sphere:
+                    for w in sphere_words(aut.letters, k):
                         image = act_word(aut, s, w)
                         for x, y in zip(image, image[1:]):
                             assert y != aut.letters.inv(x)

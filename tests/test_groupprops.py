@@ -6,7 +6,6 @@ from treelat import catalog, groupprops
 from treelat.errors import (
     NotNormal,
     NotTransitive,
-    PreconditionFailed,
     TooLarge,
 )
 from treelat.groupprops import (
@@ -453,13 +452,6 @@ def test_section_necessary_c2_in_s3():
     c2 = perm_group([from_cycles(3, [(0, 1)])], degree=3)
     rep = section_necessary(c2, symmetric_group(3))
     assert rep.order_divides and rep.prime_spectrum_ok and rep.element_order_spectrum_ok
-
-
-def test_section_necessary_requires_simple():
-    with pytest.raises(PreconditionFailed):
-        section_necessary(cyclic_group(4), symmetric_group(4))
-    with pytest.raises(PreconditionFailed):
-        section_necessary(trivial_group(2), symmetric_group(3))
 
 
 def test_section_exact_a5_in_s5():

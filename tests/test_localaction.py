@@ -1,19 +1,26 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelat.cli import json_data
-from treelat.errors import DepthOverflow, LetterOutOfRange, TowerTooShort
+from treelat.errors import (
+    DepthOverflow,
+    InternalInvariantError,
+    InvalidDatum,
+    TowerTooShort,
+)
 from treelat.localaction import (
     DISCRETE,
     NO_STABILIZATION,
     DiscretenessVerdict,
     LocalTower,
-    act_word,
+    _local_group_from_automaton,
     discreteness_verdict,
     local_group,
+    local_groups,
     sphere_index,
-    sphere_size,
     tower,
     tower_report,
 )
@@ -21,12 +28,14 @@ from treelat.permcore import order, trivial_group
 from treelat.survey import enumerate_complete_data
 from treelat.vhcomplex import (
     Alphabet,
+    MealyAutomaton,
     commuting_datum,
+    horizontal_automaton,
     vertical_automaton,
 )
 
 from conftest import first_nontrivial_datum, growth_datum
-from oracles import closure_elements
+from oracles import act_word, closure_elements, local_group_generators, sphere_words
 
 A4 = Alphabet.with_adjacent_pairs(4)
 A6 = Alphabet.with_adjacent_pairs(6)
@@ -49,21 +58,19 @@ def nontrivial():
 # ---------------------------------------------------------------------------
 
 def test_sphere_counts():
-    assert len(sphere_index(A4, 1)) == 4
-    assert len(sphere_index(A4, 2)) == 12
-    assert len(sphere_index(A6, 3)) == 150
-    assert sphere_size(6, 3) == 150
+    assert sphere_index(A4, 1) == range(4)
+    assert sphere_index(A4, 2) == range(12)
+    assert sphere_index(A6, 3) == range(150)
+    assert len(sphere_words(A6, 3)) == 150
 
 
 def test_sphere_words_reduced_and_lexicographic():
-    s = sphere_index(A4, 3)
-    words = list(s)
+    words = sphere_words(A4, 3)
     assert words == sorted(words)
-    assert [s[w] for w in words] == list(range(len(words)))
     for w in words:
         for x, y in zip(w, w[1:]):
             assert y != A4.inv(x)
-    assert len(words) == sphere_size(4, 3)
+    assert len(words) == len(sphere_index(A4, 3))
 
 
 def test_sphere_depth_overflow():
@@ -82,13 +89,13 @@ def test_sphere_count_formula(k, size_choice):
 
 
 # ---------------------------------------------------------------------------
-# word action
+# word action: the rewriting oracle, and the engine's levels against it
 # ---------------------------------------------------------------------------
 
 def test_act_word_identity_automaton(commuting):
     aut = vertical_automaton(commuting)
     for s in range(4):
-        for w in sphere_index(A4, 2):
+        for w in sphere_words(A4, 2):
             assert act_word(aut, s, w) == w
 
 
@@ -104,7 +111,7 @@ def test_act_word_nontrivial_beyond_depth_one(nontrivial):
     aut = vertical_automaton(nontrivial)
     moved = False
     for s in range(4):
-        for w in sphere_index(A4, 2):
+        for w in sphere_words(A4, 2):
             image = act_word(aut, s, w)
             assert image[:1] == act_word(aut, s, w[:1])
             if image != w:
@@ -112,26 +119,53 @@ def test_act_word_nontrivial_beyond_depth_one(nontrivial):
     assert moved
 
 
-def test_act_word_letter_out_of_range(nontrivial):
-    aut = vertical_automaton(nontrivial)
-    with pytest.raises(LetterOutOfRange):
-        act_word(aut, 0, (9,))
-    with pytest.raises(LetterOutOfRange):
-        act_word(aut, 9, (0,))
-
-
 def test_act_word_preserves_reducedness_on_all_enumerated_data():
-    count = 0
-    for d in enumerate_complete_data(A4, A4):
+    words = sphere_words(A4, 4)
+    for d in itertools.islice(enumerate_complete_data(A4, A4), 60):
         aut = vertical_automaton(d)
         for s in range(4):
-            for w in sphere_index(A4, 4):
+            for w in words:
                 image = act_word(aut, s, w)
                 for x, y in zip(image, image[1:]):
                     assert y != A4.inv(x), (d.squares, s, w, image)
-        count += 1
-        if count >= 60:
-            break
+
+
+def _assert_levels_match_oracle(aut, depth):
+    for k, group in enumerate(local_groups(aut, depth), 1):
+        assert group.generators == local_group_generators(aut, k), k
+
+
+def test_levels_match_word_rewriting_oracle():
+    # every T4 x T4 datum covers n - 1 = 3; T6 x T4 and T4 x T6 add
+    # n - 1 = 5, and T2 x T4 adds n - 1 = 1
+    a2 = Alphabet.with_adjacent_pairs(2)
+    for horiz, vert, count in ((A4, A4, None), (A6, A4, 300), (A4, A6, 300),
+                               (a2, A4, None)):
+        for d in itertools.islice(enumerate_complete_data(horiz, vert), count):
+            for aut in (vertical_automaton(d), horizontal_automaton(d)):
+                _assert_levels_match_oracle(aut, 3)
+    for aut in (vertical_automaton(growth_datum()), horizontal_automaton(growth_datum())):
+        _assert_levels_match_oracle(aut, 6)
+
+
+def test_restriction_guard_rejects_a_foreign_level_below():
+    # the growth datum's two automata act differently on every level, so
+    # each level built on the other automaton's level below is refused
+    own, other = horizontal_automaton(growth_datum()), vertical_automaton(growth_datum())
+    for k, below in enumerate(local_groups(other, 3), 2):
+        with pytest.raises(InternalInvariantError):
+            _local_group_from_automaton(own, sphere_index(own.letters, k), below)
+
+
+def test_automaton_that_unreduces_a_word_is_refused():
+    # state 0 reads 0 and moves to state 1, which sends inv(0) = 1 to 0,
+    # not to inv(out[0][0]) = 1: the reduced word 0.1... goes to 0.0...
+    a2 = Alphabet.with_adjacent_pairs(2)
+    aut = MealyAutomaton(states=a2, letters=A4,
+                         out=((0, 1, 2, 3), (1, 0, 2, 3)),
+                         nxt=((1, 0, 0, 0), (1, 1, 1, 1)))
+    with pytest.raises(InvalidDatum):
+        list(local_groups(aut, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +181,7 @@ def test_local_group_commuting_trivial(commuting):
 def test_local_group_degree(nontrivial):
     for k in (1, 2, 3):
         g = local_group(nontrivial, "horizontal", k)
-        assert g.degree == sphere_size(4, k)
+        assert g.degree == 4 * 3 ** (k - 1)
 
 
 def test_local_group_matches_closure_oracle():

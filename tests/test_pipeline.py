@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelat import pipeline
 from treelat.cli import json_data
 from treelat.errors import (
     InvalidDatum,
@@ -25,7 +26,6 @@ from treelat.pipeline import (
     INDEX_BOUND_MAX_N,
     AnalysisCaps,
     analyze_datum,
-    analyze_datum_side,
     analyze_pair,
     analyze_raw_group,
     assemble_report,
@@ -78,8 +78,7 @@ def test_analyze_a6(a6_report):
 
 
 def test_analyze_commuting_datum_side():
-    d = commuting_datum(4, 4)
-    r = analyze_datum_side(d, "horizontal")
+    r = analyze_datum(commuting_datum(4, 4)).side1
     assert r.p1_order == 1
     assert not r.transitive
     assert not r.quasiprimitive
@@ -92,12 +91,25 @@ def test_analyze_datum_side_rejects_invalid():
     d = commuting_datum(4, 4)
     broken = VhDatum(horiz=d.horiz, vert=d.vert, squares=d.squares[1:])
     with pytest.raises(InvalidDatum):
-        analyze_datum_side(broken, "horizontal")
+        analyze_datum(broken)
 
 
 def test_analyze_depth_one_raises_tower_too_short():
     with pytest.raises(TowerTooShort):
-        analyze_datum_side(commuting_datum(4, 4), "horizontal", AnalysisCaps(depth=1))
+        analyze_datum(commuting_datum(4, 4), AnalysisCaps(depth=1))
+
+
+def test_analyze_datum_validates_once(monkeypatch):
+    calls = []
+    validate = pipeline.validate
+
+    def counting_validate(*args, **kwargs):
+        calls.append(None)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "validate", counting_validate)
+    analyze_datum(commuting_datum(4, 4))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
