@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import DepthOverflow, InternalInvariantError, InvalidDatum, TowerTooShort
-from .permcore import PermGroup, order
+from .permcore import PermGroup, StabilizerChain, order
 from .vhcomplex import (
     Alphabet,
     MealyAutomaton,
@@ -133,11 +133,35 @@ def local_group(d: VhDatum, side: str, k: int) -> PermGroup:
     return group
 
 
+def _kernel_order(group: PermGroup, q: int, k: int, below: int) -> int:
+    """|K_k| from one chain of P_{k+1} = `group` on its fibres of q words,
+    whose own order, |P_k|, must equal `below`."""
+    chain = StabilizerChain(group.degree, group.generators, block=q)
+    if chain.order() != below:
+        raise InternalInvariantError(
+            f"P_{k + 1} permutes the fibres of its sphere as a group of order "
+            f"{chain.order()}, but |P_{k}| = {below}")
+    return 1 if chain.kernel is None else chain.kernel.order()
+
+
 def tower(d: VhDatum, side: str, depth: int = DEFAULT_DEPTH) -> LocalTower:
-    """P_1 ... P_depth and their orders."""
-    groups = tuple(local_groups(automaton_for_side(d, side), depth))
-    return LocalTower(side=side, groups=groups,
-                      orders=tuple(order(g) for g in groups))
+    """P_1 ... P_depth and their orders.
+
+    |P_1| is read off P_1's chain, and |P_{k+1}| = |P_k| * |K_k|, where
+    K_k is the kernel of truncation P_{k+1} -> P_k.  With q = n-1 for an
+    n-letter alphabet, the depth-(k+1) words j*q ... j*q+q-1 form the
+    fibre over word j of the depth-k sphere.  P_{k+1} permutes the fibres
+    as P_k permutes the words below, with kernel K_k, so one chain of
+    P_{k+1} on its fibres gives |K_k|, and no deeper level gets a chain on
+    its whole sphere.  That chain's own order must equal |P_k| as carried
+    up from below; a mismatch is an internal error."""
+    aut = automaton_for_side(d, side)
+    groups = tuple(local_groups(aut, depth))
+    orders = [order(groups[0])]
+    for k, group in enumerate(groups[1:], 1):
+        kernel = _kernel_order(group, aut.letters.size - 1, k, orders[-1])
+        orders.append(orders[-1] * kernel)
+    return LocalTower(side=side, groups=groups, orders=tuple(orders))
 
 
 def discreteness_verdict(t: LocalTower) -> DiscretenessVerdict:

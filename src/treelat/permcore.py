@@ -25,8 +25,8 @@ generators already sifted to the identity; because orbits only grow, such
 a generator and its sift path never change, so it is never sifted again.
 ``StabilizerChain.extend`` grows a finished chain in place, which is how
 ``normal_closure`` keeps one chain for the whole closure.  That private
-chain is the only one ever extended: a group shares its chain's levels
-with its point stabilizer.
+chain, and a block chain's kernel, are the only ones ever extended: a
+group shares its chain's levels with its point stabilizer.
 
 Image tuples are not validated here: outside data enters through
 ``group_from_raw``, which checks that every generator is a bijection.
@@ -117,23 +117,49 @@ class StabilizerChain:
     the level's group carrying x back to ``base[i]``.  ``_gens[i]`` holds
     the strong generators fixing ``base[:i]`` pointwise, in installation
     order, each with its inverse; ``_gens[0]`` holds them all.
+    ``_forward[i]`` caches the inverses of level i's representatives, the
+    forward representatives, from a point's second visit on.
 
     ``_verified[i]`` maps a point x of the i-th orbit to the number of
     level-i generators s whose Schreier generator for (x, s) is known to
     sift to the identity.  Each point's generators are checked in order and
     the scan stops at the first failure, so the verified ones always form a
     prefix of ``_gens[i]``.
+
+    With ``block`` q > 1 the chain acts on the blocks of q consecutive
+    points, which every generator must permute.  A block is named by its
+    first point, ``_starts[x]`` for x in it: base points and transversal
+    keys are first points, and ``_lookup[i]`` maps every point of the i-th
+    orbit's blocks to the block's representative, so the image ``g[b]`` of
+    a first point b finds it with one dict lookup, as a point does in
+    ``transversals[i]``; when q = 1, ``_lookup`` is ``transversals``.
+    Elements stay at full degree, ``order()`` is the order of the action
+    on the blocks, and a residue that fixes every block goes to
+    ``kernel``, a chain of the kernel K of that action, or None while K is
+    trivial.  By Schreier's lemma for a homomorphism (Seress, *Permutation
+    Group Algorithms*, ch. 4-5) these residues, with the generators that
+    fix every block, generate K as a normal subgroup; the group is
+    generated by K and the level-0 strong generators, so closing
+    ``kernel`` under conjugation by those gives K.  A block chain is never
+    extended.
     """
 
-    __slots__ = ("degree", "base", "transversals", "_gens", "_verified", "_identity")
+    __slots__ = ("degree", "block", "base", "transversals", "kernel", "_gens",
+                 "_verified", "_forward", "_lookup", "_identity", "_starts")
 
-    def __init__(self, degree: int, generators: Iterable[Sequence[int]]):
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]], block: int = 1):
         self.degree = degree
+        self.block = block
         self.base: list[int] = []
         self.transversals: list[dict[int, Perm]] = []
+        self.kernel: Optional[StabilizerChain] = None
         self._gens: list[list[tuple[Perm, Perm]]] = []
         self._verified: list[dict[int, int]] = []
+        self._forward: list[dict[int, Perm]] = []
+        self._lookup = self.transversals if block == 1 else []
         self._identity = identity(degree)
+        self._starts = (self._identity if block == 1
+                        else tuple(x - x % block for x in range(degree)))
         # the first level is point 0's orbit, trivial when every generator
         # fixes 0; the chain from level 1 on is then the stabilizer's own
         self._add_level(0)
@@ -143,26 +169,52 @@ class StabilizerChain:
             if t != self._identity:
                 self._install(t)
         self._complete(len(self.base) - 1)
+        if self.kernel is not None:
+            _close_under_conjugation(self.kernel, [s for s, _ in self.kernel._gens[0]],
+                                     [s for s, _ in self._gens[0]])
 
     # -- construction ------------------------------------------------------
 
     def _add_level(self, point: int) -> None:
         self.base.append(point)
         self.transversals.append({point: self._identity})
+        if self.block > 1:
+            self._lookup.append(
+                dict.fromkeys(range(point, point + self.block), self._identity))
         self._gens.append([])
         self._verified.append({})
+        self._forward.append({})
 
-    def _install(self, g: Perm) -> int:
+    def _add_block(self, i: int, y: int, rep: Perm) -> int:
+        """Enter the block holding point y into level i's orbit of a block
+        chain, with representative `rep`; returns the block's first point."""
+        x = self._starts[y]
+        self.transversals[i][x] = rep
+        self._lookup[i].update(dict.fromkeys(range(x, x + self.block), rep))
+        return x
+
+    def _install(self, g: Perm) -> Optional[int]:
         """Add a strong generator and extend the orbits it acts on; returns
-        the deepest level whose generators changed."""
+        the deepest level whose generators changed.  A block chain adds an
+        element that fixes every block to its kernel instead and returns
+        None."""
+        starts = self._starts
         j = None
         for idx, b in enumerate(self.base):
-            if g[b] != b:
+            if starts[g[b]] != b:
                 j = idx
                 break
         if j is None:
-            # new base point: smallest point moved by the incoming generator
-            self._add_level(next(x for x in range(self.degree) if g[x] != x))
+            q = self.block
+            # the first points of the blocks g sends the blocks to
+            if q > 1 and compose(starts, g[::q]) == starts[::q]:
+                if self.kernel is None:
+                    self.kernel = StabilizerChain(self.degree, ())
+                self.kernel.extend(g)
+                return None
+            # new base point: the first point of the smallest block g moves
+            self._add_level(
+                next(x for x in range(0, self.degree, q) if starts[g[x]] != x))
             j = len(self.base) - 1
         pair = (g, inverse(g))
         for i in range(j + 1):
@@ -174,27 +226,36 @@ class StabilizerChain:
         """Close level i's orbit under its generators after `pair` joined
         them.  Points already present keep their representatives."""
         trans = self.transversals[i]
+        lookup = self._lookup[i]
         g, g_inv = pair
         new = []
         for x, v in list(trans.items()):
             y = g[x]
-            if y not in trans:
-                trans[y] = compose(v, g_inv)
+            if y not in lookup:
+                if lookup is trans:
+                    trans[y] = compose(v, g_inv)
+                else:
+                    y = self._add_block(i, y, compose(v, g_inv))
                 new.append(y)
         gens = self._gens[i]
         for x in new:  # `new` grows while it is walked: a breadth-first search
             v = trans[x]
             for s, s_inv in gens:
                 y = s[x]
-                if y not in trans:
-                    trans[y] = compose(v, s_inv)
+                if y not in lookup:
+                    if lookup is trans:
+                        trans[y] = compose(v, s_inv)
+                    else:
+                        y = self._add_block(i, y, compose(v, s_inv))
                     new.append(y)
 
     def _sift_from(self, level: int, g: Perm) -> Perm:
         """Sift g through levels >= level; returns the residue, which is the
-        identity exactly when g lies in the level's group."""
+        identity exactly when g lies in the level's group (for a block
+        chain: fixes every block exactly when g's action on the blocks
+        lies in the level's)."""
         for i in range(level, len(self.base)):
-            v = self.transversals[i].get(g[self.base[i]])
+            v = self._lookup[i].get(g[self.base[i]])
             if v is None:
                 return g
             g = compose(v, g)
@@ -202,29 +263,48 @@ class StabilizerChain:
 
     def _process_level(self, i: int) -> Optional[int]:
         """Sift the Schreier generators of level i not yet verified; install
-        the first non-trivial residue and return the level it changed."""
+        the first residue outside the kernel and return the level it
+        changed."""
         gens = self._gens[i]
+        count = len(gens)  # fixed until an install, after which it returns
         trans = self.transversals[i]
+        lookup = self._lookup[i]
         verified = self._verified[i]
         ident = self._identity
         for beta, v_beta in trans.items():
-            done = verified.get(beta, 0)
-            if done == len(gens):
+            done = verified.get(beta)
+            if done is None:
+                # a first visit; most points get no other, so the forward
+                # representative is kept only from the second on
+                if not count:
+                    continue
+                done, u_beta = 0, inverse(v_beta)
+            elif done == count:
                 continue
-            u_beta = inverse(v_beta)
-            for k in range(done, len(gens)):
+            else:
+                forward = self._forward[i]
+                u_beta = forward.get(beta)
+                if u_beta is None:
+                    # composing with the identity trades the ints above
+                    # 256 that inverse() creates for the identity's, so a
+                    # kept representative costs only its tuple
+                    u_beta = forward[beta] = compose(ident, inverse(v_beta))
+            for k in range(done, count):
                 s = gens[k][0]
-                schreier = compose(trans[s[beta]], compose(s, u_beta))
+                schreier = compose(lookup[s[beta]], compose(s, u_beta))
                 if schreier != ident:
                     residue = self._sift_from(i + 1, schreier)
                     if residue != ident:
-                        # the orbits only grow, so every verified pair stays
-                        # verified: its Schreier generator and sift path are
-                        # fixed.  Returning at once also keeps `trans`, which
-                        # _install extends, from changing under this loop.
-                        verified[beta] = k
-                        return self._install(residue)
-            verified[beta] = len(gens)
+                        changed = self._install(residue)
+                        if changed is not None:
+                            # the orbits only grow, so every verified pair
+                            # stays verified: its Schreier generator and
+                            # sift path are fixed.  Returning at once also
+                            # keeps `trans`, which _install extends, from
+                            # changing under this loop.
+                            verified[beta] = k
+                            return changed
+            verified[beta] = count
         return None
 
     def _complete(self, level: int) -> None:
@@ -240,7 +320,8 @@ class StabilizerChain:
 
     def extend(self, g: Perm) -> bool:
         """Add g to the group in place; False, leaving the chain unchanged,
-        when g is already a member."""
+        when g is already a member.  Only chains with blocks of one point
+        are extended."""
         residue = self._sift_from(0, g)
         if residue == self._identity:
             return False
@@ -265,6 +346,22 @@ class StabilizerChain:
             reps = [inverse(trans[x]) for x in sorted(trans)]
             elems = [compose(u, e) for u in reps for e in elems]
         return elems
+
+
+def _close_under_conjugation(chain: StabilizerChain, gens: list[Perm],
+                             conjugators: Sequence[Perm]) -> None:
+    """Extend `chain`, the chain of the group `gens` generate, by
+    conjugates of its elements under the conjugators until it is closed
+    under them; `gens` gains each conjugate that extended the chain."""
+    pairs = [(x, inverse(x)) for x in conjugators]
+    queue = list(gens)
+    while queue:
+        h = queue.pop()
+        for x, x_inv in pairs:
+            c = compose(x_inv, compose(h, x))
+            if chain.extend(c):
+                gens.append(c)
+                queue.append(c)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +450,16 @@ def point_stabilizer(g: PermGroup) -> PermGroup:
     chain = g.chain()
     stab = StabilizerChain.__new__(StabilizerChain)
     stab.degree = g.degree
+    stab.block = 1
     stab.base = chain.base[1:]
     stab.transversals = chain.transversals[1:]
+    stab.kernel = None
     stab._gens = chain._gens[1:]
     stab._verified = chain._verified[1:]
+    stab._forward = chain._forward[1:]
+    stab._lookup = stab.transversals
     stab._identity = chain._identity
+    stab._starts = chain._starts
     # a regular g has one level and a trivial stabilizer
     gens = tuple(s for s, _ in stab._gens[0]) if stab._gens else ()
     return PermGroup(degree=g.degree, generators=gens, bsgs=stab)
@@ -372,21 +474,9 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
             raise DegreeMismatch(f"seed degree {len(s)} != {g.degree}")
         if not is_identity(s):
             seed_tuples.append(s)
-    conjugators = [(x, inverse(x)) for x in g.generators]
-
-    gens: list[Perm] = []
     chain = StabilizerChain(g.degree, ())
-    for t in seed_tuples:
-        if chain.extend(t):
-            gens.append(t)
-    queue = list(gens)
-    while queue:
-        h = queue.pop()
-        for x, x_inv in conjugators:
-            c = compose(x_inv, compose(h, x))
-            if chain.extend(c):
-                gens.append(c)
-                queue.append(c)
+    gens = [t for t in seed_tuples if chain.extend(t)]
+    _close_under_conjugation(chain, gens, g.generators)
     return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=chain)
 
 

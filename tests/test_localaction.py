@@ -16,6 +16,7 @@ from treelat.localaction import (
     NO_STABILIZATION,
     DiscretenessVerdict,
     LocalTower,
+    _kernel_order,
     _local_group_from_automaton,
     discreteness_verdict,
     local_group,
@@ -24,11 +25,12 @@ from treelat.localaction import (
     tower,
     tower_report,
 )
-from treelat.permcore import order, trivial_group
+from treelat.permcore import StabilizerChain, order, trivial_group
 from treelat.survey import enumerate_complete_data
 from treelat.vhcomplex import (
     Alphabet,
     MealyAutomaton,
+    automaton_for_side,
     commuting_datum,
     horizontal_automaton,
     vertical_automaton,
@@ -301,4 +303,58 @@ def test_stabilization_persistence_on_enumerated_data():
 def test_growth_datum_tower_orders(side):
     t = tower(growth_datum(), side, 5)
     assert t.orders == tuple(24 * 27 ** (k - 1) for k in range(1, 6))
+    # the same orders from a chain of each level on its whole sphere
+    assert t.orders == tuple(StabilizerChain(g.degree, g.generators).order() for g in t.groups)
     assert discreteness_verdict(t) == DiscretenessVerdict(kind=NO_STABILIZATION, at=5)
+
+
+def test_tower_orders_match_full_chains():
+    # every level's order against a chain of the whole group on its sphere
+    # (the growth datum's test does the same to depth 5).  Orders depend
+    # only on generators, so each distinct tower (by its levels' generator
+    # tuples) is checked once, and each distinct level gets one full chain.
+    # T2 x T4 covers fibres of one word (n - 1 = 1), where every kernel is
+    # trivial.
+    full = {}
+
+    def full_order(group):
+        if group.generators not in full:
+            full[group.generators] = StabilizerChain(group.degree, group.generators).order()
+        return full[group.generators]
+
+    a2 = Alphabet.with_adjacent_pairs(2)
+    seen = set()
+    for horiz, vert, count in ((A4, A4, None), (A6, A4, 300), (A4, A6, 300),
+                               (a2, A4, None)):
+        for d in itertools.islice(enumerate_complete_data(horiz, vert), count):
+            for side in ("horizontal", "vertical"):
+                key = tuple(g.generators for g in local_groups(automaton_for_side(d, side), 3))
+                if key not in seen:
+                    seen.add(key)
+                    t = tower(d, side, 3)
+                    assert t.orders == tuple(map(full_order, t.groups)), (d.squares, side)
+
+
+def test_tower_builds_no_chain_of_a_deeper_level_on_its_whole_sphere(monkeypatch):
+    built = []
+    init = StabilizerChain.__init__
+
+    def recording_init(self, degree, generators, block=1):
+        generators = tuple(generators)
+        built.append((degree, block, len(generators)))
+        init(self, degree, generators, block)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", recording_init)
+    t = tower(growth_datum(), "horizontal", 4)
+    # P_1's own chain and one chain per deeper level on its fibres of three
+    # words; the kernels' chains start empty and grow by extension
+    assert [(degree, block) for degree, block, count in built if count] == \
+        [(4, 1)] + [(g.degree, 3) for g in t.groups[1:]]
+    assert all(block == 1 for degree, block, count in built if not count)
+
+
+def test_fibre_chain_order_is_checked_against_the_level_below():
+    t = tower(growth_datum(), "horizontal", 3)
+    assert _kernel_order(t.groups[2], 3, 2, t.orders[1]) == 27
+    with pytest.raises(InternalInvariantError):
+        _kernel_order(t.groups[2], 3, 2, t.orders[1] * 2)

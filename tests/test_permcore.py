@@ -267,6 +267,59 @@ def test_chain_invariants_on_engine_suite():
 
 
 # ---------------------------------------------------------------------------
+# block chains
+# ---------------------------------------------------------------------------
+
+def wreath_elements(q: int, m: int):
+    """Elements of S_q wr S_m on m blocks of q consecutive points: block b
+    goes to block top[b], its point i to point fibres[b][i] there."""
+    def element(parts):
+        top, fibres = parts
+        return tuple(top[b] * q + x for b in range(m) for x in fibres[b])
+    return st.tuples(st.permutations(range(m)),
+                     st.lists(st.permutations(range(q)), min_size=m, max_size=m)).map(element)
+
+
+block_preserving_groups = st.sampled_from([(3, 4), (2, 5), (4, 3), (1, 5)]).flatmap(
+    lambda qm: st.tuples(st.just(qm[0]),
+                         st.lists(wreath_elements(*qm), min_size=1, max_size=3)))
+
+
+@given(block_preserving_groups)
+@settings(max_examples=80, deadline=None)
+def test_block_chain_order_times_kernel_order_is_the_group_order(group):
+    q, gens = group
+    degree = len(gens[0])
+    chain = StabilizerChain(degree, gens, block=q)
+    kernel = 1 if chain.kernel is None else chain.kernel.order()
+    assert chain.order() * kernel == StabilizerChain(degree, gens).order()
+    # the chain's own order is that of the action on the blocks
+    on_blocks = [tuple(g[b * q] // q for b in range(degree // q)) for g in gens]
+    assert chain.order() == StabilizerChain(degree // q, on_blocks).order()
+    if chain.kernel is not None:
+        for s, _ in chain.kernel._gens[0]:
+            assert all(s[x] // q == x // q for x in range(degree))
+
+
+def test_block_chain_kernel_holds_the_conjugates_of_its_residues():
+    # (4 5) fixes both blocks of three points and the other generator
+    # swaps them, so the kernel, S3 x S3, holds the conjugate (0 2); the
+    # sifted residues and (4 5) alone generate a subgroup of order 12
+    gens = [(0, 1, 2, 3, 5, 4), (4, 3, 5, 2, 0, 1)]
+    chain = StabilizerChain(6, gens, block=3)
+    assert chain.order() == 2
+    assert chain.kernel.order() == 36
+    assert StabilizerChain(6, gens).order() == 72
+
+
+def test_block_chain_with_no_kernel():
+    # a group acting regularly on its blocks meets only the trivial kernel
+    swap = (3, 4, 5, 0, 1, 2)
+    chain = StabilizerChain(6, [swap], block=3)
+    assert (chain.order(), chain.kernel) == (2, None)
+
+
+# ---------------------------------------------------------------------------
 # element enumeration
 # ---------------------------------------------------------------------------
 
