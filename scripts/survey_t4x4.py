@@ -27,7 +27,7 @@ def main() -> int:
 
     a4 = Alphabet.with_adjacent_pairs(4)
     start = time.perf_counter()
-    result = survey_level_growth(a4, a4, progress=lambda n: print(f"  ...{n} data"))
+    result = survey_level_growth(a4, a4)
     elapsed = time.perf_counter() - start
 
     record = result.to_json()

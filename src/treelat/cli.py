@@ -52,8 +52,9 @@ def _load_json(path_or_name: str) -> dict:
     path = Path(path_or_name)
     if path.exists():
         try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            # from bytes, json detects a UTF-8, -16 or -32 encoding itself
+            return json.loads(path.read_bytes())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedDocument(f"{path}: {exc}") from exc
     try:
         return catalog.load_document(path_or_name)

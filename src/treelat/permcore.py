@@ -14,7 +14,8 @@ Conventions, fixed once and asserted in the test suite:
 * a transversal stores inverse representatives: for a point x of the i-th
   basic orbit it holds an element carrying x to the i-th base point, which
   is the factor a sift multiplies by.  ``elements()`` inverts them when it
-  lists the group.
+  lists the group.  A chain on blocks keys its transversals by the blocks'
+  first points instead, which ``_starts`` maps every point to.
 
 Chains are built by the incremental Schreier-Sims algorithm (Holt, Eick
 and O'Brien, *Handbook of Computational Group Theory*, 4.4; Seress,
@@ -34,6 +35,7 @@ Image tuples are not validated here: outside data enters through
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from math import lcm
@@ -117,8 +119,6 @@ class StabilizerChain:
     the level's group carrying x back to ``base[i]``.  ``_gens[i]`` holds
     the strong generators fixing ``base[:i]`` pointwise, in installation
     order, each with its inverse; ``_gens[0]`` holds them all.
-    ``_forward[i]`` caches the inverses of level i's representatives, the
-    forward representatives, from a point's second visit on.
 
     ``_verified[i]`` maps a point x of the i-th orbit to the number of
     level-i generators s whose Schreier generator for (x, s) is known to
@@ -129,12 +129,11 @@ class StabilizerChain:
     With ``block`` q > 1 the chain acts on the blocks of q consecutive
     points, which every generator must permute.  A block is named by its
     first point, ``_starts[x]`` for x in it: base points and transversal
-    keys are first points, and ``_lookup[i]`` maps every point of the i-th
-    orbit's blocks to the block's representative, so the image ``g[b]`` of
-    a first point b finds it with one dict lookup, as a point does in
-    ``transversals[i]``; when q = 1, ``_lookup`` is ``transversals``.
-    Elements stay at full degree, ``order()`` is the order of the action
-    on the blocks, and a residue that fixes every block goes to
+    keys are first points, so the image ``g[b]`` of a first point b finds
+    its representative at ``transversals[i][_starts[g[b]]]``.  When q = 1,
+    ``_starts`` is the identity tuple and every point is a block of its
+    own.  Elements stay at full degree, ``order()`` is the order of the
+    action on the blocks, and a residue that fixes every block goes to
     ``kernel``, a chain of the kernel K of that action, or None while K is
     trivial.  By Schreier's lemma for a homomorphism (Seress, *Permutation
     Group Algorithms*, ch. 4-5) these residues, with the generators that
@@ -145,7 +144,7 @@ class StabilizerChain:
     """
 
     __slots__ = ("degree", "block", "base", "transversals", "kernel", "_gens",
-                 "_verified", "_forward", "_lookup", "_identity", "_starts")
+                 "_verified", "_identity", "_starts")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]], block: int = 1):
         self.degree = degree
@@ -155,8 +154,6 @@ class StabilizerChain:
         self.kernel: Optional[StabilizerChain] = None
         self._gens: list[list[tuple[Perm, Perm]]] = []
         self._verified: list[dict[int, int]] = []
-        self._forward: list[dict[int, Perm]] = []
-        self._lookup = self.transversals if block == 1 else []
         self._identity = identity(degree)
         self._starts = (self._identity if block == 1
                         else tuple(x - x % block for x in range(degree)))
@@ -178,20 +175,8 @@ class StabilizerChain:
     def _add_level(self, point: int) -> None:
         self.base.append(point)
         self.transversals.append({point: self._identity})
-        if self.block > 1:
-            self._lookup.append(
-                dict.fromkeys(range(point, point + self.block), self._identity))
         self._gens.append([])
         self._verified.append({})
-        self._forward.append({})
-
-    def _add_block(self, i: int, y: int, rep: Perm) -> int:
-        """Enter the block holding point y into level i's orbit of a block
-        chain, with representative `rep`; returns the block's first point."""
-        x = self._starts[y]
-        self.transversals[i][x] = rep
-        self._lookup[i].update(dict.fromkeys(range(x, x + self.block), rep))
-        return x
 
     def _install(self, g: Perm) -> Optional[int]:
         """Add a strong generator and extend the orbits it acts on; returns
@@ -226,27 +211,21 @@ class StabilizerChain:
         """Close level i's orbit under its generators after `pair` joined
         them.  Points already present keep their representatives."""
         trans = self.transversals[i]
-        lookup = self._lookup[i]
+        starts = self._starts
         g, g_inv = pair
         new = []
         for x, v in list(trans.items()):
-            y = g[x]
-            if y not in lookup:
-                if lookup is trans:
-                    trans[y] = compose(v, g_inv)
-                else:
-                    y = self._add_block(i, y, compose(v, g_inv))
+            y = starts[g[x]]
+            if y not in trans:
+                trans[y] = compose(v, g_inv)
                 new.append(y)
         gens = self._gens[i]
         for x in new:  # `new` grows while it is walked: a breadth-first search
             v = trans[x]
             for s, s_inv in gens:
-                y = s[x]
-                if y not in lookup:
-                    if lookup is trans:
-                        trans[y] = compose(v, s_inv)
-                    else:
-                        y = self._add_block(i, y, compose(v, s_inv))
+                y = starts[s[x]]
+                if y not in trans:
+                    trans[y] = compose(v, s_inv)
                     new.append(y)
 
     def _sift_from(self, level: int, g: Perm) -> Perm:
@@ -254,8 +233,9 @@ class StabilizerChain:
         identity exactly when g lies in the level's group (for a block
         chain: fixes every block exactly when g's action on the blocks
         lies in the level's)."""
+        starts = self._starts
         for i in range(level, len(self.base)):
-            v = self._lookup[i].get(g[self.base[i]])
+            v = self.transversals[i].get(starts[g[self.base[i]]])
             if v is None:
                 return g
             g = compose(v, g)
@@ -268,30 +248,17 @@ class StabilizerChain:
         gens = self._gens[i]
         count = len(gens)  # fixed until an install, after which it returns
         trans = self.transversals[i]
-        lookup = self._lookup[i]
+        starts = self._starts
         verified = self._verified[i]
         ident = self._identity
         for beta, v_beta in trans.items():
-            done = verified.get(beta)
-            if done is None:
-                # a first visit; most points get no other, so the forward
-                # representative is kept only from the second on
-                if not count:
-                    continue
-                done, u_beta = 0, inverse(v_beta)
-            elif done == count:
+            done = verified.get(beta, 0)
+            if done == count:
                 continue
-            else:
-                forward = self._forward[i]
-                u_beta = forward.get(beta)
-                if u_beta is None:
-                    # composing with the identity trades the ints above
-                    # 256 that inverse() creates for the identity's, so a
-                    # kept representative costs only its tuple
-                    u_beta = forward[beta] = compose(ident, inverse(v_beta))
+            u_beta = inverse(v_beta)
             for k in range(done, count):
                 s = gens[k][0]
-                schreier = compose(lookup[s[beta]], compose(s, u_beta))
+                schreier = compose(trans[starts[s[beta]]], compose(s, u_beta))
                 if schreier != ident:
                     residue = self._sift_from(i + 1, schreier)
                     if residue != ident:
@@ -327,6 +294,16 @@ class StabilizerChain:
             return False
         self._complete(self._install(residue))
         return True
+
+    def stabilizer(self) -> StabilizerChain:
+        """Chain of the stabilizer of the first base point (for a block
+        chain: of the first base block, with the same kernel), sharing this
+        chain's levels after the first; a shared level must not be extended
+        through either chain."""
+        stab = copy.copy(self)
+        for name in ("base", "transversals", "_gens", "_verified"):
+            setattr(stab, name, getattr(self, name)[1:])
+        return stab
 
     # -- queries -------------------------------------------------------------
 
@@ -447,19 +424,7 @@ def point_stabilizer(g: PermGroup) -> PermGroup:
         # g is its own stabilizer; this covers every chain that does not
         # start at 0, since those are the chains of stabilizers
         return g
-    chain = g.chain()
-    stab = StabilizerChain.__new__(StabilizerChain)
-    stab.degree = g.degree
-    stab.block = 1
-    stab.base = chain.base[1:]
-    stab.transversals = chain.transversals[1:]
-    stab.kernel = None
-    stab._gens = chain._gens[1:]
-    stab._verified = chain._verified[1:]
-    stab._forward = chain._forward[1:]
-    stab._lookup = stab.transversals
-    stab._identity = chain._identity
-    stab._starts = chain._starts
+    stab = g.chain().stabilizer()
     # a regular g has one level and a trivial stabilizer
     gens = tuple(s for s, _ in stab._gens[0]) if stab._gens else ()
     return PermGroup(degree=g.degree, generators=gens, bsgs=stab)

@@ -12,7 +12,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .localaction import local_groups
 from .permcore import PermGroup, order
@@ -114,9 +114,7 @@ class SurveyResult:
         }
 
 
-def survey_level_growth(horiz: Alphabet, vert: Alphabet,
-                        progress: Optional[Callable[[int], None]] = None
-                        ) -> SurveyResult:
+def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
     """Enumerate all complete data and record whether any has |P2| > |P1|.
 
     A group's order depends only on the set of its generators, so each
@@ -152,6 +150,4 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet,
             result.growth_count += 1
             if result.first_growth is None:
                 result.first_growth = d
-        if progress and result.total % 1000 == 0:
-            progress(result.total)
     return result

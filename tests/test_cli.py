@@ -68,6 +68,24 @@ def test_validate_unparseable_json(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["validate", "PATH"], ["analyze", "PATH"], ["analyze", "--pair", "a6_natural", "PATH"],
+    ["tower", "PATH", "--side", "h", "--depth", "2"]], ids=["validate", "analyze", "pair", "tower"])
+@pytest.mark.parametrize("content", ["directory", b"\xff\xfe\x00", b"{not json"],
+                         ids=["directory", "undecodable", "not_json"])
+def test_unreadable_input_exits_2(capsys, tmp_path, command, content):
+    # a directory, bytes in no JSON encoding, or text that is not JSON is
+    # malformed input: exit 2 with a one-line error and no traceback
+    if content == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+    code, out, err = run(capsys, *[str(path) if a == "PATH" else a for a in command])
+    assert code == 2
+    assert out == "" and err.startswith("error") and "Traceback" not in err
+
+
 def test_validate_json_flag(capsys, commuting_file):
     code, out, _ = run(capsys, "validate", str(commuting_file), "--json")
     assert code == 0

@@ -31,7 +31,10 @@ from treelat.permcore import (
     trivial_group,
 )
 
-from conftest import cyclic_group, engine_suite
+from treelat.localaction import local_groups
+from treelat.vhcomplex import automaton_for_side
+
+from conftest import cyclic_group, engine_suite, growth_datum
 from oracles import closure_elements
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
@@ -234,27 +237,62 @@ def test_grown_chain_matches_fresh_chain_and_closure(g, data):
         assert chain.order() == len(closure_elements(g.generators[:k + 1], g.degree))
 
 
+def _block_chains() -> list[StabilizerChain]:
+    """Chains on blocks of three points: the fibre chains of the growth
+    datum's P_2 ... P_4 on both sides, and a degree-6 group whose kernel
+    needs the conjugation closure."""
+    d = growth_datum()
+    chains = [StabilizerChain(p.degree, p.generators, block=3)
+              for side in ("horizontal", "vertical")
+              for p in list(local_groups(automaton_for_side(d, side), 4))[1:]]
+    chains.append(StabilizerChain(6, [(0, 1, 2, 3, 5, 4), (4, 3, 5, 2, 0, 1)], block=3))
+    return chains
+
+
+def _holds(chain: StabilizerChain, g) -> bool:
+    """Whether g is in the group of `chain`: for a block chain, whether its
+    sift residue, which fixes every block, lies in the kernel."""
+    residue = chain._sift_from(0, g)
+    if chain.kernel is None:
+        return residue == identity(chain.degree)
+    return chain.kernel.contains(residue)
+
+
 def test_chain_invariants_on_engine_suite():
     groups = engine_suite() + [symmetric_group(7), alternating_group(8)]
+    blocks = _block_chains()
     # point_stabilizer's chain is the suffix of the group's own chain
     chains = [g.chain() for g in groups] + [
-        point_stabilizer(g).chain() for g in groups]
+        point_stabilizer(g).chain() for g in groups] + blocks + [
+        c.stabilizer() for c in blocks]
     for chain in chains:
+        starts = chain._starts
         for i, (b, trans) in enumerate(zip(chain.base, chain.transversals)):
             prefix = chain.base[:i]
             for x, rep in trans.items():
-                # the stored representative carries its orbit point back to
-                # the base point and lies in the level's stabilizer
-                assert rep[x] == b, (chain.base, i, x)
-                assert all(rep[p] == p for p in prefix), (chain.base, i, x)
-                assert chain.contains(rep)
-        # level i's generators are exactly the level-0 ones fixing base[:i],
-        # in installation order, each stored with its inverse
+                # the stored representative carries its orbit block back to
+                # the base block and lies in the level's stabilizer of the
+                # earlier base blocks; blocks are named by their first points
+                assert starts[x] == x and starts[rep[x]] == b, (chain.base, i, x)
+                assert all(starts[rep[p]] == p for p in prefix), (chain.base, i, x)
+                assert _holds(chain, rep)
+        # level i's generators are exactly the level-0 ones fixing the
+        # blocks base[:i], in installation order, each stored with its inverse
         for i, level in enumerate(chain._gens):
             fixing = [s for s, _ in chain._gens[0]
-                      if all(s[p] == p for p in chain.base[:i])]
+                      if all(starts[s[p]] == p for p in chain.base[:i])]
             assert [s for s, _ in level] == fixing, (chain.base, i)
             assert all(s_inv == inverse(s) for s, s_inv in level)
+    # a stabilizer shares its group's levels after the first, and a block
+    # chain's kernel
+    shared = [(c, c.stabilizer()) for c in blocks] + [
+        (g.chain(), point_stabilizer(g).chain()) for g in groups
+        if any(s[0] != 0 for s in g.generators)]
+    for chain, stab in shared:
+        assert stab.kernel is chain.kernel and stab.base == chain.base[1:]
+        assert len(stab.transversals) == len(chain.transversals) - 1
+        for i, trans in enumerate(stab.transversals):
+            assert trans is chain.transversals[i + 1], (chain.base, i)
     # a point stabilizer's generators are its group's level-1 generators
     # (a group fixing 0 is its own stabilizer)
     for g in groups:
