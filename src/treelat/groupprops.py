@@ -1,6 +1,6 @@
 """Property analysis of permutation groups.
 
-Transitivity grades, minimal block systems (Atkinson refinement),
+Transitivity grades, primitivity (one block refinement per suborbit),
 quasi-primitivity via minimal normal subgroups, almost-simple typing,
 and the section tests that drive the obstruction reports.
 
@@ -108,13 +108,14 @@ def is_2transitive(g: PermGroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# block systems
+# primitivity
 # ---------------------------------------------------------------------------
 
-def _minimal_block_partition(g: PermGroup, beta: int) -> tuple[tuple[int, ...], ...]:
-    """Finest g-congruence putting 0 and beta in the same class
-    (union-find refinement)."""
+def _joins_all_points(g: PermGroup, beta: int) -> bool:
+    """Whether the finest g-congruence putting 0 and beta in the same class
+    has only one class (union-find refinement, stopping once it does)."""
     parent = list(range(g.degree))
+    classes = g.degree - 1
 
     def find(x: int) -> int:
         root = x
@@ -126,44 +127,40 @@ def _minimal_block_partition(g: PermGroup, beta: int) -> tuple[tuple[int, ...], 
 
     parent[beta] = 0
     queue = [beta]
-    while queue:
-        gamma = queue.pop(0)
+    for gamma in queue:
+        if classes == 1:
+            return True
         delta = find(gamma)
         for s in g.generators:
             ra, rb = find(s[gamma]), find(s[delta])
             if ra != rb:
                 keep, lost = min(ra, rb), max(ra, rb)
                 parent[lost] = keep
+                classes -= 1
                 queue.append(lost)
-    blocks: dict[int, list[int]] = {}
-    for x in range(g.degree):
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
-
-
-def minimal_block_systems(g: PermGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """The distinct non-trivial minimal block systems through point 0.
-
-    For each other point beta, the finest block system whose block at 0
-    contains beta; systems that collapse to the whole point set are
-    dropped, duplicates merged.
-    """
-    if not is_transitive(g):
-        raise NotTransitive("block systems are defined for transitive groups")
-    systems = []
-    seen = set()
-    for beta in range(1, g.degree):
-        part = _minimal_block_partition(g, beta)
-        if len(part) == 1:
-            continue
-        if part not in seen:
-            seen.add(part)
-            systems.append(part)
-    return systems
+    return classes == 1
 
 
 def is_primitive(g: PermGroup) -> bool:
-    return not minimal_block_systems(g)
+    """Whether the transitive group g has no block system but the trivial
+    ones; NotTransitive when g is not transitive.
+
+    An element h fixing 0 maps the finest congruence joining 0 and beta
+    onto the one joining 0 and h(beta), so one beta per suborbit (orbit of
+    the stabilizer of 0) decides; the check stops at the first beta whose
+    class of 0 is not the whole point set.
+    """
+    if not is_transitive(g):
+        raise NotTransitive("primitivity is defined for transitive groups")
+    stab = point_stabilizer(g)
+    decided = {0}
+    for beta in range(1, g.degree):
+        if beta in decided:
+            continue
+        if not _joins_all_points(g, beta):
+            return False
+        decided |= orbit(stab, beta)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,7 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
         return None
     h = point_stabilizer(d)
     h_order = order(h)
-    if h_order == 1 or not _no_regular_mns(n, h_order) or minimal_block_systems(d):
+    if h_order == 1 or not _no_regular_mns(n, h_order) or not is_primitive(d):
         return None
     mns = _minimal_normal_of_stabilizer(h, enum_cap)
     if mns is None:
@@ -304,24 +301,18 @@ def is_abelian(g: PermGroup) -> bool:
 
 
 def is_simple(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Simplicity: proved without enumeration when _simple_residual finds
-    that g is its own simple residual, else by the normal-closure
-    criterion: the closure of every non-identity element (one per
-    conjugacy class) is the whole group."""
+    """Simplicity.  When _simple_residual finds the residual D, D is g's
+    only minimal normal subgroup, so g is simple exactly when D = g and
+    nothing is enumerated.  Otherwise g is simple exactly when its minimal
+    normal subgroups are g alone."""
     n = order(g)
     if n == 1:
         return False
     d = _simple_residual(g, enum_cap)
-    if d is not None and order(d) == n:
-        return True
-    if n > enum_cap:
-        raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
-    for rep in conjugacy_class_representatives(g):
-        if is_identity(rep):
-            continue
-        if order(normal_closure(g, [rep])) != n:
-            return False
-    return True
+    if d is not None:
+        return order(d) == n
+    mns = minimal_normal_subgroups(g, enum_cap)
+    return len(mns) == 1 and order(mns[0]) == n
 
 
 def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP

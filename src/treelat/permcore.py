@@ -446,33 +446,27 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
-    """Commutator subgroup: normal closure of generator commutators."""
+    """Commutator subgroup: normal closure of one commutator per unordered
+    pair of generators ([b, a] is the inverse of [a, b])."""
+    with_inverses = [(a, inverse(a)) for a in g.generators]
     comms = []
-    for a in g.generators:
-        a_inv = inverse(a)
-        for b in g.generators:
-            b_inv = inverse(b)
-            c = compose(compose(a_inv, b_inv), compose(a, b))
-            if not is_identity(c):
-                comms.append(c)
+    for (a, a_inv), (b, b_inv) in itertools.combinations(with_inverses, 2):
+        c = compose(compose(a_inv, b_inv), compose(a, b))
+        if not is_identity(c):
+            comms.append(c)
     return normal_closure(g, comms)
 
 
 def derived_series(g: PermGroup) -> list[PermGroup]:
-    """G >= G' >= G'' ... ; stops at the trivial group, or repeats the last
-    term once to witness a non-trivial stationary point."""
+    """G > G' > G'' > ... ; each term is a proper subgroup of the one
+    before, and the last is trivial (g solvable) or perfect."""
     series = [g]
-    current = g
-    while True:
-        nxt = derived_subgroup(current)
-        if order(nxt) == order(current):
-            if order(current) > 1:
-                series.append(nxt)
-            return series
+    while order(series[-1]) > 1:
+        nxt = derived_subgroup(series[-1])
+        if order(nxt) == order(series[-1]):
+            break
         series.append(nxt)
-        if order(nxt) == 1:
-            return series
-        current = nxt
+    return series
 
 
 def conjugacy_class_representatives(g: PermGroup) -> list[Perm]:

@@ -23,7 +23,6 @@ from treelat.groupprops import (
     is_primitive,
     is_simple,
     is_transitive,
-    minimal_block_systems,
     minimal_normal_subgroups,
     section_exact_small,
     section_necessary,
@@ -95,11 +94,10 @@ def test_transitivity_matches_oracle(suite):
 
 def test_c4_minimal_blocks():
     c4 = cyclic_group(4)
-    systems = minimal_block_systems(c4)
-    assert systems == [((0, 2), (1, 3))]
     assert not is_primitive(c4)
-    # oracle agrees that this is the only invariant partition
+    # the oracle finds the one invariant partition that makes it imprimitive
     assert invariant_partitions_bruteforce(c4.generators, 4) == [((0, 2), (1, 3))]
+    assert not primitive_bruteforce(c4.generators, 4)
 
 
 def test_s5_on_pairs_primitive():
@@ -114,23 +112,48 @@ def test_a6_primitive():
 
 def test_primitivity_requires_transitive():
     with pytest.raises(NotTransitive):
-        minimal_block_systems(trivial_group(4))
+        is_primitive(trivial_group(4))
 
 
 def test_primitivity_matches_oracle(suite):
-    for g in suite:
-        if g.degree < 2 or not is_transitive(g):
+    # the engine suite and every fast_path_cases group the oracle can
+    # afford: it lists all equal-block partitions, so degree <= 12
+    for g in fast_path_cases(suite):
+        if g.degree < 2 or g.degree > 12 or not is_transitive(g):
             continue
         assert is_primitive(g) == primitive_bruteforce(g.generators, g.degree), g.name
 
 
 def test_every_minimal_system_is_invariant(suite):
+    # the refinement from beta stops short of the whole point set exactly
+    # when some invariant partition the oracle lists puts 0 and beta in
+    # one block, i.e. when the minimal system through 0 and beta is proper
     for g in suite:
         if g.degree < 2 or not is_transitive(g):
             continue
-        oracle = set(invariant_partitions_bruteforce(g.generators, g.degree))
-        for system in minimal_block_systems(g):
-            assert system in oracle, (g.name, system)
+        oracle = invariant_partitions_bruteforce(g.generators, g.degree)
+        for beta in range(1, g.degree):
+            joined = [p for p in oracle if any(0 in b and beta in b for b in p)]
+            assert groupprops._joins_all_points(g, beta) == (not joined), (g.name, beta)
+        assert is_primitive(g) == (not oracle), g.name
+
+
+def test_primitivity_runs_one_refinement_per_suborbit(monkeypatch):
+    calls = []
+    joins = groupprops._joins_all_points
+
+    def counted(g, beta):
+        calls.append(beta)
+        return joins(g, beta)
+
+    monkeypatch.setattr(groupprops, "_joins_all_points", counted)
+    # the stabilizer of 0 in A9 is transitive on the other 8 points
+    assert is_primitive(alternating_group(9))
+    assert calls == [1]
+    calls.clear()
+    # S5 on pairs: the pair stabilizer has suborbits of 3 and 6
+    assert is_primitive(induced_action_on_pairs(symmetric_group(5)))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +299,10 @@ def test_is_simple():
     assert not is_simple(cyclic_group(4))
     assert not is_simple(symmetric_group(4))
     assert not is_simple(trivial_group(2))
+    # the residual proof shows A12 to be the only minimal normal subgroup,
+    # so S12 is not simple and nothing is listed
+    assert not is_simple(symmetric_group(12))
+    assert not is_simple(symmetric_group(7), enum_cap=1000)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from treelat.permcore import (
     compose,
     contains,
     derived_series,
+    derived_subgroup,
     element_order,
     from_cycles,
     group_from_raw,
@@ -490,6 +491,19 @@ def test_normal_closure_invariant_under_conjugation():
             assert chain.contains(compose(compose(xi, h), x))
 
 
+def test_derived_subgroup_matches_oracle(suite):
+    # one commutator per unordered pair of generators has the same normal
+    # closure as the commutators of all pairs of elements
+    for g in suite:
+        if order(g) > 120:
+            continue
+        elements = sorted(closure_elements(g.generators, g.degree))
+        comms = {compose(compose(inverse(a), inverse(b)), compose(a, b))
+                 for a in elements for b in elements}
+        expected = closure_elements(comms, g.degree)
+        assert set(derived_subgroup(g).chain().elements()) == expected, g.name
+
+
 def test_derived_series_s3():
     series = derived_series(symmetric_group(3))
     assert [order(h) for h in series] == [6, 3, 1]
@@ -498,7 +512,7 @@ def test_derived_series_s3():
 
 def test_derived_series_a5():
     series = derived_series(alternating_group(5))
-    assert [order(h) for h in series] == [60, 60]
+    assert [order(h) for h in series] == [60]
     assert order(series[-1]) > 1  # not solvable
 
 
@@ -510,9 +524,12 @@ def test_derived_series_trivial():
 
 def test_derived_series_strictly_decreasing_until_stationary():
     for g in [symmetric_group(4), symmetric_group(5), cyclic_group(6)]:
-        orders = [order(h) for h in derived_series(g)]
+        series = derived_series(g)
+        orders = [order(h) for h in series]
         for a, b in zip(orders, orders[1:]):
-            assert b < a or (a == b and b == orders[-1] and b > 1)
+            assert b < a
+        # the last term is trivial or perfect
+        assert orders[-1] == 1 or order(derived_subgroup(series[-1])) == orders[-1]
 
 
 # ---------------------------------------------------------------------------
