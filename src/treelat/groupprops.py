@@ -215,10 +215,10 @@ def _no_regular_mns(n: int, h_order: int) -> bool:
     return gl_order % h_order != 0
 
 
-def _minimal_normal_of_stabilizer(h: PermGroup, enum_cap: int) -> Optional[list[PermGroup]]:
+def _minimal_normal_of_stabilizer(h: PermGroup, enum_cap: int) -> list[PermGroup]:
     """The minimal normal subgroups of h, through _simple_residual on the
-    points h moves when that proves one, else by enumeration; None when
-    |h| exceeds the cap."""
+    points h moves when that proves one, else by enumeration, which raises
+    TooLarge past the cap: the caller would enumerate a larger group."""
     support = sorted({x for s in h.generators for x in range(h.degree) if s[x] != x})
     label = {x: i for i, x in enumerate(support)}
     on_support = PermGroup(degree=len(support),
@@ -233,8 +233,6 @@ def _minimal_normal_of_stabilizer(h: PermGroup, enum_cap: int) -> Optional[list[
                 images[x] = support[s[i]]
             gens.append(tuple(images))
         return [PermGroup(degree=h.degree, generators=tuple(gens))]
-    if order(h) > enum_cap:
-        return None
     return minimal_normal_subgroups(h, enum_cap)
 
 
@@ -284,8 +282,6 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     if h_order == 1 or not _no_regular_mns(n, h_order) or not is_primitive(d):
         return None
     mns = _minimal_normal_of_stabilizer(h, enum_cap)
-    if mns is None:
-        return None
     if all(order(normal_closure(d, k.generators)) == d_order for k in mns):
         return d
     return None
@@ -396,19 +392,18 @@ def section_necessary(m: PermGroup, s: PermGroup,
     element order of m divides some element order of s.  A failed flag
     settles the exact answer as "no"; all flags passing leaves "unknown".
     m need not be simple: a section H/N of s has order dividing |s|, and
-    each element order of H/N divides the order of a preimage in s.
+    each element order of H/N divides the order of a preimage in s.  (b)
+    cannot fail when (a) holds, since each prime of |m| divides every
+    multiple of |m|; it is reported for the case where (a) fails.
     """
     om, os_ = order(m), order(s)
     order_divides = os_ % om == 0
     prime_ok = _prime_factors(om) <= _prime_factors(os_)
     witness = None
+    spectrum_ok = True
     if not order_divides:
         witness = f"|m|={om} does not divide |s|={os_}"
-    elif not prime_ok:
-        bad = sorted(_prime_factors(om) - _prime_factors(os_))
-        witness = f"primes {bad} divide |m| but not |s|"
-    spectrum_ok = True
-    if order_divides and prime_ok:
+    else:
         # the orders of m that divide no order of s seen so far; the scan
         # of s stops once there are none
         missing = element_order_spectrum(m, enum_cap)
@@ -420,7 +415,7 @@ def section_necessary(m: PermGroup, s: PermGroup,
         if missing:
             spectrum_ok = False
             witness = f"element orders {sorted(missing)} of m divide no element order of s"
-    exact = UNKNOWN if (order_divides and prime_ok and spectrum_ok) else NO
+    exact = UNKNOWN if (order_divides and spectrum_ok) else NO
     return SectionReport(order_divides=order_divides,
                          prime_spectrum_ok=prime_ok,
                          element_order_spectrum_ok=spectrum_ok,
@@ -431,18 +426,17 @@ def section_necessary(m: PermGroup, s: PermGroup,
 class _CayleyTable:
     """Dense multiplication table over the elements of a small group.
 
-    Elements are sorted image tuples; ``mul[i][j]`` is the index of
-    ``compose(elements[i], elements[j])``.  Only the generators' rows are
-    composed: left multiplication gives row(g∘a) = row_g[row_a[·]], so a
-    breadth-first walk from the identity fills every other row with one
-    ``itemgetter`` call.  ``gens`` holds the indices of g's non-identity
-    generators."""
+    Elements are numbered as their sorted image tuples, which are not
+    kept; ``mul[i][j]`` is the number of element i composed with element
+    j.  Only the generators' rows are composed: left multiplication gives
+    row(g∘a) = row_g[row_a[·]], so a breadth-first walk from the identity
+    fills every other row with one ``itemgetter`` call.  ``gens`` holds
+    the numbers of g's non-identity generators."""
 
     def __init__(self, g: PermGroup):
         elements = g.chain().elements()
         elements.sort()
-        self.elements = elements
-        self.index = index = {e: i for i, e in enumerate(elements)}
+        index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         self.e = e = index[identity(g.degree)]
         gen_rows = {tuple(index[compose(s, b)] for b in elements)
@@ -532,7 +526,7 @@ def _subgroup_class_representatives(
     known: set[frozenset] = {trivial[0]}
     yield trivial
     frontier = [trivial]
-    n = len(table.elements)
+    n = len(table.mul)
     while frontier:
         nxt = []
         for elems_set, gens in frontier:

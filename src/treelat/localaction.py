@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import DepthOverflow, InternalInvariantError, InvalidDatum, TowerTooShort
-from .permcore import PermGroup, StabilizerChain, order
+from .permcore import DEGREE_BOUND, PermGroup, StabilizerChain, order
 from .vhcomplex import (
     Alphabet,
     MealyAutomaton,
@@ -26,8 +26,6 @@ from .vhcomplex import (
     automaton_for_side,
 )
 
-# the most words a sphere may have
-WORD_BOUND = 1_000_000
 DEFAULT_DEPTH = 5
 
 DISCRETE = "discrete"
@@ -37,14 +35,14 @@ NOT_APPLICABLE = "not_applicable"
 
 def sphere_index(alphabet: Alphabet, k: int) -> range:
     """The positions of the reduced words of length k in lexicographic
-    order; a depth below 1 or more than WORD_BOUND words is refused."""
+    order; a depth below 1 or more than DEGREE_BOUND words is refused."""
     if k < 1:
         raise DepthOverflow(f"sphere depth must be >= 1, got {k}")
     n = alphabet.size
     count = n * (n - 1) ** (k - 1)
-    if count > WORD_BOUND:
+    if count > DEGREE_BOUND:
         raise DepthOverflow(
-            f"sphere of depth {k} has {count} words, exceeding bound {WORD_BOUND}")
+            f"sphere of depth {k} has {count} words, exceeding bound {DEGREE_BOUND}")
     return range(count)
 
 
@@ -73,11 +71,12 @@ class DiscretenessVerdict:
     at: Optional[int]
 
 
-def _local_group_from_automaton(aut: MealyAutomaton, sphere: range,
+def _local_group_from_automaton(aut: MealyAutomaton,
                                 below: Optional[PermGroup]) -> PermGroup:
     """The states' action on the depth-k sphere, from their action `below`
     on the depth-(k-1) sphere; at depth 1, with `below` None, the action is
-    the `out` rows.
+    the `out` rows.  The sphere has n words at depth 1, and n-1 per word
+    below at each deeper level.
 
     Under state s the word x.w' goes to y = out[s][x] followed by the image
     of w' under nxt[s][x].  The B = (n-1)^(k-1) words that begin with x hold
@@ -92,9 +91,10 @@ def _local_group_from_automaton(aut: MealyAutomaton, sphere: range,
         if any(aut.out[t][inv[x]] != inv[y] for row, moves in zip(aut.out, aut.nxt)
                for x, (y, t) in enumerate(zip(row, moves))):
             raise InvalidDatum("the automaton sends a reduced word to an unreduced one")
-        return PermGroup(degree=len(sphere), generators=aut.out)
+        return PermGroup(degree=aut.letters.size, generators=aut.out)
     q = aut.letters.size - 1
-    block = len(sphere) // aut.letters.size
+    degree = below.degree * q
+    block = degree // aut.letters.size
     tail = block // q
     gens = []
     for s, (row, moves) in enumerate(zip(aut.out, aut.nxt)):
@@ -111,19 +111,18 @@ def _local_group_from_automaton(aut: MealyAutomaton, sphere: range,
             raise InternalInvariantError(
                 "tower restriction mismatch: truncated generator disagrees")
         gens.append(tuple(image))
-    return PermGroup(degree=len(sphere), generators=tuple(gens))
+    return PermGroup(degree=degree, generators=tuple(gens))
 
 
 def local_groups(aut: MealyAutomaton, depth: int) -> Iterator[PermGroup]:
     """P_1 ... P_depth of the automaton's states, each level built from the
-    one below; the deepest sphere is the largest, so it is refused before
-    any level is built."""
-    deepest = sphere_index(aut.letters, depth)
+    one below.  The deepest sphere is the largest, so it alone is passed
+    to `sphere_index`, and refused there before any level is built."""
+    sphere_index(aut.letters, depth)
     below = None
-    for k in range(1, depth):
-        below = _local_group_from_automaton(aut, sphere_index(aut.letters, k), below)
+    for _ in range(depth):
+        below = _local_group_from_automaton(aut, below)
         yield below
-    yield _local_group_from_automaton(aut, deepest, below)
 
 
 def local_group(d: VhDatum, side: str, k: int) -> PermGroup:

@@ -50,6 +50,8 @@ from .errors import (
 )
 
 DEFAULT_ENUM_CAP = 1_000_000
+# the most points a permutation the engine builds or reads may move
+DEGREE_BOUND = 1_000_000
 
 Perm = tuple[int, ...]
 
@@ -510,6 +512,8 @@ def group_from_raw(document: dict) -> PermGroup:
     # `type(x) is int` also rejects JSON booleans, which are ints to Python
     if type(degree) is not int or degree < 1:
         raise MalformedDocument(f"degree must be a positive integer, got {degree!r}")
+    if degree > DEGREE_BOUND:
+        raise MalformedDocument(f"degree {degree} exceeds the bound {DEGREE_BOUND}")
     if not isinstance(raw_gens, list):
         raise MalformedDocument("generators must be a list of image lists")
     for images in raw_gens:

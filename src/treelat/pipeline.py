@@ -90,7 +90,6 @@ class SideReport:
     discreteness: DiscretenessVerdict
     source: str
     constant_type: str
-    p1_group: PermGroup = field(repr=False)
     m_group: Optional[PermGroup] = field(repr=False, default=None)
     s_group: Optional[PermGroup] = field(repr=False, default=None)
 
@@ -142,7 +141,6 @@ def _analyze_group(g: PermGroup, source: str, discreteness: DiscretenessVerdict,
         discreteness=discreteness,
         source=source,
         constant_type=constant_type,
-        p1_group=g,
         m_group=m_group,
         s_group=s_group,
     )
@@ -337,7 +335,9 @@ def analyze_pair(g1: PermGroup, g2: PermGroup,
                  caps: AnalysisCaps = AnalysisCaps(),
                  constant_type_asserted: bool = True) -> WangReport:
     r1 = analyze_raw_group(g1, caps, constant_type_asserted)
-    r2 = analyze_raw_group(g2, caps, constant_type_asserted)
+    # a side's report depends only on its group's degree, generators and name
+    same = (g2.degree, g2.generators, g2.name) == (g1.degree, g1.generators, g1.name)
+    r2 = r1 if same else analyze_raw_group(g2, caps, constant_type_asserted)
     return assemble_report(r1, r2, caps)
 
 

@@ -94,7 +94,6 @@ class SurveyResult:
     growth_count: int = 0  # data with |P2| > |P1| on at least one side
     max_p1_order: int = 1
     max_p2_order: int = 1
-    first_nontrivial: Optional[VhDatum] = None
     first_growth: Optional[VhDatum] = None
     p1_orders_seen: set = field(default_factory=set)
 
@@ -144,8 +143,6 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
                 growth = True
         if nontrivial:
             result.nontrivial_p1 += 1
-            if result.first_nontrivial is None:
-                result.first_nontrivial = d
         if growth:
             result.growth_count += 1
             if result.first_growth is None:

@@ -33,6 +33,7 @@ from .errors import (
     OddAlphabet,
     optional_field,
 )
+from .permcore import DEGREE_BOUND
 
 Square = tuple[int, int, int, int]
 
@@ -309,6 +310,8 @@ def parse_datum(document: dict) -> VhDatum:
         raise MalformedDocument("n and m must be integers")
     if n % 2 or m % 2 or n < 2 or m < 2:
         raise OddAlphabet(f"alphabet sizes must be even integers >= 2, got n={n}, m={m}")
+    if n > DEGREE_BOUND or m > DEGREE_BOUND:
+        raise MalformedDocument(f"alphabet sizes must be at most {DEGREE_BOUND}, got n={n}, m={m}")
     horiz = _involution_from_pairs(n, h_pairs, "h_involution")
     vert = _involution_from_pairs(m, v_pairs, "v_involution")
     oriented = optional_field(document, "oriented", bool, False)
@@ -382,12 +385,12 @@ def serialize_datum(d: VhDatum, oriented: bool = False) -> dict:
     return doc
 
 
-def commuting_datum(n: int, m: int, name: Optional[str] = None) -> VhDatum:
+def commuting_datum(n: int, m: int) -> VhDatum:
     """The datum whose squares all read a.b = b.a (direct-product complex);
     both derived automata are the identity."""
     horiz = Alphabet.with_adjacent_pairs(n)
     vert = Alphabet.with_adjacent_pairs(m)
     squares = tuple((a, b, a, b) for a in range(n) for b in range(m))
     return VhDatum(horiz=horiz, vert=vert, squares=squares,
-                   name=name or f"commuting_t{n}x{m}",
+                   name=f"commuting_t{n}x{m}",
                    source="direct product construction (built in)")

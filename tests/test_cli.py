@@ -3,13 +3,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from treelat import catalog
 from treelat.cli import main
-from treelat.permcore import alternating_group, group_from_raw, group_to_raw, order
+from treelat.permcore import (
+    DEGREE_BOUND,
+    alternating_group,
+    group_from_raw,
+    group_to_raw,
+    order,
+)
 from treelat.vhcomplex import commuting_datum, parse_datum, serialize_datum, validate
 
 from conftest import growth_datum
@@ -276,6 +283,39 @@ def test_raw_group_mistyped_name_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", "--pair", str(path), str(path))
     assert code == 2 and out == ""
     assert "name" in err
+
+
+def _traced_run(capsys, *argv):
+    """`run`, with the peak of Python's allocations during it in bytes."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        return (*result, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
+def test_raw_group_over_the_degree_bound_is_usage_error(capsys, tmp_path):
+    # a few bytes of input must not make the analysis allocate by the
+    # degree they declare; the bound itself is accepted
+    assert group_from_raw({"degree": DEGREE_BOUND, "generators": []}).degree == DEGREE_BOUND
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"degree": DEGREE_BOUND + 2, "generators": []}))
+    code, out, err, peak = _traced_run(capsys, "analyze", "--pair", str(path), str(path))
+    assert code == 2 and out == ""
+    assert str(DEGREE_BOUND) in err
+    assert peak < 2_000_000
+
+
+def test_datum_over_the_alphabet_bound_is_usage_error(capsys, tmp_path):
+    doc = catalog.load_document("commuting_t4x4")
+    doc["n"] = DEGREE_BOUND + 2
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err, peak = _traced_run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert str(DEGREE_BOUND) in err and "unpaired" not in err
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

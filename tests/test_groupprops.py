@@ -184,6 +184,16 @@ def test_mns_too_large():
         minimal_normal_subgroups(alternating_group(6), enum_cap=100)
 
 
+def test_residual_proof_over_the_cap_raises():
+    # the proof for A7 and S7 recurses through point stabilizers down to
+    # A4, which it must list: 12 elements are over a cap of 10, and the
+    # whole group listed in its place would be larger still
+    with pytest.raises(TooLarge):
+        classify_qp_with_mns(symmetric_group(7), enum_cap=10)
+    with pytest.raises(TooLarge):
+        is_simple(alternating_group(7), enum_cap=10)
+
+
 def test_mns_matches_lattice_oracle(suite):
     from oracles import normal_subgroups_bruteforce, normal_subgroups_via_class_unions
     for g in suite:

@@ -152,11 +152,15 @@ def test_levels_match_word_rewriting_oracle():
 
 def test_restriction_guard_rejects_a_foreign_level_below():
     # the growth datum's two automata act differently on every level, so
-    # each level built on the other automaton's level below is refused
+    # each level built on the other automaton's level below is refused,
+    # while the level built on its own level below covers the whole sphere
     own, other = horizontal_automaton(growth_datum()), vertical_automaton(growth_datum())
-    for k, below in enumerate(local_groups(other, 3), 2):
+    levels = zip(local_groups(own, 3), local_groups(other, 3))
+    for k, (own_below, other_below) in enumerate(levels, 2):
         with pytest.raises(InternalInvariantError):
-            _local_group_from_automaton(own, sphere_index(own.letters, k), below)
+            _local_group_from_automaton(own, other_below)
+        level = _local_group_from_automaton(own, own_below)
+        assert level.degree == len(sphere_index(own.letters, k))
 
 
 def test_automaton_that_unreduces_a_word_is_refused():

@@ -19,6 +19,8 @@ from treelat.errors import (
 from treelat.localaction import NOT_APPLICABLE
 from treelat.permcore import (
     alternating_group,
+    group_from_raw,
+    group_to_raw,
     induced_action_on_pairs,
     symmetric_group,
 )
@@ -301,6 +303,42 @@ def test_analyze_pair_a6_m12_unknown_direction():
     assert rep.chain.m1_le_s2capm2 is True     # 360 <= 7920
     assert rep.chain.m2_le_s1capm1 is False    # 95040 <= 60 fails
     assert rep.chain.contradiction
+
+
+@pytest.fixture()
+def raw_analyses(monkeypatch):
+    """The groups `analyze_pair` hands to `analyze_raw_group`, in order."""
+    groups = []
+    analyze = pipeline.analyze_raw_group
+
+    def counting_analyze(g, *args, **kwargs):
+        groups.append(g)
+        return analyze(g, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "analyze_raw_group", counting_analyze)
+    return groups
+
+
+def test_analyze_pair_analyzes_a_repeated_group_once(raw_analyses):
+    # one group object on both sides, and two loads of one document
+    doc = group_to_raw(alternating_group(6))
+    a6 = alternating_group(6)
+    for g1, g2 in ((a6, a6), (group_from_raw(doc), group_from_raw(doc))):
+        raw_analyses.clear()
+        rep = analyze_pair(g1, g2)
+        assert len(raw_analyses) == 1
+        # the one analysis gives the report two separate analyses give
+        separate = assemble_report(analyze_raw_group(g1), analyze_raw_group(g2))
+        assert json_data(rep) == json_data(separate)
+
+
+def test_analyze_pair_analyzes_a_renamed_group_again(raw_analyses):
+    # the name is part of the report, so equal generators do not suffice
+    doc = group_to_raw(alternating_group(6))
+    rep = analyze_pair(group_from_raw({**doc, "name": "first"}),
+                       group_from_raw({**doc, "name": "second"}))
+    assert len(raw_analyses) == 2
+    assert (rep.side1.source, rep.side2.source) == ("raw_group:first", "raw_group:second")
 
 
 # ---------------------------------------------------------------------------
