@@ -24,6 +24,12 @@ extends the basic orbits it acts on from the points they already have, and
 never replaces a representative.  Each level remembers which Schreier
 generators already sifted to the identity; because orbits only grow, such
 a generator and its sift path never change, so it is never sifted again.
+Level 0 forms its Schreier generators from the chain's inputs alone (the
+generators it was built from and the residues ``extend`` installed): by
+Schreier's lemma any generating set of the group gives the stabilizer of
+the first base point, and the inputs are usually far fewer than the
+strong generators.  A deeper level's group is known only through the
+chain being built, so it uses its strong generators.
 ``StabilizerChain.extend`` grows a finished chain in place, which is how
 ``normal_closure`` keeps one chain for the whole closure.  That private
 chain, and a block chain's kernel, are the only ones ever extended: a
@@ -122,11 +128,20 @@ class StabilizerChain:
     the strong generators fixing ``base[:i]`` pointwise, in installation
     order, each with its inverse; ``_gens[0]`` holds them all.
 
+    ``_inputs`` holds the generators the group was given by, each with its
+    inverse: the constructor's generators other than the identity, each
+    once, then each residue ``extend`` installed.  Residues installed while
+    completing the chain are not inputs, and neither is a generator a block
+    chain sends to its kernel.  The inputs are a sub-list of ``_gens[0]``,
+    and a chain from ``stabilizer()`` takes its own level-0 generators as
+    its inputs.
+
     ``_verified[i]`` maps a point x of the i-th orbit to the number of
-    level-i generators s whose Schreier generator for (x, s) is known to
-    sift to the identity.  Each point's generators are checked in order and
-    the scan stops at the first failure, so the verified ones always form a
-    prefix of ``_gens[i]``.
+    generators s whose Schreier generator for (x, s) is known to sift to
+    the identity, where s runs over the inputs at level 0 and over
+    ``_gens[i]`` at a deeper level.  Each point's generators are checked in
+    order and the scan stops at the first failure, so the verified ones
+    always form a prefix of that list.
 
     With ``block`` q > 1 the chain acts on the blocks of q consecutive
     points, which every generator must permute.  A block is named by its
@@ -139,14 +154,14 @@ class StabilizerChain:
     ``kernel``, a chain of the kernel K of that action, or None while K is
     trivial.  By Schreier's lemma for a homomorphism (Seress, *Permutation
     Group Algorithms*, ch. 4-5) these residues, with the generators that
-    fix every block, generate K as a normal subgroup; the group is
-    generated by K and the level-0 strong generators, so closing
-    ``kernel`` under conjugation by those gives K.  A block chain is never
-    extended.
+    fix every block, generate K as a normal subgroup.  The inputs generate
+    the group, and those that fix every block are in ``kernel`` already, so
+    closing ``kernel`` under conjugation by the others gives K.  A block
+    chain is never extended.
     """
 
     __slots__ = ("degree", "block", "base", "transversals", "kernel", "_gens",
-                 "_verified", "_identity", "_starts")
+                 "_inputs", "_verified", "_identity", "_starts")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]], block: int = 1):
         self.degree = degree
@@ -155,6 +170,7 @@ class StabilizerChain:
         self.transversals: list[dict[int, Perm]] = []
         self.kernel: Optional[StabilizerChain] = None
         self._gens: list[list[tuple[Perm, Perm]]] = []
+        self._inputs: list[tuple[Perm, Perm]] = []
         self._verified: list[dict[int, int]] = []
         self._identity = identity(degree)
         self._starts = (self._identity if block == 1
@@ -166,11 +182,11 @@ class StabilizerChain:
         # a repeated generator is installed once
         for t in dict.fromkeys(tuple(g) for g in generators):
             if t != self._identity:
-                self._install(t)
+                self._install(t, True)
         self._complete(len(self.base) - 1)
         if self.kernel is not None:
             _close_under_conjugation(self.kernel, [s for s, _ in self.kernel._gens[0]],
-                                     [s for s, _ in self._gens[0]])
+                                     [s for s, _ in self._inputs])
 
     # -- construction ------------------------------------------------------
 
@@ -180,11 +196,11 @@ class StabilizerChain:
         self._gens.append([])
         self._verified.append({})
 
-    def _install(self, g: Perm) -> Optional[int]:
-        """Add a strong generator and extend the orbits it acts on; returns
-        the deepest level whose generators changed.  A block chain adds an
-        element that fixes every block to its kernel instead and returns
-        None."""
+    def _install(self, g: Perm, is_input: bool = False) -> Optional[int]:
+        """Add a strong generator, which is also one of the inputs when
+        `is_input`, and extend the orbits it acts on; returns the deepest
+        level whose generators changed.  A block chain adds an element
+        that fixes every block to its kernel instead and returns None."""
         starts = self._starts
         j = None
         for idx, b in enumerate(self.base):
@@ -204,6 +220,8 @@ class StabilizerChain:
                 next(x for x in range(0, self.degree, q) if starts[g[x]] != x))
             j = len(self.base) - 1
         pair = (g, inverse(g))
+        if is_input:
+            self._inputs.append(pair)
         for i in range(j + 1):
             self._gens[i].append(pair)
             self._extend_orbit(i, pair)
@@ -246,8 +264,9 @@ class StabilizerChain:
     def _process_level(self, i: int) -> Optional[int]:
         """Sift the Schreier generators of level i not yet verified; install
         the first residue outside the kernel and return the level it
-        changed."""
-        gens = self._gens[i]
+        changed.  Level 0 pairs its orbit with the inputs only, which
+        generate the group."""
+        gens = self._gens[i] if i else self._inputs
         count = len(gens)  # fixed until an install, after which it returns
         trans = self.transversals[i]
         starts = self._starts
@@ -294,7 +313,7 @@ class StabilizerChain:
         residue = self._sift_from(0, g)
         if residue == self._identity:
             return False
-        self._complete(self._install(residue))
+        self._complete(self._install(residue, True))
         return True
 
     def stabilizer(self) -> StabilizerChain:
@@ -305,6 +324,7 @@ class StabilizerChain:
         stab = copy.copy(self)
         for name in ("base", "transversals", "_gens", "_verified"):
             setattr(stab, name, getattr(self, name)[1:])
+        stab._inputs = stab._gens[0] if stab._gens else []
         return stab
 
     # -- queries -------------------------------------------------------------

@@ -312,6 +312,14 @@ def test_growth_datum_tower_orders(side):
     assert discreteness_verdict(t) == DiscretenessVerdict(kind=NO_STABILIZATION, at=5)
 
 
+@pytest.mark.parametrize("side", ["horizontal", "vertical"])
+def test_growth_datum_tower_orders_to_depth_six(side):
+    # one level deeper than the whole-sphere check above, from the block
+    # chains alone: P_6 acts on 324 fibres of three words
+    t = tower(growth_datum(), side, 6)
+    assert t.orders == tuple(24 * 27 ** (k - 1) for k in range(1, 7))
+
+
 def test_tower_orders_match_full_chains():
     # every level's order against a chain of the whole group on its sphere
     # (the growth datum's test does the same to depth 5).  Orders depend

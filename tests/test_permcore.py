@@ -230,12 +230,17 @@ def test_grown_chain_matches_fresh_chain_and_closure(g, data):
         for p in probes:
             assert chain.contains(p) == (p in closure)
     assert sorted(grown.elements()) == sorted(fresh.elements())
-    # extend reports membership before growing, at every prefix
+    # extend reports membership before growing, at every prefix, and
+    # each growth adds one input: the residue it installs
     chain = StabilizerChain(g.degree, ())
+    grown_by = 0
     for k, h in enumerate(g.generators):
         prefix = closure_elements(g.generators[:k], g.degree)
-        assert chain.extend(h) == (h not in prefix)
+        grew = chain.extend(h)
+        assert grew == (h not in prefix)
+        grown_by += grew
         assert chain.order() == len(closure_elements(g.generators[:k + 1], g.degree))
+        assert len(chain._inputs) == grown_by
 
 
 def _block_chains() -> list[StabilizerChain]:
@@ -284,6 +289,18 @@ def test_chain_invariants_on_engine_suite():
                       if all(starts[s[p]] == p for p in chain.base[:i])]
             assert [s for s, _ in level] == fixing, (chain.base, i)
             assert all(s_inv == inverse(s) for s, s_inv in level)
+        # the inputs are a sub-list of the level-0 generators, so each is
+        # stored with its inverse, and every level-0 orbit point has
+        # verified its Schreier generator with each input
+        if chain.base:
+            level0 = iter(chain._gens[0])
+            assert all(pair in level0 for pair in chain._inputs), chain.base
+            assert all(chain._verified[0].get(x, 0) == len(chain._inputs)
+                       for x in chain.transversals[0]), chain.base
+    # a group's inputs are its distinct generators other than the identity
+    for g in groups:
+        assert [s for s, _ in g.chain()._inputs] == [
+            s for s in dict.fromkeys(g.generators) if not is_identity(s)], g.name
     # a stabilizer shares its group's levels after the first, and a block
     # chain's kernel
     shared = [(c, c.stabilizer()) for c in blocks] + [
@@ -291,6 +308,11 @@ def test_chain_invariants_on_engine_suite():
         if any(s[0] != 0 for s in g.generators)]
     for chain, stab in shared:
         assert stab.kernel is chain.kernel and stab.base == chain.base[1:]
+        # a stabilizer's inputs are its own level-0 generators
+        if stab.base:
+            assert stab._inputs is stab._gens[0]
+        else:
+            assert stab._inputs == []
         assert len(stab.transversals) == len(chain.transversals) - 1
         for i, trans in enumerate(stab.transversals):
             assert trans is chain.transversals[i + 1], (chain.base, i)
@@ -324,20 +346,32 @@ block_preserving_groups = st.sampled_from([(3, 4), (2, 5), (4, 3), (1, 5)]).flat
                          st.lists(wreath_elements(*qm), min_size=1, max_size=3)))
 
 
-@given(block_preserving_groups)
+@given(block_preserving_groups, st.data())
 @settings(max_examples=80, deadline=None)
-def test_block_chain_order_times_kernel_order_is_the_group_order(group):
+def test_block_chain_order_times_kernel_order_is_the_group_order(group, data):
     q, gens = group
     degree = len(gens[0])
+    m = degree // q
     chain = StabilizerChain(degree, gens, block=q)
     kernel = 1 if chain.kernel is None else chain.kernel.order()
     assert chain.order() * kernel == StabilizerChain(degree, gens).order()
     # the chain's own order is that of the action on the blocks
-    on_blocks = [tuple(g[b * q] // q for b in range(degree // q)) for g in gens]
-    assert chain.order() == StabilizerChain(degree // q, on_blocks).order()
+    on_blocks = [tuple(g[b * q] // q for b in range(m)) for g in gens]
+    assert chain.order() == StabilizerChain(m, on_blocks).order()
     if chain.kernel is not None:
         for s, _ in chain.kernel._gens[0]:
             assert all(s[x] // q == x // q for x in range(degree))
+    # where the closure is small, against the oracle outside the engine:
+    # the order, and membership of elements of the wreath product, which
+    # mostly lie outside the group, and of some of the group's own
+    if (q, m) in ((2, 5), (3, 4)):
+        closure = closure_elements(gens, degree)
+        assert chain.order() * kernel == len(closure)
+        members = st.sampled_from(sorted(closure))
+        for strategy in (wreath_elements(q, m), members):
+            for _ in range(3):
+                p = data.draw(strategy)
+                assert _holds(chain, p) == (p in closure)
 
 
 def test_block_chain_kernel_holds_the_conjugates_of_its_residues():
@@ -349,6 +383,16 @@ def test_block_chain_kernel_holds_the_conjugates_of_its_residues():
     assert chain.order() == 2
     assert chain.kernel.order() == 36
     assert StabilizerChain(6, gens).order() == 72
+
+
+def test_level_zero_pairs_its_orbit_with_the_inputs_only():
+    # the growth datum's P_5 on its fibres of three words: level 0 has an
+    # orbit of 108 blocks, 4 inputs and 11 strong generators, and verifies
+    # 108 x 4 Schreier generators, not 108 x 11
+    *_, p5 = local_groups(automaton_for_side(growth_datum(), "horizontal"), 5)
+    chain = StabilizerChain(p5.degree, p5.generators, block=3)
+    assert (len(chain.transversals[0]), len(chain._inputs), len(chain._gens[0])) == (108, 4, 11)
+    assert sum(chain._verified[0].values()) == 108 * 4
 
 
 def test_block_chain_with_no_kernel():
