@@ -8,11 +8,14 @@ Everything here is exact.  Almost simple typing and simplicity are first
 proved without listing the group (``_simple_residual``); where that proof
 does not apply, the group is enumerated.  TooLarge means only that an
 enumeration which had to run would list more elements than the cap allows;
-no heuristic answer is ever returned instead.
+no heuristic answer is ever returned instead.  The section tests draw
+seeded random elements, but only to find a witness whose check is exact;
+when the draws find none, the exhaustive path decides.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -29,6 +32,7 @@ from .permcore import (
     DEFAULT_ENUM_CAP,
     Perm,
     PermGroup,
+    StabilizerChain,
     compose,
     conjugacy_class_representatives,
     contains,
@@ -45,6 +49,12 @@ from .permcore import (
 
 DEFAULT_SECTION_CAP = 2_000
 _SUBGROUP_COUNT_CAP = 100_000
+# random draws: each call seeds its own generator with _DRAW_SEED, so every
+# report is reproducible; the other constants bound the draws of one call
+_DRAW_SEED = 0
+_SPECTRUM_DRAWS = 64
+_GENERATOR_PAIRS = 16
+_EMBEDDING_DRAWS = 2_000
 
 # QpType tags
 ALMOST_SIMPLE = "AlmostSimple"
@@ -373,15 +383,24 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-def _elements_under_cap(g: PermGroup, enum_cap: int) -> list[Perm]:
+def _check_enum_cap(g: PermGroup, enum_cap: int) -> None:
     n = order(g)
     if n > enum_cap:
         raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
-    return g.chain().elements()
 
 
 def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> set[int]:
-    return {element_order(t) for t in _elements_under_cap(g, enum_cap)}
+    _check_enum_cap(g, enum_cap)
+    return {element_order(t) for t in g.chain().elements()}
+
+
+def _draws_then_elements(chain: StabilizerChain) -> Iterator[Perm]:
+    """_SPECTRUM_DRAWS seeded random elements of the chain's group, then
+    all its elements, listed only if the caller reads past the draws."""
+    rng = random.Random(_DRAW_SEED)
+    for _ in range(_SPECTRUM_DRAWS):
+        yield chain.random_element(rng)
+    yield from chain.elements()
 
 
 def section_necessary(m: PermGroup, s: PermGroup,
@@ -395,6 +414,11 @@ def section_necessary(m: PermGroup, s: PermGroup,
     each element order of H/N divides the order of a preimage in s.  (b)
     cannot fail when (a) holds, since each prime of |m| divides every
     multiple of |m|; it is reported for the case where (a) fails.
+
+    (c) first scans a fixed number of seeded random elements of s and
+    lists s only when some order of m divides none of theirs: a pass needs
+    one witness per order, a failure the whole spectrum.  |s| is held to
+    enum_cap either way.
     """
     om, os_ = order(m), order(s)
     order_divides = os_ % om == 0
@@ -407,7 +431,8 @@ def section_necessary(m: PermGroup, s: PermGroup,
         # the orders of m that divide no order of s seen so far; the scan
         # of s stops once there are none
         missing = element_order_spectrum(m, enum_cap)
-        for t in _elements_under_cap(s, enum_cap):
+        _check_enum_cap(s, enum_cap)
+        for t in _draws_then_elements(s.chain()):
             if not missing:
                 break
             o2 = element_order(t)
@@ -621,20 +646,97 @@ def _has_factor(table: _CayleyTable, sub: tuple[frozenset, tuple[int, ...]],
     return False
 
 
+def _two_generators(m: PermGroup, om: int, rng: random.Random) -> tuple[Perm, ...]:
+    """A pair of random elements of m whose chain has order |m|, so that
+    they generate m, when one of _GENERATOR_PAIRS seeded pairs does; else
+    m's non-identity generators."""
+    gens = tuple(g for g in m.generators if not is_identity(g))
+    if len(gens) <= 2:
+        return gens
+    chain = m.chain()
+    for _ in range(_GENERATOR_PAIRS):
+        pair = (chain.random_element(rng), chain.random_element(rng))
+        if StabilizerChain(m.degree, pair).order() == om:
+            return pair
+    return gens
+
+
+def _word_orders(a: Perm, b: Perm) -> tuple[int, ...]:
+    """The orders of ab, ab⁻¹, a²b and [a, b] = a⁻¹b⁻¹ab."""
+    ab = compose(a, b)
+    b_inv = inverse(b)
+    return (element_order(ab), element_order(compose(a, b_inv)),
+            element_order(compose(a, ab)),
+            element_order(compose(compose(inverse(a), b_inv), ab)))
+
+
+def _embeds(m: PermGroup, om: int, s: PermGroup) -> bool:
+    """Whether a seeded search of _EMBEDDING_DRAWS random elements of s
+    finds images x_i of generators g_i of the nonabelian simple group m
+    (two of them where _two_generators finds a pair) that make g_i ↦ x_i
+    an injective homomorphism; True proves that m is a subgroup of s.
+
+    Proof.  D = <(g_i, x_i)> acts on the disjoint union of the two point
+    sets, and its projection onto the first factor maps D onto m.  When
+    |D| = |m| that projection is a bijection, so φ(g) = the second
+    component of its preimage is a homomorphism m -> s with φ(g_i) = x_i.
+    Its kernel is normal in the simple group m, and it is not m, because
+    ord(x_i) = ord(g_i) > 1; so φ is injective and m ≅ φ(m) <= s.
+
+    Only tuples with ord(x_i) = ord(g_i) and with the orders of a few
+    short words in x_1, x_2 equal to those in g_1, g_2 are closed into D:
+    an injective homomorphism keeps the order of every word, so the filter
+    drops no tuple that would pass.  False proves nothing.
+    """
+    rng = random.Random(_DRAW_SEED)
+    gens = _two_generators(m, om, rng)
+    wanted = [element_order(g) for g in gens]
+    words = _word_orders(gens[0], gens[1])
+    chain = s.chain()
+    shift = m.degree
+    images: list[Perm] = []
+    for _ in range(_EMBEDDING_DRAWS):
+        x = chain.random_element(rng)
+        if element_order(x) != wanted[len(images)]:
+            continue
+        images.append(x)
+        if len(images) < len(gens):
+            continue
+        if _word_orders(images[0], images[1]) == words:
+            d = StabilizerChain(shift + s.degree,
+                                [g + tuple(shift + y for y in x)
+                                 for g, x in zip(gens, images)])
+            if d.order() == om:
+                return True
+        images = []
+    return False
+
+
 def section_exact_small(m: PermGroup, s: PermGroup,
                         cap: int = DEFAULT_SECTION_CAP) -> str:
     """Exact section test: is m isomorphic to H/K for some K normal in H <= s?
 
-    Decided when |s| <= cap by enumerating the subgroup lattice up to
-    conjugacy (section existence is conjugation-invariant) and walking each
-    class representative's composition series; factors are matched to m by
-    order plus element-order spectrum, which determines a finite simple
-    group.  The answer is a union over subgroups, so each representative
-    is tested as the enumeration yields it and the first match returns
-    "yes"; "no" needs the whole lattice.  Returns "unknown" when |s| > cap,
-    or when the enumeration passes _SUBGROUP_COUNT_CAP subgroups before a
-    factor is found, so a "yes" certified before that cap is reached is
-    returned even if the full lattice would exceed it.
+    Decided only when |s| <= cap; above it the answer is "unknown".  A
+    nonabelian m is first sought as a subgroup of s by the embedding
+    search of _embeds.  Its "yes" is exact: images x_i of generators g_i
+    whose closure <(g_i, x_i)> has order |m| make g_i ↦ x_i a
+    homomorphism, injective because m is simple (the proof is in its
+    docstring), so m is a section with K = 1.  The search can only
+    confirm: a section that is not a subgroup (A5 in SL(2,5)) leaves it
+    empty-handed, and so can bad luck.
+
+    Only then is the subgroup lattice of s enumerated up to conjugacy
+    (section existence is conjugation-invariant) and each class
+    representative's composition series is walked; factors are matched to
+    m by order plus element-order spectrum, which determines a finite
+    simple group.  The answer is a union over subgroups, so each
+    representative is tested as the enumeration yields it and the first
+    match returns "yes"; "no" needs the whole lattice.  So the lattice
+    refutes, and finds the sections that are no subgroups.  It returns
+    "unknown" when the enumeration passes _SUBGROUP_COUNT_CAP subgroups
+    before a factor is found, so a "yes" certified before that cap is
+    reached, by the embedding or by the lattice, is returned even if the
+    full lattice would exceed it.
     """
     om = order(m)
     if om == 1 or not is_simple(m):
@@ -648,6 +750,8 @@ def section_exact_small(m: PermGroup, s: PermGroup,
         return YES
     if os_ > cap:
         return UNKNOWN
+    if _embeds(m, om, s):
+        return YES
     table = _CayleyTable(s)
     spec_m = element_order_spectrum(m)
     try:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import random
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
@@ -134,7 +135,9 @@ class StabilizerChain:
     completing the chain are not inputs, and neither is a generator a block
     chain sends to its kernel.  The inputs are a sub-list of ``_gens[0]``,
     and a chain from ``stabilizer()`` takes its own level-0 generators as
-    its inputs.
+    its inputs.  ``_reps`` lists the representatives of each level with
+    more than one point, for ``random_element``, until an install changes
+    the chain.
 
     ``_verified[i]`` maps a point x of the i-th orbit to the number of
     generators s whose Schreier generator for (x, s) is known to sift to
@@ -161,7 +164,7 @@ class StabilizerChain:
     """
 
     __slots__ = ("degree", "block", "base", "transversals", "kernel", "_gens",
-                 "_inputs", "_verified", "_identity", "_starts")
+                 "_inputs", "_verified", "_identity", "_starts", "_reps")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]], block: int = 1):
         self.degree = degree
@@ -175,6 +178,7 @@ class StabilizerChain:
         self._identity = identity(degree)
         self._starts = (self._identity if block == 1
                         else tuple(x - x % block for x in range(degree)))
+        self._reps: Optional[list[list[Perm]]] = None
         # the first level is point 0's orbit, trivial when every generator
         # fixes 0; the chain from level 1 on is then the stabilizer's own
         self._add_level(0)
@@ -201,6 +205,7 @@ class StabilizerChain:
         `is_input`, and extend the orbits it acts on; returns the deepest
         level whose generators changed.  A block chain adds an element
         that fixes every block to its kernel instead and returns None."""
+        self._reps = None
         starts = self._starts
         j = None
         for idx, b in enumerate(self.base):
@@ -325,6 +330,7 @@ class StabilizerChain:
         for name in ("base", "transversals", "_gens", "_verified"):
             setattr(stab, name, getattr(self, name)[1:])
         stab._inputs = stab._gens[0] if stab._gens else []
+        stab._reps = None
         return stab
 
     # -- queries -------------------------------------------------------------
@@ -337,6 +343,23 @@ class StabilizerChain:
 
     def contains(self, g: Sequence[int]) -> bool:
         return self._sift_from(0, tuple(g)) == self._identity
+
+    def random_element(self, rng: random.Random) -> Perm:
+        """A uniformly random element of a chain with blocks of one point.
+
+        With b the first base point, each g in G is h∘v for exactly one h
+        in the stabilizer of b and one inverse representative v, that of
+        the point g⁻¹(b).  So the product of one uniform choice per level,
+        deepest level last, is uniform on G (Holt, Eick and O'Brien,
+        *Handbook*, 4.4).  Levels of one point are skipped."""
+        reps = self._reps
+        if reps is None:
+            reps = self._reps = [list(t.values()) for t in self.transversals
+                                 if len(t) > 1]
+        g = self._identity
+        for level in reps:
+            g = compose(rng.choice(level), g)
+        return g
 
     def elements(self) -> list[Perm]:
         """All group elements as image tuples (size = order)."""

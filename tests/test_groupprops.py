@@ -30,6 +30,7 @@ from treelat.groupprops import (
 )
 from treelat.permcore import (
     PermGroup,
+    StabilizerChain,
     alternating_group,
     from_cycles,
     induced_action_on_pairs,
@@ -595,10 +596,107 @@ def test_section_exact_matches_bruteforce(suite):
 
 def test_section_exact_subgroup_count_cap(monkeypatch):
     # A6 has 501 subgroups and F20xS4 912, so neither lattice fits under
-    # 300; A6 certifies an A5 while fewer than 300 are known
+    # 300; with the embedding search turned off, the lattice of A6
+    # certifies an A5 while fewer than 300 are known
+    embeds = groupprops._embeds
     monkeypatch.setattr(groupprops, "_SUBGROUP_COUNT_CAP", 300)
+    monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
     assert section_exact_small(alternating_group(5), _f20_x_s4()) == UNKNOWN
     assert section_exact_small(alternating_group(5), alternating_group(6)) == YES
+    # the embedding search answers before the lattice is built
+    monkeypatch.setattr(groupprops, "_embeds", embeds)
+    monkeypatch.setattr(groupprops, "_CayleyTable", None)
+    assert section_exact_small(alternating_group(5), alternating_group(6)) == YES
+
+
+def _s5_socle():
+    # a normal closure, with three generators
+    socle = classify_qp_with_mns(symmetric_group(5))[1][0]
+    assert len(socle.generators) > 2 and order(socle) == 60
+    return socle
+
+
+def test_embedding_fires_only_where_the_oracle_says_yes(suite):
+    fired = []
+    for s in [g for g in suite if order(g) <= 200]:
+        for m in (alternating_group(5), _s5_socle()):
+            if groupprops._embeds(m, 60, s):
+                assert section_bruteforce(m.generators, s.generators, s.degree), s.name
+                fired.append(s.name)
+    assert {"S5", "A5"} <= set(fired)
+
+
+@pytest.mark.parametrize("m,s", [
+    (alternating_group(5), alternating_group(6)),
+    (_s5_socle(), point_stabilizer(symmetric_group(7))),
+    (alternating_group(6), symmetric_group(7)),
+    (alternating_group(7), alternating_group(8)),
+    (alternating_group(6), point_stabilizer(catalog.load_group("m12")))])
+def test_embedding_certifies_subgroups(m, s):
+    assert groupprops._embeds(m, order(m), s)
+
+
+def test_sl_2_5_has_a5_as_a_quotient_not_a_subgroup():
+    a5, s = alternating_group(5), sl_2_5_on_vectors()
+    assert order(s) == 120
+    assert section_bruteforce(a5.generators, s.generators, s.degree)
+    assert not groupprops._embeds(a5, 60, s)
+    assert section_exact_small(a5, s) == YES
+
+
+def test_failed_embedding_search_stops_within_its_budget(monkeypatch, chain_builds):
+    draws = []
+    random_element = StabilizerChain.random_element
+
+    def counted(chain, rng):
+        draws.append(chain)
+        return random_element(chain, rng)
+
+    monkeypatch.setattr(StabilizerChain, "random_element", counted)
+    a5 = alternating_group(5)
+    for s in [sl_2_5_on_vectors()] + _necessary_flags_pass_but_no():
+        s.chain()
+        draws.clear()
+        chain_builds.clear()
+        assert not groupprops._embeds(a5, 60, s), s.name
+        # A5's two generators need no draws of A5 itself
+        assert draws == [s.chain()] * groupprops._EMBEDDING_DRAWS, s.name
+        # the word orders turn every tuple away before a closure is built
+        assert chain_builds == [], s.name
+
+
+def test_embedding_needs_the_order_of_the_closure(monkeypatch):
+    # without the word filter, tuples of the right element orders reach
+    # the closure D, and only |D| = |m| tells an embedding apart
+    monkeypatch.setattr(groupprops, "_word_orders", lambda a, b: ())
+    a5 = alternating_group(5)
+    assert not groupprops._embeds(a5, 60, sl_2_5_on_vectors())
+    for s in _necessary_flags_pass_but_no():
+        assert not groupprops._embeds(a5, 60, s), s.name
+    assert groupprops._embeds(a5, 60, alternating_group(6))
+
+
+def test_section_necessary_lists_s_only_for_a_missing_order(monkeypatch):
+    listed = []
+    elements = StabilizerChain.elements
+
+    def counted(chain):
+        out = elements(chain)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(StabilizerChain, "elements", counted)
+    m11 = point_stabilizer(catalog.load_group("m12"))
+    # the draws from M11 find every order of A6; only A6 itself is listed
+    assert section_necessary(alternating_group(6), m11, enum_cap=10_000).exact == UNKNOWN
+    assert listed == [360]
+    listed.clear()
+    # no element of C360 has order 4, so its whole spectrum is read
+    assert section_necessary(alternating_group(6), _abelian_order_360()).exact == NO
+    assert listed == [360, 360]
+    # the cap on |s| holds whether or not s is listed
+    with pytest.raises(TooLarge):
+        section_necessary(alternating_group(5), m11, enum_cap=1000)
 
 
 def test_element_order_spectrum():

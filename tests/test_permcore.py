@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -426,6 +429,65 @@ def test_enumerate_matches_closure_oracle():
     g = symmetric_group(4)
     engine = set(g.chain().elements())
     assert engine == closure_elements(g.generators, 4)
+
+
+# ---------------------------------------------------------------------------
+# random elements
+# ---------------------------------------------------------------------------
+
+def test_random_elements_are_members_and_repeat_with_the_seed(suite):
+    for g in suite:
+        # the group's chain draws first, so the stabilizer taken after it
+        # must not reuse its representative lists
+        for stabilizer in (False, True):
+            chain = g.chain().stabilizer() if stabilizer else g.chain()
+            sequences = []
+            for _ in range(2):
+                rng = random.Random(7)
+                sequences.append([chain.random_element(rng) for _ in range(20)])
+            assert sequences[0] == sequences[1], g.name
+            assert all(chain.contains(x) for x in sequences[0]), g.name
+        # the stabilizer's draws fix the first base point, which is 0
+        assert all(x[0] == 0 for x in sequences[0]), g.name
+
+
+def test_random_elements_cover_s4():
+    chain = symmetric_group(4).chain()
+    rng = random.Random(0)
+    assert {chain.random_element(rng) for _ in range(400)} == set(chain.elements())
+
+
+class _EveryChoice:
+    """A stand-in for random.Random whose choices run through one tuple of
+    indices per draw, taken from a list of such tuples in order."""
+
+    def __init__(self, index_tuples):
+        self.indices = iter([i for t in index_tuples for i in t])
+
+    def choice(self, seq):
+        return seq[next(self.indices)]
+
+
+def test_random_element_is_a_bijection_from_choices_to_elements():
+    # one choice per level with more than one point: every tuple of choices
+    # gives a different element, so uniform choices give a uniform element
+    for g in (symmetric_group(4), alternating_group(5), point_stabilizer(symmetric_group(5))):
+        chain = g.chain()
+        sizes = [len(t) for t in chain.transversals if len(t) > 1]
+        tuples = list(itertools.product(*[range(n) for n in sizes]))
+        rng = _EveryChoice(tuples)
+        draws = [chain.random_element(rng) for _ in tuples]
+        assert sorted(draws) == sorted(chain.elements())
+
+
+def test_random_elements_follow_an_extended_chain():
+    # draws before an extend must not pin the smaller group's levels
+    chain = StabilizerChain(5, [from_cycles(5, [(0, 1, 2)])])
+    rng = random.Random(0)
+    assert {chain.random_element(rng) for _ in range(30)} <= set(chain.elements())
+    chain.extend(from_cycles(5, [(0, 1, 2, 3, 4)]))
+    assert chain.order() == 60
+    assert {chain.random_element(rng) for _ in range(600)} == set(chain.elements())
 
 
 # ---------------------------------------------------------------------------
