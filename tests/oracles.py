@@ -4,8 +4,9 @@ Nothing here touches stabilizer chains: closures are plain BFS over
 products, block systems come from enumerating every equal-size partition,
 and the normal-subgroup lattice from enumerating every subgroup.  Local
 groups on tree spheres come from listing the reduced words and rewriting
-each one letter by letter.  These are the reference answers the engine is
-checked against.
+each one letter by letter, and complete data from a walk over the corner
+map that keeps corners and images as pairs in dicts.  These are the
+reference answers the engine is checked against.
 """
 
 from __future__ import annotations
@@ -326,3 +327,63 @@ def local_group_generators(aut, k) -> tuple[tuple[int, ...], ...]:
     index = {w: i for i, w in enumerate(words)}
     return tuple(tuple(index[act_word(aut, s, w)] for w in words)
                  for s in range(aut.states.size))
+
+
+def complete_data_walk(horiz, vert):
+    """The square lists of all complete orientation-closed data over the
+    two alphabets, in the order the engine's table-driven walk yields them.
+
+    Each step assigns an image to the first uncovered corner, merges the
+    four assignments orientation closure forces into a dict, drops the
+    guess when a corner gets two images or an image is used twice, and
+    recurses; corners and images stay (a, b) pairs throughout."""
+    n, m = horiz.size, vert.size
+    h_inv, v_inv = horiz.involution, vert.involution
+    corners = [(a, b) for a in range(n) for b in range(m)]
+    corner_idx = {c: i for i, c in enumerate(corners)}
+    assign = [None] * (n * m)
+    used_img = [False] * (n * m)
+
+    def orbit_assignments(a, b, a2, b2):
+        forced = [
+            ((a, b), (a2, b2)),
+            ((h_inv[a], b2), (h_inv[a2], b)),
+            ((a2, v_inv[b]), (a, v_inv[b2])),
+            ((h_inv[a2], v_inv[b2]), (h_inv[a], v_inv[b])),
+        ]
+        merged = {}
+        for corner, image in forced:
+            if merged.get(corner, image) != image:
+                return None
+            merged[corner] = image
+        images = list(merged.values())
+        if len(set(images)) != len(images):
+            return None
+        return list(merged.items())
+
+    def search(start):
+        pos = start
+        while pos < len(corners) and assign[pos] is not None:
+            pos += 1
+        if pos == len(corners):
+            yield tuple((a, b, *assign[corner_idx[(a, b)]]) for a, b in corners)
+            return
+        a, b = corners[pos]
+        for a2 in range(n):
+            for b2 in range(m):
+                orbit = orbit_assignments(a, b, a2, b2)
+                if orbit is None:
+                    continue
+                if any(assign[corner_idx[corner]] is not None
+                       or used_img[image[0] * m + image[1]]
+                       for corner, image in orbit):
+                    continue
+                for corner, image in orbit:
+                    assign[corner_idx[corner]] = image
+                    used_img[image[0] * m + image[1]] = True
+                yield from search(pos + 1)
+                for corner, image in orbit:
+                    assign[corner_idx[corner]] = None
+                    used_img[image[0] * m + image[1]] = False
+
+    yield from search(0)

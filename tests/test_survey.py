@@ -1,14 +1,31 @@
 """The level-growth survey's record and the work it does."""
 
+from itertools import product
+
 import pytest
 
-from treelat.localaction import local_group
-from treelat.survey import enumerate_complete_data, survey_level_growth
-from treelat.vhcomplex import HORIZONTAL, VERTICAL, Alphabet
+from oracles import complete_data_walk
+from treelat import localaction
+from treelat.localaction import local_group, local_groups, tower
+from treelat.survey import (
+    _level2_key,
+    _orbit_table,
+    enumerate_complete_data,
+    survey_level_growth,
+)
+from treelat.vhcomplex import (
+    HORIZONTAL,
+    VERTICAL,
+    Alphabet,
+    horizontal_automaton,
+    vertical_automaton,
+)
 
 # the three fixed-point-free involutions on 4 letters; they are conjugate,
 # so each survey is a relabelling of the others
 FPF_INVOLUTIONS_4 = [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+A2 = Alphabet(size=2, involution=(1, 0))
+A4 = Alphabet.with_adjacent_pairs(4)
 
 T4X4_RECORD = {
     "total": 1564,
@@ -21,10 +38,49 @@ T4X4_RECORD = {
 }
 
 
-@pytest.mark.parametrize("involution", FPF_INVOLUTIONS_4)
-def test_t4x4_survey_record(involution):
-    a4 = Alphabet(size=4, involution=involution)
-    assert survey_level_growth(a4, a4).to_json() == T4X4_RECORD
+def _alphabets(h_involution, v_involution):
+    return (Alphabet(size=len(h_involution), involution=h_involution),
+            Alphabet(size=len(v_involution), involution=v_involution))
+
+
+# "involution1" has involution 1 on both sides, "involution1-involution2"
+# involution 1 on the horizontal side and 2 on the vertical one
+@pytest.mark.parametrize("h_involution, v_involution", [
+    pytest.param(h, v, id=f"involution{i}" if i == j else f"involution{i}-involution{j}")
+    for (i, h), (j, v) in product(enumerate(FPF_INVOLUTIONS_4), repeat=2)])
+def test_t4x4_survey_record(h_involution, v_involution):
+    horiz, vert = _alphabets(h_involution, v_involution)
+    result = survey_level_growth(horiz, vert)
+    assert result.to_json() == T4X4_RECORD
+
+    def rises(d):
+        return any(o[0] < o[1] for o in (tower(d, side, 2).orders
+                                         for side in (HORIZONTAL, VERTICAL)))
+
+    assert result.first_growth == next(filter(rises, enumerate_complete_data(horiz, vert)))
+
+
+@pytest.mark.parametrize("horiz, vert", [
+    *(_alphabets(h, v) for h, v in product(FPF_INVOLUTIONS_4, repeat=2)),
+    (A2, A4), (A4, A2), (A2, A2),
+])
+def test_walk_matches_the_reference_in_order(horiz, vert):
+    assert ([d.squares for d in enumerate_complete_data(horiz, vert)]
+            == list(complete_data_walk(horiz, vert)))
+
+
+def test_orbit_table_never_clashes():
+    # the walk needs no clash check: each entry starts with its own guess,
+    # and no corner or image occurs twice in it
+    alphabets = [A2, *(Alphabet(size=4, involution=inv) for inv in FPF_INVOLUTIONS_4),
+                 Alphabet.with_adjacent_pairs(6),
+                 Alphabet(size=6, involution=(3, 4, 5, 0, 1, 2))]
+    for horiz, vert in product(alphabets, repeat=2):
+        for c, row in enumerate(_orbit_table(horiz, vert)):
+            for i, orbit in enumerate(row):
+                corners, images = zip(*orbit)
+                assert orbit[0] == (c, i)
+                assert len(set(corners)) == len(set(images)) == len(orbit)
 
 
 def test_one_chain_per_distinct_generator_set(chain_builds):
@@ -35,3 +91,34 @@ def test_one_chain_per_distinct_generator_set(chain_builds):
     assert len(generator_sets) == 135
     survey_level_growth(a4, a4)
     assert len(chain_builds) == len(generator_sets)
+
+
+# one involution on both sides, and two different ones
+KEYED_SURVEYS = [((1, 0, 3, 2), (1, 0, 3, 2), 436), ((1, 0, 3, 2), (2, 3, 0, 1), 872)]
+
+
+@pytest.mark.parametrize("h_involution, v_involution, keys", KEYED_SURVEYS)
+def test_level2_key_fixes_p1_and_p2(h_involution, v_involution, keys):
+    # each key, mapped to the (P1, P2) generator tuples of its automata
+    seen: dict = {}
+    for d in enumerate_complete_data(*_alphabets(h_involution, v_involution)):
+        for aut in (vertical_automaton(d), horizontal_automaton(d)):
+            gens = tuple(group.generators for group in local_groups(aut, 2))
+            seen.setdefault(_level2_key(aut), set()).add(gens)
+    assert len(seen) == keys
+    assert all(len(gens) == 1 for gens in seen.values())
+
+
+@pytest.mark.parametrize("h_involution, v_involution, keys", KEYED_SURVEYS)
+def test_local_groups_built_once_per_key(monkeypatch, h_involution, v_involution, keys):
+    calls = []
+    build = localaction._local_group_from_automaton
+
+    def counting_build(aut, below):
+        calls.append(None)
+        return build(aut, below)
+
+    monkeypatch.setattr(localaction, "_local_group_from_automaton", counting_build)
+    survey_level_growth(*_alphabets(h_involution, v_involution))
+    # one call per level per key, against 2 * 3,128 = 6,256 without the memo
+    assert len(calls) == 2 * keys
