@@ -35,6 +35,16 @@ chain being built, so it uses its strong generators.
 chain, and a block chain's kernel, are the only ones ever extended: a
 group shares its chain's levels with its point stabilizer.
 
+A chain needs no verification when its group's order is known (Seress,
+*Permutation Group Algorithms*, ch. 4): the basic orbits of an unverified
+chain of elements of a subgroup N of g are orbits of subgroups of N's
+basic stabilizers, so its order is at most |N|, and reaching |g| proves
+N = g.  ``normal_closure`` returns g itself once a chain grown from a few
+seeded random elements of the closure reaches |g|.  Typing meets such whole
+closures at every level of a simplicity proof (a perfect group's derived
+subgroup, and each closure of condition (c) of
+``groupprops._simple_residual``); only a proper closure is completed.
+
 Image tuples are not validated here: outside data enters through
 ``group_from_raw``, which checks that every generator is a bijection.
 """
@@ -59,6 +69,11 @@ from .errors import (
 DEFAULT_ENUM_CAP = 1_000_000
 # the most points a permutation the engine builds or reads may move
 DEGREE_BOUND = 1_000_000
+# normal_closure's random phase seeds its own generator with _CLOSURE_SEED
+# on each call, so every chain and report is reproducible, and completes
+# its chain after _CLOSURE_MISSES draws in a row sift to the identity
+_CLOSURE_SEED = 0
+_CLOSURE_MISSES = 4
 
 Perm = tuple[int, ...]
 
@@ -88,6 +103,21 @@ def inverse(p: Sequence[int]) -> Perm:
 
 def is_identity(p: Sequence[int]) -> bool:
     return tuple(p) == identity(len(p))
+
+
+def _is_even(p: Sequence[int]) -> bool:
+    """Whether p is an even permutation: with c cycles, fixed points
+    included, it is a product of degree - c transpositions."""
+    seen = [False] * len(p)
+    cycles = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = p[x]
+    return (len(p) - cycles) % 2 == 0
 
 
 def from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
@@ -476,8 +506,34 @@ def point_stabilizer(g: PermGroup) -> PermGroup:
 
 
 def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
-    """Smallest subgroup containing the seeds and closed under conjugation
-    by the generators of g."""
+    """Smallest subgroup N containing the seeds and closed under
+    conjugation by the generators of g; the object g itself when N = g.
+
+    A closure equal to g is proved by its order, with no Schreier-Sims
+    completion.  A random phase grows an unverified chain from seeded
+    random elements of N: r <- x⁻¹(r·s)x, with s a random seed and x a
+    random element of g, installing each residue of r that is not the
+    identity as an input.  Conjugating the whole product, not only the
+    seed, keeps consecutive draws from sifting alike when the seeds move
+    few points.  Each residue lies in N and fixes the base points before
+    its level, so each basic orbit is an orbit of a subgroup of the
+    stabilizer of those points in N, and the chain's order is at most
+    |N| <= |g|: reaching |g| proves N = g, and g is returned.
+
+    The bound N <= g needs every seed in g, so the phase runs only when
+    each seed sifts through g's chain: with g = <(0 1)(2 3)> and the seed
+    (0 1), N = <(0 1)> has the order of g but is not g.  It is skipped too
+    when every seed is even and a generator of g is odd, since N then lies
+    in the even part of g and the phase could only miss.
+
+    Each install adds a point to a basic orbit, and a level has at least
+    two points, so there are at most log₂|g| levels and degree·log₂|g|
+    installs; the phase ends after _CLOSURE_MISSES draws in a row sift to
+    the identity.  Its chain is then completed, extended by the seeds and
+    closed under conjugation by g's generators, which is how the closure
+    is built when the phase does not run.  The residues are elements of N,
+    so the result is N either way.
+    """
     seed_tuples = []
     for s in seeds:
         if len(s) != g.degree:
@@ -485,7 +541,31 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
         if not is_identity(s):
             seed_tuples.append(s)
     chain = StabilizerChain(g.degree, ())
-    gens = [t for t in seed_tuples if chain.extend(t)]
+    gens: list[Perm] = []
+    if (seed_tuples
+            # conjugates of even seeds are even: N = g needs an odd seed or an even g
+            and (not all(map(_is_even, seed_tuples)) or all(map(_is_even, g.generators)))
+            and all(map(g.chain().contains, seed_tuples))):
+        ambient = g.chain()
+        target = ambient.order()
+        ident = chain._identity
+        rng = random.Random(_CLOSURE_SEED)
+        r = ident
+        misses = 0
+        while misses < _CLOSURE_MISSES:
+            x = ambient.random_element(rng)
+            r = compose(inverse(x), compose(compose(r, rng.choice(seed_tuples)), x))
+            residue = chain._sift_from(0, r)
+            if residue == ident:
+                misses += 1
+                continue
+            misses = 0
+            chain._install(residue, True)
+            gens.append(residue)
+            if chain.order() == target:
+                return g
+        chain._complete(len(chain.base) - 1)
+    gens += [t for t in seed_tuples if chain.extend(t)]
     _close_under_conjugation(chain, gens, g.generators)
     return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=chain)
 

@@ -84,8 +84,14 @@ def enumerate_complete_data(horiz: Alphabet, vert: Alphabet) -> Iterator[VhDatum
                     img[c] = -1
                     used[i] = False
 
-    for squares in search(0):
-        yield VhDatum(horiz=horiz, vert=vert, squares=tuple(squares))
+    try:
+        for squares in search(0):
+            yield VhDatum(horiz=horiz, vert=vert, squares=tuple(squares))
+    finally:
+        # `search` reaches itself through its closure cell; emptying the
+        # cell breaks that cycle, so the walk's state is freed when the
+        # generator finishes or is closed, not at the next full collection
+        search = None
 
 
 @dataclass

@@ -44,6 +44,16 @@ def closure_elements(gens, degree) -> set[tuple]:
     return seen
 
 
+def normal_closure_bruteforce(gens, degree, seeds) -> set[tuple]:
+    """The subgroup the conjugates x⁻¹sx generate, for s a seed and x any
+    element of the closure of `gens`: the smallest subgroup containing the
+    seeds and closed under conjugation by the generators.  The seeds need
+    not lie in that closure."""
+    conjugates = {compose_t(_inverse_t(x), compose_t(tuple(s), x))
+                  for x in closure_elements(gens, degree) for s in seeds}
+    return closure_elements(conjugates, degree)
+
+
 def orbit_of(gens, degree, point) -> set[int]:
     seen = {point}
     queue = [point]

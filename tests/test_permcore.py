@@ -35,11 +35,12 @@ from treelat.permcore import (
     trivial_group,
 )
 
+from treelat.catalog import mathieu_group_12
 from treelat.localaction import local_groups
 from treelat.vhcomplex import automaton_for_side
 
 from conftest import cyclic_group, engine_suite, growth_datum
-from oracles import closure_elements
+from oracles import closure_elements, normal_closure_bruteforce
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n)).map(tuple))
@@ -595,6 +596,98 @@ def test_normal_closure_invariant_under_conjugation():
         xi = inverse(x)
         for h in nc.generators:
             assert chain.contains(compose(compose(xi, h), x))
+
+
+@given(small_gen_sets(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_normal_closure_matches_oracle(g, data):
+    # seeds inside g may take the random phase first; a seed outside g
+    # sends the closure straight to the completed chain
+    elements = sorted(closure_elements(g.generators, g.degree))
+    inside = st.sampled_from(elements)
+    anywhere = st.permutations(range(g.degree)).map(tuple)
+    seeds = data.draw(st.lists(inside if data.draw(st.booleans()) else anywhere,
+                               max_size=3))
+    expected = normal_closure_bruteforce(g.generators, g.degree, seeds)
+    nc = normal_closure(g, seeds)
+    assert nc.chain().order() == len(expected)
+    assert set(nc.chain().elements()) == expected
+
+
+def test_normal_closure_of_a_seed_outside_g():
+    # (0 1) is not in g, so N is not bounded by g: N = <(0 1)> has the
+    # order of g, and a certificate by order alone would return g
+    g = perm_group([from_cycles(4, [(0, 1), (2, 3)])])
+    nc = normal_closure(g, [from_cycles(4, [(0, 1)])])
+    assert contains(nc, from_cycles(4, [(0, 1)]))
+    assert not contains(nc, from_cycles(4, [(0, 1), (2, 3)]))
+
+
+def test_whole_normal_closure_is_g_itself():
+    # a closure proved whole by its order is g, with no chain of its own
+    a6 = alternating_group(6)
+    assert normal_closure(a6, [from_cycles(6, [(0, 1, 2)])]) is a6
+    m12 = mathieu_group_12()
+    assert normal_closure(m12, m12.generators[:1]) is m12
+    a5 = alternating_group(5)
+    assert derived_subgroup(a5) is a5
+
+
+def _draws_on(monkeypatch) -> list:
+    """The chains random_element draws from, from here on."""
+    draws = []
+    real = StabilizerChain.random_element
+
+    def recording(self, rng):
+        draws.append(self)
+        return real(self, rng)
+
+    monkeypatch.setattr(StabilizerChain, "random_element", recording)
+    return draws
+
+
+S3_X_S3 = perm_group([from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(0, 1)]),
+                      from_cycles(6, [(3, 4, 5)]), from_cycles(6, [(3, 4)])])
+
+
+@pytest.mark.parametrize("g, seed", [
+    (alternating_group(4), from_cycles(4, [(0, 2), (1, 3)])),
+    (perm_group([from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)])]),
+     from_cycles(4, [(0, 2)])),
+    (perm_group([from_cycles(6, [(0, 1, 2, 3), (4, 5)])]),
+     from_cycles(6, [(0, 2), (1, 3)])),
+    (S3_X_S3, from_cycles(6, [(3, 4)])),
+], ids=["A4-V4", "D8-C2xC2", "C4-C2", "S3xS3-S3"])
+def test_proper_closure_completes_the_random_chain(g, seed, monkeypatch):
+    # the seed lies in g and its closure N is proper, so the random phase
+    # draws from g, runs out of draws, and its chain is completed,
+    # extended by the seed and closed under conjugation
+    expected = normal_closure_bruteforce(g.generators, g.degree, [seed])
+    assert contains(g, seed) and len(expected) < order(g)
+    draws = _draws_on(monkeypatch)
+    nc = normal_closure(g, [seed])
+    chain = nc.chain()
+    assert draws and nc is not g
+    assert closure_elements(nc.generators, g.degree) == expected
+    assert chain.order() == len(expected)
+    assert set(chain.elements()) == expected
+    for p in itertools.permutations(range(g.degree)):
+        assert chain.contains(p) == (p in expected)
+
+
+@pytest.mark.parametrize("g, seed", [
+    (symmetric_group(4), from_cycles(4, [(0, 1), (2, 3)])),
+    (symmetric_group(4), from_cycles(4, [(0, 1, 2)])),
+    (S3_X_S3, from_cycles(6, [(3, 4, 5)])),
+], ids=["S4-V4", "S4-A4", "S3xS3-C3"])
+def test_even_seeds_under_an_odd_generator_skip_the_random_phase(g, seed, monkeypatch):
+    # every conjugate of an even seed is even, so N lies in the even part
+    # of g, which is proper: no element is drawn
+    draws = _draws_on(monkeypatch)
+    nc = normal_closure(g, [seed])
+    assert draws == []
+    assert set(nc.chain().elements()) == normal_closure_bruteforce(
+        g.generators, g.degree, [seed])
 
 
 def test_derived_subgroup_matches_oracle(suite):

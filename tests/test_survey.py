@@ -1,5 +1,6 @@
 """The level-growth survey's record and the work it does."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -67,6 +68,28 @@ def test_t4x4_survey_record(h_involution, v_involution):
 def test_walk_matches_the_reference_in_order(horiz, vert):
     assert ([d.squares for d in enumerate_complete_data(horiz, vert)]
             == list(complete_data_walk(horiz, vert)))
+
+
+def test_walk_state_is_freed_when_the_walk_ends():
+    # the recursive walk must keep none of its state alive in a reference
+    # cycle: with the collector paused through a whole T4 x T4 walk, a full
+    # collection afterwards finds nothing of it
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in enumerate_complete_data(A4, A4):
+            pass
+        gc.collect()
+        left = [o for o in gc.garbage
+                if "enumerate_complete_data" in getattr(o, "__qualname__", "")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_orbit_table_never_clashes():
