@@ -15,9 +15,9 @@ when the draws find none, the exhaustive path decides.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import (
@@ -38,7 +38,6 @@ from .permcore import (
     contains,
     derived_series,
     element_order,
-    identity,
     inverse,
     is_identity,
     normal_closure,
@@ -48,7 +47,6 @@ from .permcore import (
 )
 
 DEFAULT_SECTION_CAP = 2_000
-_SUBGROUP_COUNT_CAP = 100_000
 # random draws: each call seeds its own generator with _DRAW_SEED, so every
 # report is reproducible; the other constants bound the draws of one call
 _DRAW_SEED = 0
@@ -448,204 +446,6 @@ def section_necessary(m: PermGroup, s: PermGroup,
                          witness=witness)
 
 
-class _CayleyTable:
-    """Dense multiplication table over the elements of a small group.
-
-    Elements are numbered as their sorted image tuples, which are not
-    kept; ``mul[i][j]`` is the number of element i composed with element
-    j.  Only the generators' rows are composed: left multiplication gives
-    row(g∘a) = row_g[row_a[·]], so a breadth-first walk from the identity
-    fills every other row with one ``itemgetter`` call.  ``gens`` holds
-    the numbers of g's non-identity generators."""
-
-    def __init__(self, g: PermGroup):
-        elements = g.chain().elements()
-        elements.sort()
-        index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        self.e = e = index[identity(g.degree)]
-        gen_rows = {tuple(index[compose(s, b)] for b in elements)
-                    for s in g.generators}
-        self.gens = sorted({index[s] for s in g.generators} - {e})
-        mul: list[Optional[tuple[int, ...]]] = [None] * n
-        mul[e] = tuple(range(n))
-        queue = [e]
-        for a in queue:
-            row_a = itemgetter(*mul[a])
-            for row_g in gen_rows:
-                ga = row_g[a]
-                if mul[ga] is None:
-                    mul[ga] = row_a(row_g)
-                    queue.append(ga)
-        self.mul = mul
-        self.inv = [row.index(e) for row in mul]
-
-
-def _extend_subgroup(table: _CayleyTable, elems: list[int],
-                     gens: tuple[int, ...], x: int) -> tuple[frozenset, tuple[int, ...]]:
-    """<H, x> by coset accumulation (Dimino step): H given by its sorted
-    element list and generators."""
-    new_gens = gens + (x,)
-    in_set = set(elems)
-    out = list(elems)
-    reps = [table.e]
-    i = 0
-    while i < len(reps):
-        r = reps[i]
-        i += 1
-        for gidx in new_gens:
-            t = table.mul[r][gidx]
-            if t not in in_set:
-                reps.append(t)
-                for h in elems:
-                    u = table.mul[h][t]
-                    in_set.add(u)
-                    out.append(u)
-    return frozenset(in_set), new_gens
-
-
-def _double_coset(table: _CayleyTable, elems: list[int],
-                  gens: tuple[int, ...], x: int) -> set[int]:
-    """HxH as a union of left cosets yH, closed under left multiplication
-    by the generators of H."""
-    if len(elems) == 1:
-        return {x}
-    mul = table.mul
-    coset_of = itemgetter(*elems)
-    out = set(coset_of(mul[x]))
-    reps = [x]
-    for y in reps:
-        for g in gens:
-            gy = mul[g][y]
-            if gy not in out:
-                out.update(coset_of(mul[gy]))
-                reps.append(gy)
-    return out
-
-
-def _conjugate_set(table: _CayleyTable, elems: frozenset, g: int) -> frozenset:
-    g_inv = table.inv[g]
-    mul = table.mul
-    return frozenset(mul[mul[g_inv][t]][g] for t in elems)
-
-
-class _SubgroupCountCapExceeded(Exception):
-    """The lattice walk met more than _SUBGROUP_COUNT_CAP subgroups."""
-
-
-def _subgroup_class_representatives(
-        table: _CayleyTable) -> Iterator[tuple[frozenset, tuple[int, ...]]]:
-    """Yield one representative subgroup per conjugacy class, as (element
-    set, generator list), each as soon as it is found; raise
-    _SubgroupCountCapExceeded once more than _SUBGROUP_COUNT_CAP distinct
-    subgroups (all conjugates of the representatives) are known.
-
-    Extending class representatives by every element reaches every class:
-    any chain H < <H, x> descends to a representative chain after
-    conjugation.  Enough here because section existence is a
-    conjugation-invariant question.  Since <H, h1 x h2> = <H, x> for h1, h2
-    in H, x is adjoined to H once per double coset HxH; the other members
-    of HxH would give the same subgroup, so the representatives and their
-    order are those of adjoining every element."""
-    trivial = (frozenset({table.e}), ())
-    known: set[frozenset] = {trivial[0]}
-    yield trivial
-    frontier = [trivial]
-    n = len(table.mul)
-    while frontier:
-        nxt = []
-        for elems_set, gens in frontier:
-            elems = sorted(elems_set)
-            done = set(elems_set)
-            for x in range(n):
-                if x in done:
-                    continue
-                sub = _extend_subgroup(table, elems, gens, x)
-                done |= _double_coset(table, elems, gens, x)
-                if sub[0] in known:
-                    continue
-                nxt.append(sub)
-                # the conjugacy class of sub: its orbit under conjugation
-                # by the generators of the group
-                known.add(sub[0])
-                conjugates = [sub[0]]
-                for h in conjugates:
-                    for s in table.gens:
-                        c = _conjugate_set(table, h, s)
-                        if c not in known:
-                            known.add(c)
-                            conjugates.append(c)
-                if len(known) > _SUBGROUP_COUNT_CAP:
-                    raise _SubgroupCountCapExceeded
-                yield sub
-        frontier = nxt
-
-
-def _class_closure(table: _CayleyTable, sub_gens: tuple[int, ...],
-                   x: int) -> list[int]:
-    """Conjugacy class of x under the subgroup's generators."""
-    cls = {x}
-    queue = [x]
-    while queue:
-        y = queue.pop()
-        for gidx in sub_gens:
-            c = table.mul[table.mul[table.inv[gidx]][y]][gidx]
-            if c not in cls:
-                cls.add(c)
-                queue.append(c)
-    return sorted(cls)
-
-
-def _maximal_normal_subgroup(table: _CayleyTable, sub: tuple[frozenset, tuple[int, ...]]
-                             ) -> tuple[frozenset, tuple[int, ...]]:
-    """A maximal proper normal subgroup of the given subgroup, built by
-    greedily joining normal closures of conjugacy classes."""
-    elems_set, gens = sub
-    size = len(elems_set)
-    current: tuple[frozenset, tuple[int, ...]] = (frozenset({table.e}), ())
-    seen_classes: set[int] = set()
-    for x in sorted(elems_set):
-        if x == table.e or x in seen_classes or x in current[0]:
-            continue
-        cls = _class_closure(table, gens, x)
-        seen_classes.update(cls)
-        candidate = current
-        for y in cls:
-            if y not in candidate[0]:
-                candidate = _extend_subgroup(table, sorted(candidate[0]),
-                                             candidate[1], y)
-        if len(candidate[0]) < size:
-            current = candidate
-    return current
-
-
-def _quotient_spectrum(table: _CayleyTable, big: frozenset, small: frozenset) -> set[int]:
-    """Element orders of big/small: for each x, the least d with x^d in small."""
-    spectrum = set()
-    for x in big:
-        d, y = 1, x
-        while y not in small:
-            y = table.mul[y][x]
-            d += 1
-        spectrum.add(d)
-    return spectrum
-
-
-def _has_factor(table: _CayleyTable, sub: tuple[frozenset, tuple[int, ...]],
-                om: int, spec_m: set[int]) -> bool:
-    """Whether a composition factor of sub has order om and element-order
-    spectrum spec_m, walking one composition series from the top (by
-    Jordan-Hölder every series has the same factors)."""
-    current = sub
-    while len(current[0]) % om == 0:
-        nmax = _maximal_normal_subgroup(table, current)
-        factor_order = len(current[0]) // len(nmax[0])
-        if factor_order == om and _quotient_spectrum(table, current[0], nmax[0]) == spec_m:
-            return True
-        current = nmax
-    return False
-
-
 def _two_generators(m: PermGroup, om: int, rng: random.Random) -> tuple[Perm, ...]:
     """A pair of random elements of m whose chain has order |m|, so that
     they generate m, when one of _GENERATOR_PAIRS seeded pairs does; else
@@ -712,31 +512,81 @@ def _embeds(m: PermGroup, om: int, s: PermGroup) -> bool:
     return False
 
 
+def _quotient_search(m: PermGroup, om: int, p: PermGroup) -> bool:
+    """Whether some subgroup of p maps onto the nonabelian simple group m,
+    by an exhaustive search for images x_i in p of generators g_i of m
+    (two of them where _two_generators finds a pair) such that
+    x_i ↦ g_i extends to a homomorphism <x_i> -> m.
+
+    x_1 runs over the conjugacy class representatives of p and every
+    other x_i over all of p.  A tuple is closed only when ord(g_i)
+    divides ord(x_i) and the orders of a few short words in g_1, g_2
+    divide those of the same words in x_1, x_2; a homomorphism maps each
+    element to one whose order divides its own, so the filter drops no
+    tuple that would pass.  Nor does skipping a tuple whose |<x_i>| is no
+    multiple of |m|, since <x_i> must map onto m.  The proof that two
+    chain orders decide a tuple, and that the search is complete, is in
+    section_exact_small's docstring.
+    """
+    gens = _two_generators(m, om, random.Random(_DRAW_SEED))
+    words = _word_orders(gens[0], gens[1])
+    ranges = [conjugacy_class_representatives(p)]
+    ranges += [p.chain().elements()] * (len(gens) - 1)
+    candidates = [[x for x in xs if element_order(x) % element_order(g) == 0]
+                  for g, xs in zip(gens, ranges)]
+    shift = p.degree
+    for images in itertools.product(*candidates):
+        if any(wx % wg for wx, wg in zip(_word_orders(images[0], images[1]), words)):
+            continue
+        ox = StabilizerChain(p.degree, images).order()
+        if ox % om:
+            continue
+        d = StabilizerChain(shift + m.degree,
+                            [x + tuple(shift + y for y in g)
+                             for x, g in zip(images, gens)])
+        if d.order() == ox:
+            return True
+    return False
+
+
 def section_exact_small(m: PermGroup, s: PermGroup,
                         cap: int = DEFAULT_SECTION_CAP) -> str:
     """Exact section test: is m isomorphic to H/K for some K normal in H <= s?
 
-    Decided only when |s| <= cap; above it the answer is "unknown".  A
-    nonabelian m is first sought as a subgroup of s by the embedding
-    search of _embeds.  Its "yes" is exact: images x_i of generators g_i
-    whose closure <(g_i, x_i)> has order |m| make g_i ↦ x_i a
-    homomorphism, injective because m is simple (the proof is in its
-    docstring), so m is a section with K = 1.  The search can only
-    confirm: a section that is not a subgroup (A5 in SL(2,5)) leaves it
-    empty-handed, and so can bad luck.
+    Decided only when |s| <= cap, where the answer is always "yes" or
+    "no"; above the cap it is "unknown".  The steps, in order:
 
-    Only then is the subgroup lattice of s enumerated up to conjugacy
-    (section existence is conjugation-invariant) and each class
-    representative's composition series is walked; factors are matched to
-    m by order plus element-order spectrum, which determines a finite
-    simple group.  The answer is a union over subgroups, so each
-    representative is tested as the enumeration yields it and the first
-    match returns "yes"; "no" needs the whole lattice.  So the lattice
-    refutes, and finds the sections that are no subgroups.  It returns
-    "unknown" when the enumeration passes _SUBGROUP_COUNT_CAP subgroups
-    before a factor is found, so a "yes" certified before that cap is
-    reached, by the embedding or by the lattice, is returned even if the
-    full lattice would exceed it.
+    1. The cheap checks: |m| must divide |s|, an abelian m is answered at
+       once, and above the cap the answer is "unknown".
+    2. The seeded embedding search _embeds seeks m as a subgroup of s.
+       Its "yes" is exact (the proof is in its docstring), with K = 1.
+       It cannot refute: a section that is no subgroup (A5 in SL(2,5))
+       leaves it empty-handed, and so can bad luck.
+    3. With p the last term of the derived series of s, the answer is
+       "no" when |m| does not divide |p|.
+    4. Otherwise _quotient_search decides.
+
+    The reduction to p.  m is perfect.  If H <= s maps onto m, then so
+    does H^(∞), the last term of H's derived series, since the image of
+    H^(∞) is m^(∞) = m; and H^(∞) <= s^(∞) = p.  So m is a section of s
+    exactly when some subgroup of p maps onto m, and then |m| divides |p|.
+
+    Two chain orders decide a tuple.  Let x_i be elements of p and g_i
+    generators of m, and let D = <(x_i, g_i)> act on the disjoint union of
+    the two point sets.  D projects onto <x_i>, and the map x_i ↦ g_i
+    extends to a homomorphism <x_i> -> m exactly when that projection is
+    injective, that is, when D meets {1} × m trivially, that is, when
+    |D| = |<x_i>|.  The homomorphism is then onto m, since its image
+    holds every g_i, and <x_i>/kernel ≅ m is a section of p.
+
+    Why the search is complete.  When m is a section of s, take H <= p
+    smallest with a quotient H/K ≅ m; it exists by the reduction.  Suppose a maximal subgroup M of H did not contain K.  Then
+    MK = H and M/(M∩K) ≅ MK/K ≅ m, which contradicts minimality.  So K
+    lies in every maximal subgroup of H, K <= Φ(H), and elements y_i of H
+    mapping to the g_i generate H: if <y_i> were proper it would lie in
+    a maximal M, and <y_i>K = H would lie in M too.  So the tuple (y_i)
+    passes the test above, as do its conjugates by any element of p,
+    and it is enough to take x_1 up to conjugacy in p.
     """
     om = order(m)
     if om == 1 or not is_simple(m):
@@ -752,15 +602,10 @@ def section_exact_small(m: PermGroup, s: PermGroup,
         return UNKNOWN
     if _embeds(m, om, s):
         return YES
-    table = _CayleyTable(s)
-    spec_m = element_order_spectrum(m)
-    try:
-        for sub in _subgroup_class_representatives(table):
-            if _has_factor(table, sub, om, spec_m):
-                return YES
-    except _SubgroupCountCapExceeded:
-        return UNKNOWN
-    return NO
+    p = derived_series(s)[-1]
+    if order(p) % om:
+        return NO
+    return YES if _quotient_search(m, om, p) else NO
 
 
 # ---------------------------------------------------------------------------

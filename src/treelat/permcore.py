@@ -529,10 +529,12 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     Each install adds a point to a basic orbit, and a level has at least
     two points, so there are at most log₂|g| levels and degree·log₂|g|
     installs; the phase ends after _CLOSURE_MISSES draws in a row sift to
-    the identity.  Its chain is then completed, extended by the seeds and
-    closed under conjugation by g's generators, which is how the closure
-    is built when the phase does not run.  The residues are elements of N,
-    so the result is N either way.
+    the identity.  Its chain is then completed; it is a complete chain of
+    a subgroup of N, so its order reaching |g| still proves N = g.
+    Otherwise it is extended by the seeds and closed under conjugation by
+    g's generators, which is how the closure is built when the phase does
+    not run.  The residues are elements of N, so the result is N either
+    way.
     """
     seed_tuples = []
     for s in seeds:
@@ -565,6 +567,8 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
             if chain.order() == target:
                 return g
         chain._complete(len(chain.base) - 1)
+        if chain.order() == target:
+            return g
     gens += [t for t in seed_tuples if chain.extend(t)]
     _close_under_conjugation(chain, gens, g.generators)
     return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=chain)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -594,18 +595,12 @@ def test_section_exact_matches_bruteforce(suite):
         assert section_exact_small(a5, s) == NO, s.name
 
 
-def test_section_exact_subgroup_count_cap(monkeypatch):
-    # A6 has 501 subgroups and F20xS4 912, so neither lattice fits under
-    # 300; with the embedding search turned off, the lattice of A6
-    # certifies an A5 while fewer than 300 are known
-    embeds = groupprops._embeds
-    monkeypatch.setattr(groupprops, "_SUBGROUP_COUNT_CAP", 300)
-    monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
-    assert section_exact_small(alternating_group(5), _f20_x_s4()) == UNKNOWN
-    assert section_exact_small(alternating_group(5), alternating_group(6)) == YES
-    # the embedding search answers before the lattice is built
-    monkeypatch.setattr(groupprops, "_embeds", embeds)
-    monkeypatch.setattr(groupprops, "_CayleyTable", None)
+def test_section_exact_tries_the_embedding_first(monkeypatch):
+    # the embedding search answers before the quotient search is reached
+    def refuse(m, om, p):
+        raise AssertionError("the quotient search ran")
+
+    monkeypatch.setattr(groupprops, "_quotient_search", refuse)
     assert section_exact_small(alternating_group(5), alternating_group(6)) == YES
 
 
@@ -642,6 +637,116 @@ def test_sl_2_5_has_a5_as_a_quotient_not_a_subgroup():
     assert section_bruteforce(a5.generators, s.generators, s.degree)
     assert not groupprops._embeds(a5, 60, s)
     assert section_exact_small(a5, s) == YES
+
+
+def test_quotient_search_matches_bruteforce(suite, monkeypatch):
+    # with the embedding search off, the derived-series test and the
+    # quotient search alone decide; the socle of S5 is A5 on three
+    # generators, which the oracle, reading only the order and element
+    # orders of m, cannot tell from A5
+    monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
+    a5, socle = alternating_group(5), _s5_socle()
+    cases = ([g for g in suite if order(g) <= 200] + [sl_2_5_on_vectors()]
+             + _necessary_flags_pass_but_no())
+    answers = []
+    for s in cases:
+        oracle = YES if section_bruteforce(a5.generators, s.generators, s.degree) else NO
+        for m in (a5, socle):
+            assert section_exact_small(m, s) == oracle, (m.name, s.name)
+            answers.append(oracle)
+    assert len(answers) == 54 and answers.count(YES) == 12
+
+
+def psl_2_7():
+    return perm_group([from_cycles(8, [(0, 1, 2, 3, 4, 5, 6)]),
+                       from_cycles(8, [(0, 7), (1, 6), (2, 3), (4, 5)])], name="PSL(2,7)")
+
+
+def test_quotient_that_is_no_subgroup():
+    # -1 is the only involution of SL(2,7), so PSL(2,7) is no subgroup of
+    # it, only its quotient by the centre
+    psl27 = psl_2_7()
+    sl27 = matrix_group(7, 2, SL2, "SL(2,7) on F7^2 - 0", affine=False)
+    assert (order(sl27), sl27.degree) == (336, 48)
+    assert not groupprops._embeds(psl27, 168, sl27)
+    assert section_exact_small(psl27, sl27) == YES
+
+
+def psl_2_8_on_the_projective_line():
+    """x ↦ x + 1, x ↦ αx and x ↦ 1/x on F8 ∪ {∞}, with F8 = F2[α]/(α³ + α + 1)
+    and field elements as bit masks; ∞ is point 8."""
+    def mul(a, b):
+        product = 0
+        while b:
+            if b & 1:
+                product ^= a
+            b >>= 1
+            a <<= 1
+            if a & 8:
+                a ^= 0b1011
+        return product
+
+    inv = {a: next(b for b in range(1, 8) if mul(a, b) == 1) for a in range(1, 8)}
+    return perm_group([tuple(x ^ 1 for x in range(8)) + (8,),
+                       tuple(mul(2, x) for x in range(8)) + (8,),
+                       (8,) + tuple(inv[x] for x in range(1, 8)) + (0,)],
+                      degree=9, name="PSL(2,8)")
+
+
+def test_quotient_search_refutes():
+    # PSL(2,8) is perfect and 168 divides its order 504, so only the
+    # exhaustive search can answer that PSL(2,7) is no section of it
+    psl27 = psl_2_7()
+    s = psl_2_8_on_the_projective_line()
+    assert order(s) == 504
+    assert not section_bruteforce(psl27.generators, s.generators, s.degree)
+    assert section_exact_small(psl27, s) == NO
+
+
+def test_quotient_search_needs_the_order_of_the_closure(monkeypatch):
+    # S4 x C15 is solvable, so A5 is no section of it; yet some pairs in it
+    # pass every element and word order filter and generate a group whose
+    # order 60 divides, and only |D| > |<x_i>| turns them away.  The search
+    # is called directly, as section_exact_small stops at the trivial last
+    # term of the derived series
+    closures = []
+    init = StabilizerChain.__init__
+
+    def recorded(chain, degree, generators, block=1):
+        if degree == 12 + 5:
+            closures.append(degree)
+        init(chain, degree, generators, block)
+
+    c = from_cycles
+    s = perm_group([c(12, [(0, 1, 2, 3)]), c(12, [(0, 1)]),
+                    c(12, [(4, 5, 6, 7, 8)]), c(12, [(9, 10, 11)])], name="S4xC15")
+    s.chain()
+    monkeypatch.setattr(StabilizerChain, "__init__", recorded)
+    assert not groupprops._quotient_search(alternating_group(5), 60, s)
+    assert closures
+
+
+def test_section_exact_decides_at_or_below_the_cap(suite):
+    ms = [g for g in suite if order(g) > 1 and is_simple(g)]
+    assert {order(m) for m in ms if not groupprops.is_abelian(m)} == {60, 168, 360}
+    for s in suite:
+        if order(s) <= groupprops.DEFAULT_SECTION_CAP:
+            for m in ms:
+                assert section_exact_small(m, s) in (YES, NO), (m.name, s.name)
+
+
+def test_quotient_search_memory(monkeypatch):
+    # the search holds the element list of s and two chains at a time
+    monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
+    m, s = alternating_group(5), diagonal_a5_x_a5()
+    s.chain()
+    tracemalloc.start()
+    try:
+        assert section_exact_small(m, s, cap=4000) == YES
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_failed_embedding_search_stops_within_its_budget(monkeypatch, chain_builds):

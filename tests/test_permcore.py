@@ -633,6 +633,13 @@ def test_whole_normal_closure_is_g_itself():
     assert derived_subgroup(a5) is a5
 
 
+def test_whole_closure_proved_after_the_completion_is_g_itself():
+    # the random phase of A8's derived subgroup stops short of |A8|; its
+    # completed chain reaches the order, which proves the closure whole
+    a8 = alternating_group(8)
+    assert derived_subgroup(a8) is a8
+
+
 def _draws_on(monkeypatch) -> list:
     """The chains random_element draws from, from here on."""
     draws = []
