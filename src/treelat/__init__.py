@@ -24,6 +24,7 @@ from .pipeline import (
     analyze_pair,
     wang_index_bound,
 )
+from .survey import enumerate_complete_data, survey_level_growth
 
 __version__ = "0.1.0"
 
@@ -38,11 +39,13 @@ __all__ = [
     "compose",
     "discreteness_verdict",
     "dual",
+    "enumerate_complete_data",
     "inverse",
     "local_group",
     "parse_datum",
     "perm_group",
     "serialize_datum",
+    "survey_level_growth",
     "tower",
     "validate",
     "wang_index_bound",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -278,6 +279,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# one parser per process: `prog` is fixed, and parsing leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treelat",

@@ -530,8 +530,9 @@ def _quotient_search(m: PermGroup, om: int, p: PermGroup) -> bool:
     """
     gens = _two_generators(m, om, random.Random(_DRAW_SEED))
     words = _word_orders(gens[0], gens[1])
-    ranges = [conjugacy_class_representatives(p)]
-    ranges += [p.chain().elements()] * (len(gens) - 1)
+    elements = p.chain().elements()
+    ranges = [conjugacy_class_representatives(p, elements)]
+    ranges += [elements] * (len(gens) - 1)
     candidates = [[x for x in xs if element_order(x) % element_order(g) == 0]
                   for g, xs in zip(gens, ranges)]
     shift = p.degree

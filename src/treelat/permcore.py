@@ -598,13 +598,17 @@ def derived_series(g: PermGroup) -> list[PermGroup]:
     return series
 
 
-def conjugacy_class_representatives(g: PermGroup) -> list[Perm]:
+def conjugacy_class_representatives(g: PermGroup,
+                                    elements: Optional[list[Perm]] = None) -> list[Perm]:
     """One representative image tuple per conjugacy class of g.
 
     Classes are found by closing the element set under conjugation by the
     generators; deterministic because elements() order is deterministic.
+    A caller that already holds g.chain().elements() passes it as
+    `elements`, and g is not listed again.
     """
-    elements = g.chain().elements()
+    if elements is None:
+        elements = g.chain().elements()
     conjugators = [(x, inverse(x)) for x in g.generators]
     # the elements not yet in a class; holding the listed tuples rather than
     # the conjugates found keeps one copy of each element alive, not two

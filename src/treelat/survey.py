@@ -7,22 +7,22 @@ orientation-closed square set with the given involutions is produced
 exactly once; nothing is filtered through `validate`, which keeps the two
 routes independent and lets the test suite cross-check one against the
 other.
+
+The level-growth survey reads both automata of each datum off the walk's
+lists and keys them there; it builds a datum only for its record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Optional
 
+from .errors import ResourceCapExceeded
 from .localaction import local_groups
 from .permcore import PermGroup, order
-from .vhcomplex import (
-    Alphabet,
-    MealyAutomaton,
-    VhDatum,
-    horizontal_automaton,
-    vertical_automaton,
-)
+from .vhcomplex import Alphabet, MealyAutomaton, VhDatum
 
 _Orbit = tuple[tuple[int, int], ...]
 
@@ -49,49 +49,68 @@ def _orbit_table(horiz: Alphabet, vert: Alphabet) -> list[list[_Orbit]]:
             for a in range(n) for b in range(m)]
 
 
-def enumerate_complete_data(horiz: Alphabet, vert: Alphabet) -> Iterator[VhDatum]:
-    """All complete orientation-closed square sets over the two alphabets.
+def _walk(horiz: Alphabet, vert: Alphabet) -> Iterator[tuple[list[int], list[int]]]:
+    """Every complete orientation-closed square set over the two alphabets,
+    as the walk's flat list img of images by corner index and its inverse
+    pre, of corners by image index.
 
-    The walk keeps one flat list of images by corner index, -1 while
-    unset, and one of used images.  Guesses for the first unset corner are
-    tried in image order, so the data come out in lexicographic order of
-    that list."""
-    m = vert.size
-    size = horiz.size * m
+    Both lists hold -1 while unset; pre also marks the images in use.
+    Guesses for the first unset corner are tried in image order, so the
+    sets come out in lexicographic order of img.  The lists are the walk's
+    own state and change when it resumes; a caller copies what it keeps."""
+    size = horiz.size * vert.size
     forced = _orbit_table(horiz, vert)
-    letters = [divmod(x, m) for x in range(size)]
     img = [-1] * size
-    used = [False] * size
+    pre = [-1] * size
 
-    def search(pos: int) -> Iterator[list[tuple[int, int, int, int]]]:
+    def search(pos: int) -> Iterator[tuple[list[int], list[int]]]:
         while pos < size and img[pos] >= 0:
             pos += 1
         if pos == size:
-            # a list: tuple() of a generator grows its result by resizing,
-            # past CPython's tuple free list, which then keeps one per datum
-            yield [(*letters[c], *letters[i]) for c, i in enumerate(img)]
+            yield img, pre
             return
         for orbit in forced[pos]:
             for c, i in orbit:
-                if img[c] >= 0 or used[i]:
+                if img[c] >= 0 or pre[i] >= 0:
                     break
             else:
                 for c, i in orbit:
                     img[c] = i
-                    used[i] = True
+                    pre[i] = c
                 yield from search(pos + 1)
                 for c, i in orbit:
                     img[c] = -1
-                    used[i] = False
+                    pre[i] = -1
 
     try:
-        for squares in search(0):
-            yield VhDatum(horiz=horiz, vert=vert, squares=tuple(squares))
+        yield from search(0)
     finally:
         # `search` reaches itself through its closure cell; emptying the
         # cell breaks that cycle, so the walk's state is freed when the
         # generator finishes or is closed, not at the next full collection
         search = None
+
+
+def _datum(horiz: Alphabet, vert: Alphabet, letters: list[tuple[int, int]],
+           img: list[int]) -> VhDatum:
+    """The datum whose corner index c has image index img[c]; letters[x]
+    is the letter pair (a, b) of index x = a*m + b."""
+    # a list: tuple() of a generator grows its result by resizing, past
+    # CPython's tuple free list, which then keeps one per datum
+    squares = [(*letters[c], *letters[i]) for c, i in enumerate(img)]
+    return VhDatum(horiz=horiz, vert=vert, squares=tuple(squares))
+
+
+def _letters(horiz: Alphabet, vert: Alphabet) -> list[tuple[int, int]]:
+    return [divmod(x, vert.size) for x in range(horiz.size * vert.size)]
+
+
+def enumerate_complete_data(horiz: Alphabet, vert: Alphabet) -> Iterator[VhDatum]:
+    """All complete orientation-closed square sets over the two alphabets,
+    in lexicographic order of the corner map; see `_walk`."""
+    letters = _letters(horiz, vert)
+    for img, _ in _walk(horiz, vert):
+        yield _datum(horiz, vert, letters, img)
 
 
 @dataclass
@@ -123,17 +142,64 @@ class SurveyResult:
         }
 
 
+def _key(involution: bytes, out: bytes, nxt: bytes) -> bytes:
+    """The letter involution, the `out` rows, and for each state s and
+    letter x the row out[nxt[s][x]], as bytes; `out` and `nxt` hold the
+    rows one after the other, in state order."""
+    width = len(involution)
+    rows = [out[k:k + width] for k in range(0, len(out), width)]
+    return involution + out + b"".join([rows[t] for t in nxt])
+
+
 def _level2_key(aut: MealyAutomaton) -> bytes:
-    """The automaton's letter involution, its `out` rows, and for each state
-    s and letter x the row out[nxt[s][x]], as bytes (letters fit in a
-    byte on any alphabet the walk can finish)."""
-    rows = list(map(bytes, aut.out))
-    return (bytes(aut.letters.involution) + b"".join(rows)
-            + b"".join([rows[t] for moves in aut.nxt for t in moves]))
+    """The key of an automaton; see `_key`."""
+    return _key(bytes(aut.letters.involution), bytes(chain.from_iterable(aut.out)),
+                bytes(chain.from_iterable(aut.nxt)))
+
+
+def _automaton_from_rows(states: Alphabet, letters: Alphabet, out: bytes,
+                         nxt: bytes) -> MealyAutomaton:
+    """The automaton of the flat rows `out` and `nxt`, as in `_key`."""
+    width = letters.size
+    return MealyAutomaton(
+        states=states, letters=letters,
+        out=tuple(tuple(out[k:k + width]) for k in range(0, len(out), width)),
+        nxt=tuple(tuple(nxt[k:k + width]) for k in range(0, len(nxt), width)))
+
+
+def _walk_keys(horiz: Alphabet, vert: Alphabet) -> Iterator[
+        tuple[list[int], tuple[bytes, bytes, bytes], tuple[bytes, bytes, bytes]]]:
+    """For each set of `_walk`: img, and the key and the flat `out` and
+    `nxt` rows of its vertical and of its horizontal automaton, read off
+    img and pre as `survey_level_growth` says.  Indices are kept in bytes,
+    so at most 256 corners are taken, far more than any walk can finish."""
+    n, m = horiz.size, vert.size
+    if n * m > 256:
+        raise ResourceCapExceeded(
+            f"the survey takes at most 256 corners, got {n} x {m} = {n * m}")
+    indices = bytes(range(n * m))
+    high = bytes.maketrans(indices, bytes(x // m for x in indices))
+    low = bytes.maketrans(indices, bytes(x % m for x in indices))
+    # the indices a*m + b in order of (b, a)
+    by_column = itemgetter(*[a * m + b for b in range(m) for a in range(n)])
+    h_involution, v_involution = bytes(horiz.involution), bytes(vert.involution)
+    for img, pre in _walk(horiz, vert):
+        h, v = bytes(img), bytes(by_column(pre))
+        v_out, v_nxt = v.translate(high), v.translate(low)
+        h_out, h_nxt = h.translate(low), h.translate(high)
+        yield (img, (_key(h_involution, v_out, v_nxt), v_out, v_nxt),
+               (_key(v_involution, h_out, h_nxt), h_out, h_nxt))
 
 
 def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
     """Enumerate all complete data and record whether any has |P2| > |P1|.
+
+    The automata are read off the walk's lists, with no datum built but
+    the recorded `first_growth`.  A square (a, b, a2, b2) has corner index
+    c = a*m + b and image index i = a2*m + b2 = img[c], and pre[i] = c.
+    The horizontal automaton has out[a][b] = img[a*m + b] % m and
+    nxt[a][b] = img[a*m + b] // m.  The vertical one has
+    out[b][a] = pre[a*m + b] // m and nxt[b][a] = pre[a*m + b] % m.
 
     |P1| and |P2| are computed once per distinct `_level2_key` of the two
     automata of each datum.  P1's generators are the `out` rows.  P2's
@@ -146,10 +212,26 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
     is computed once per call.  The T4 x T4 survey has 3,128 automata.
     With one involution on both sides they have 436 keys, and 135
     stabilizer chains are built; with two different involutions, 872 keys
-    and 219 to 236 chains."""
+    and 219 to 236 chains.
+
+    Every check of the route through `VhDatum` and `vertical_automaton`
+    still holds, or is decided once per key:
+    - a state reading a letter in more than one square, or in none: the
+      walk yields only when img is total (every corner up to `size` has
+      an image) and injective (pre marks each image used), so each corner,
+      and each image, lies in exactly one square;
+    - `VhDatum`'s letter range checks: every index is below n*m, so its
+      quotient by m is below n and its remainder below m;
+    - `MealyAutomaton`'s permutation check reads only the `out` rows,
+      which are part of the key, so it runs on a key's first occurrence
+      and decides every repeat;
+    - `local_groups`' reduced-word check and truncation guard run once per
+      key, as the key fixes what they read."""
     result = SurveyResult()
     orders: dict[frozenset, int] = {}
-    levels: dict[bytes, tuple[int, ...]] = {}
+    # key -> 1 if |P1| > 1, plus 2 if |P2| > |P1|
+    flags: dict[bytes, int] = {}
+    levels: list[tuple[int, int]] = []
 
     def order_of(group: PermGroup) -> int:
         key = frozenset(group.generators)
@@ -157,29 +239,24 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
             orders[key] = order(group)
         return orders[key]
 
-    def level_orders(automaton: MealyAutomaton) -> tuple[int, ...]:
-        key = _level2_key(automaton)
-        if key not in levels:
-            levels[key] = tuple(map(order_of, local_groups(automaton, 2)))
-        return levels[key]
-
-    for d in enumerate_complete_data(horiz, vert):
+    sides = ((vert, horiz), (horiz, vert))
+    for img, *keyed in _walk_keys(horiz, vert):
         result.total += 1
-        growth = False
-        nontrivial = False
-        for automaton in (vertical_automaton(d), horizontal_automaton(d)):
-            p1, p2 = level_orders(automaton)
-            result.max_p1_order = max(result.max_p1_order, p1)
-            result.max_p2_order = max(result.max_p2_order, p2)
-            result.p1_orders_seen.add(p1)
-            if p1 > 1:
-                nontrivial = True
-            if p2 > p1:
-                growth = True
-        if nontrivial:
-            result.nontrivial_p1 += 1
-        if growth:
+        found = 0
+        for (states, letters), (key, out, nxt) in zip(sides, keyed):
+            if key not in flags:
+                automaton = _automaton_from_rows(states, letters, out, nxt)
+                p1, p2 = map(order_of, local_groups(automaton, 2))
+                levels.append((p1, p2))
+                flags[key] = (p1 > 1) | (p2 > p1) << 1
+            found |= flags[key]
+        result.nontrivial_p1 += found & 1
+        if found & 2:
             result.growth_count += 1
             if result.first_growth is None:
-                result.first_growth = d
+                result.first_growth = _datum(horiz, vert, _letters(horiz, vert), img)
+    for p1, p2 in levels:
+        result.max_p1_order = max(result.max_p1_order, p1)
+        result.max_p2_order = max(result.max_p2_order, p2)
+        result.p1_orders_seen.add(p1)
     return result

@@ -83,3 +83,16 @@ def test_other_json_matches_golden(case, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_CODES.get(case, 0)
     assert out == (GOLDENS / f"{case}.json").read_text()
+
+
+def test_parser_reused_after_usage_errors(tmp_path, capsys):
+    # the parser is built once per process, so calls that exit 2, one
+    # refused by the parser and one by the command, must leave it as the
+    # next call needs it
+    with pytest.raises(SystemExit) as refused:
+        main(["analyze", "--pair", "a6_natural"])
+    assert refused.value.code == 2
+    assert main(["analyze", "--pair", "a6_natural", "no_such_entry", "--json"]) == 2
+    capsys.readouterr()
+    assert main(golden_argv("pair_a6_s5", tmp_path)) == 0
+    assert capsys.readouterr().out == (GOLDENS / "pair_a6_s5.json").read_text()

@@ -703,6 +703,23 @@ def test_quotient_search_refutes():
     assert section_exact_small(psl27, s) == NO
 
 
+def test_quotient_search_lists_p_once(monkeypatch):
+    # the class representatives of p and the range of x_2 come from one
+    # listing of p's elements
+    listed = []
+    elements = StabilizerChain.elements
+
+    def recorded(chain):
+        result = elements(chain)
+        listed.append(len(result))
+        return result
+
+    monkeypatch.setattr(StabilizerChain, "elements", recorded)
+    s = psl_2_8_on_the_projective_line()
+    assert not groupprops._quotient_search(psl_2_7(), 168, s)
+    assert listed == [504]
+
+
 def test_quotient_search_needs_the_order_of_the_closure(monkeypatch):
     # S4 x C15 is solvable, so A5 is no section of it; yet some pairs in it
     # pass every element and word order filter and generate a group whose

@@ -7,10 +7,13 @@ import pytest
 
 from oracles import complete_data_walk
 from treelat import localaction
+from treelat.errors import ResourceCapExceeded
 from treelat.localaction import local_group, local_groups, tower
 from treelat.survey import (
+    _automaton_from_rows,
     _level2_key,
     _orbit_table,
+    _walk_keys,
     enumerate_complete_data,
     survey_level_growth,
 )
@@ -70,10 +73,35 @@ def test_walk_matches_the_reference_in_order(horiz, vert):
             == list(complete_data_walk(horiz, vert)))
 
 
+@pytest.mark.parametrize("horiz, vert", [
+    *(_alphabets(h, v) for h, v in product(FPF_INVOLUTIONS_4, repeat=2)),
+    (A2, A4), (A4, A2), (A2, A2),
+])
+def test_walk_keys_match_the_reference_automata(horiz, vert):
+    # the survey's keys and the automata it builds on a miss, read off the
+    # walk's lists, against vhcomplex's automata of the datum at the same
+    # position
+    walked = list(_walk_keys(horiz, vert))
+    data = list(enumerate_complete_data(horiz, vert))
+    assert len(walked) == len(data)
+    for (_, *keyed), d in zip(walked, data):
+        sides = ((vert, horiz, vertical_automaton(d)), (horiz, vert, horizontal_automaton(d)))
+        for (states, letters, reference), (key, out, nxt) in zip(sides, keyed):
+            assert key == _level2_key(reference)
+            automaton = _automaton_from_rows(states, letters, out, nxt)
+            assert automaton == reference
+
+
+def test_survey_refuses_more_than_256_corners():
+    with pytest.raises(ResourceCapExceeded):
+        survey_level_growth(Alphabet.with_adjacent_pairs(18), Alphabet.with_adjacent_pairs(16))
+
+
 def test_walk_state_is_freed_when_the_walk_ends():
     # the recursive walk must keep none of its state alive in a reference
-    # cycle: with the collector paused through a whole T4 x T4 walk, a full
-    # collection afterwards finds nothing of it
+    # cycle: with the collector paused through a whole T4 x T4 walk, and
+    # through a survey on it, a full collection afterwards finds nothing
+    # of either
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -81,9 +109,11 @@ def test_walk_state_is_freed_when_the_walk_ends():
     try:
         for _ in enumerate_complete_data(A4, A4):
             pass
+        survey_level_growth(A4, A4)
         gc.collect()
         left = [o for o in gc.garbage
-                if "enumerate_complete_data" in getattr(o, "__qualname__", "")]
+                if any(name in getattr(o, "__qualname__", "")
+                       for name in ("enumerate_complete_data", "_walk"))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
