@@ -30,7 +30,7 @@ from .errors import (
     TowerTooShort,
     UnknownEntry,
 )
-from .localaction import DEFAULT_DEPTH, tower, tower_report
+from .localaction import DEFAULT_DEPTH, DISCRETE, NO_STABILIZATION, tower, tower_report
 from .permcore import PermGroup, group_from_raw
 from .pipeline import (
     AnalysisCaps,
@@ -117,9 +117,9 @@ def _render_side(label: str, r: SideReport) -> list[str]:
     elif r.s_order is not None:
         lines.append(f"  |S| = {r.s_order}")
     verdict = r.discreteness
-    if verdict.kind == "discrete":
+    if verdict.kind == DISCRETE:
         lines.append(f"  discreteness: tower stabilizes at depth {verdict.at} (discrete)")
-    elif verdict.kind == "no_stabilization":
+    elif verdict.kind == NO_STABILIZATION:
         lines.append(f"  discreteness: no stabilization up to depth {verdict.at} "
                      "(non-discreteness evidence)")
     else:

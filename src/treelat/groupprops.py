@@ -1,8 +1,9 @@
 """Property analysis of permutation groups.
 
-Transitivity grades, primitivity (one block refinement per suborbit),
-quasi-primitivity via minimal normal subgroups, almost-simple typing,
-and the section tests that drive the obstruction reports.
+Transitivity grades, primitivity (the smallest block through 0 and one
+point per suborbit, from the stabilizer chain), quasi-primitivity via
+minimal normal subgroups, almost-simple typing, and the section tests
+that drive the obstruction reports.
 
 Everything here is exact.  Almost simple typing and simplicity are first
 proved without listing the group (``_simple_residual``); where that proof
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .permcore import (
     DEFAULT_ENUM_CAP,
+    DRAW_SEED,
     Perm,
     PermGroup,
     StabilizerChain,
@@ -47,9 +49,8 @@ from .permcore import (
 )
 
 DEFAULT_SECTION_CAP = 2_000
-# random draws: each call seeds its own generator with _DRAW_SEED, so every
-# report is reproducible; the other constants bound the draws of one call
-_DRAW_SEED = 0
+# each call seeds its own generator with permcore.DRAW_SEED; these bound
+# the random draws of one call
 _SPECTRUM_DRAWS = 64
 _GENERATOR_PAIRS = 16
 _EMBEDDING_DRAWS = 2_000
@@ -119,44 +120,31 @@ def is_2transitive(g: PermGroup) -> bool:
 # primitivity
 # ---------------------------------------------------------------------------
 
-def _joins_all_points(g: PermGroup, beta: int) -> bool:
-    """Whether the finest g-congruence putting 0 and beta in the same class
-    has only one class (union-find refinement, stopping once it does)."""
-    parent = list(range(g.degree))
-    classes = g.degree - 1
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    parent[beta] = 0
-    queue = [beta]
-    for gamma in queue:
-        if classes == 1:
-            return True
-        delta = find(gamma)
-        for s in g.generators:
-            ra, rb = find(s[gamma]), find(s[delta])
-            if ra != rb:
-                keep, lost = min(ra, rb), max(ra, rb)
-                parent[lost] = keep
-                classes -= 1
-                queue.append(lost)
-    return classes == 1
+def _smallest_block(g: PermGroup, stab: PermGroup, beta: int) -> set[int]:
+    """The smallest block of the transitive group g that contains 0 and
+    beta: the orbit of 0 under <stab, x>, where stab is the stabilizer of
+    0 and x, read off level 0 of g's chain, carries beta to 0."""
+    x = g.chain().transversals[0][beta]
+    return orbit(PermGroup(degree=g.degree, generators=stab.generators + (x,)), 0)
 
 
 def is_primitive(g: PermGroup) -> bool:
     """Whether the transitive group g has no block system but the trivial
     ones; NotTransitive when g is not transitive.
 
-    An element h fixing 0 maps the finest congruence joining 0 and beta
-    onto the one joining 0 and h(beta), so one beta per suborbit (orbit of
-    the stabilizer of 0) decides; the check stops at the first beta whose
-    class of 0 is not the whole point set.
+    The smallest block through 0 and beta.  Let G_0 be the stabilizer of
+    0, x an element carrying beta to 0, and H = <G_0, x>; 0^H holds 0 and
+    x⁻¹(0) = beta.  A block B containing 0 and beta is mapped to itself by
+    G_0, which fixes 0 in B, and by x, which sends beta in B to 0 in B;
+    so B contains 0^H.  And 0^H is itself a block: if y(0^H) meets 0^H,
+    say y(h1(0)) = h2(0) with h1, h2 in H, then h2⁻¹·y·h1 fixes 0, so it
+    lies in G_0 <= H; hence y is in H and y(0^H) = 0^H.  So 0^H is the
+    smallest block containing 0 and beta, and g is primitive exactly when
+    it is all points for every beta.
+
+    An element h fixing 0 maps the smallest block through 0 and beta onto
+    the one through 0 and h(beta), so one beta per suborbit (orbit of G_0)
+    decides; the check stops at the first beta whose block is proper.
     """
     if not is_transitive(g):
         raise NotTransitive("primitivity is defined for transitive groups")
@@ -165,7 +153,7 @@ def is_primitive(g: PermGroup) -> bool:
     for beta in range(1, g.degree):
         if beta in decided:
             continue
-        if not _joins_all_points(g, beta):
+        if len(_smallest_block(g, stab, beta)) < g.degree:
             return False
         decided |= orbit(stab, beta)
     return True
@@ -187,12 +175,10 @@ def minimal_normal_subgroups(g: PermGroup,
     Normal closure is constant on conjugacy classes, so only one closure per
     class is computed.
     """
-    n = order(g)
-    if n > enum_cap:
-        raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
-    if n == 1:
+    _check_enum_cap(g, enum_cap)
+    if order(g) == 1:
         return []
-    reps = conjugacy_class_representatives(g)
+    reps = conjugacy_class_representatives(g, g.chain().elements())
     closures: list[PermGroup] = []
     for rep in reps:
         if is_identity(rep):
@@ -395,7 +381,7 @@ def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> se
 def _draws_then_elements(chain: StabilizerChain) -> Iterator[Perm]:
     """_SPECTRUM_DRAWS seeded random elements of the chain's group, then
     all its elements, listed only if the caller reads past the draws."""
-    rng = random.Random(_DRAW_SEED)
+    rng = random.Random(DRAW_SEED)
     for _ in range(_SPECTRUM_DRAWS):
         yield chain.random_element(rng)
     yield from chain.elements()
@@ -488,7 +474,7 @@ def _embeds(m: PermGroup, om: int, s: PermGroup) -> bool:
     an injective homomorphism keeps the order of every word, so the filter
     drops no tuple that would pass.  False proves nothing.
     """
-    rng = random.Random(_DRAW_SEED)
+    rng = random.Random(DRAW_SEED)
     gens = _two_generators(m, om, rng)
     wanted = [element_order(g) for g in gens]
     words = _word_orders(gens[0], gens[1])
@@ -528,7 +514,7 @@ def _quotient_search(m: PermGroup, om: int, p: PermGroup) -> bool:
     chain orders decide a tuple, and that the search is complete, is in
     section_exact_small's docstring.
     """
-    gens = _two_generators(m, om, random.Random(_DRAW_SEED))
+    gens = _two_generators(m, om, random.Random(DRAW_SEED))
     words = _word_orders(gens[0], gens[1])
     elements = p.chain().elements()
     ranges = [conjugacy_class_representatives(p, elements)]

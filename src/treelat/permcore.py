@@ -69,10 +69,11 @@ from .errors import (
 DEFAULT_ENUM_CAP = 1_000_000
 # the most points a permutation the engine builds or reads may move
 DEGREE_BOUND = 1_000_000
-# normal_closure's random phase seeds its own generator with _CLOSURE_SEED
-# on each call, so every chain and report is reproducible, and completes
-# its chain after _CLOSURE_MISSES draws in a row sift to the identity
-_CLOSURE_SEED = 0
+# every call that draws random elements (normal_closure's random phase,
+# groupprops' section tests) seeds its own generator with DRAW_SEED, so
+# every chain and report is reproducible; normal_closure completes its
+# chain after _CLOSURE_MISSES draws in a row sift to the identity
+DRAW_SEED = 0
 _CLOSURE_MISSES = 4
 
 Perm = tuple[int, ...]
@@ -551,7 +552,7 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
         ambient = g.chain()
         target = ambient.order()
         ident = chain._identity
-        rng = random.Random(_CLOSURE_SEED)
+        rng = random.Random(DRAW_SEED)
         r = ident
         misses = 0
         while misses < _CLOSURE_MISSES:
@@ -598,17 +599,13 @@ def derived_series(g: PermGroup) -> list[PermGroup]:
     return series
 
 
-def conjugacy_class_representatives(g: PermGroup,
-                                    elements: Optional[list[Perm]] = None) -> list[Perm]:
-    """One representative image tuple per conjugacy class of g.
+def conjugacy_class_representatives(g: PermGroup, elements: list[Perm]) -> list[Perm]:
+    """One representative image tuple per conjugacy class of g, whose
+    elements, g.chain().elements(), the caller passes as `elements`.
 
     Classes are found by closing the element set under conjugation by the
     generators; deterministic because elements() order is deterministic.
-    A caller that already holds g.chain().elements() passes it as
-    `elements`, and g is not listed again.
     """
-    if elements is None:
-        elements = g.chain().elements()
     conjugators = [(x, inverse(x)) for x in g.generators]
     # the elements not yet in a class; holding the listed tuples rather than
     # the conjugates found keeps one copy of each element alive, not two

@@ -7,6 +7,7 @@ from treelat import catalog, groupprops
 from treelat.errors import (
     NotNormal,
     NotTransitive,
+    PreconditionFailed,
     TooLarge,
 )
 from treelat.groupprops import (
@@ -126,29 +127,57 @@ def test_primitivity_matches_oracle(suite):
         assert is_primitive(g) == primitive_bruteforce(g.generators, g.degree), g.name
 
 
+def _smallest_blocks(g):
+    """beta -> groupprops._smallest_block(g, G_0, beta) for every beta != 0."""
+    stab = point_stabilizer(g)
+    return {beta: groupprops._smallest_block(g, stab, beta) for beta in range(1, g.degree)}
+
+
 def test_every_minimal_system_is_invariant(suite):
-    # the refinement from beta stops short of the whole point set exactly
-    # when some invariant partition the oracle lists puts 0 and beta in
-    # one block, i.e. when the minimal system through 0 and beta is proper
-    for g in suite:
-        if g.degree < 2 or not is_transitive(g):
+    # the smallest block through 0 and beta is the intersection of the
+    # blocks through 0 and beta of the invariant partitions the oracle
+    # lists, or all points when none puts them together; on the groups of
+    # test_primitivity_matches_oracle
+    imprimitive = 0
+    for g in fast_path_cases(suite):
+        if g.degree < 2 or g.degree > 12 or not is_transitive(g):
             continue
         oracle = invariant_partitions_bruteforce(g.generators, g.degree)
-        for beta in range(1, g.degree):
-            joined = [p for p in oracle if any(0 in b and beta in b for b in p)]
-            assert groupprops._joins_all_points(g, beta) == (not joined), (g.name, beta)
+        for beta, block in _smallest_blocks(g).items():
+            expected = set(range(g.degree))
+            for partition in oracle:
+                for b in partition:
+                    if 0 in b and beta in b:
+                        expected &= set(b)
+            assert block == expected, (g.name, beta)
         assert is_primitive(g) == (not oracle), g.name
+        imprimitive += bool(oracle)
+    assert imprimitive == 8
 
 
-def test_primitivity_runs_one_refinement_per_suborbit(monkeypatch):
+def test_smallest_block_past_the_oracle_degree():
+    # C2 wr S8 on 16 points, point 2i+j for (i, j): the pairs {2i, 2i+1}
+    # form the only block system, and 0, 2 lie in different pairs
+    swap = from_cycles(16, [(0, 1)])
+    cycle = from_cycles(16, [tuple(range(0, 16, 2)), tuple(range(1, 16, 2))])
+    transposition = from_cycles(16, [(0, 2), (1, 3)])
+    g = perm_group([swap, cycle, transposition], name="C2wrS8")
+    assert order(g) == 2 ** 8 * 40320
+    blocks = _smallest_blocks(g)
+    assert blocks[1] == {0, 1}
+    assert blocks[2] == set(range(16))
+    assert not is_primitive(g)
+
+
+def test_primitivity_runs_one_block_per_suborbit(monkeypatch):
     calls = []
-    joins = groupprops._joins_all_points
+    smallest_block = groupprops._smallest_block
 
-    def counted(g, beta):
+    def counted(g, stab, beta):
         calls.append(beta)
-        return joins(g, beta)
+        return smallest_block(g, stab, beta)
 
-    monkeypatch.setattr(groupprops, "_joins_all_points", counted)
+    monkeypatch.setattr(groupprops, "_smallest_block", counted)
     # the stabilizer of 0 in A9 is transitive on the other 8 points
     assert is_primitive(alternating_group(9))
     assert calls == [1]
@@ -507,6 +536,15 @@ def test_section_exact_overflow_unknown():
     s = point_stabilizer(mathieu_group_12())
     assert order(s) == 7920
     assert section_exact_small(alternating_group(5), s) == UNKNOWN
+
+
+def test_section_exact_requires_a_simple_nontrivial_m():
+    s6 = symmetric_group(6)
+    for m in (symmetric_group(4), trivial_group(6), cyclic_group(4), symmetric_group(5)):
+        with pytest.raises(PreconditionFailed):
+            section_exact_small(m, s6)
+    # a cyclic group of prime order is simple, and 5 divides |S6|
+    assert section_exact_small(cyclic_group(5), s6) == YES
 
 
 def test_section_exact_c2_in_s3():
