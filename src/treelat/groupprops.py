@@ -170,27 +170,24 @@ def _subgroup_leq(a: PermGroup, b: PermGroup) -> bool:
 def minimal_normal_subgroups(g: PermGroup,
                              enum_cap: int = DEFAULT_ENUM_CAP) -> list[PermGroup]:
     """Minimal elements, under containment, of the normal closures of single
-    non-identity elements; these are exactly the minimal normal subgroups.
+    non-identity elements; these are exactly the minimal normal subgroups,
+    sorted by order.
 
     Normal closure is constant on conjugacy classes, so only one closure per
-    class is computed.
+    class is computed.  The closures are taken by order, and one is kept
+    when no closure already kept lies in it.  The first copy of each minimal
+    normal M is kept: a kept closure inside M is normal and nontrivial, so
+    it is M, an earlier copy.  A kept c contains no normal N with 1 < N < c:
+    N contains some minimal normal M, whose first copy is kept before c.
     """
     _check_enum_cap(g, enum_cap)
-    if order(g) == 1:
-        return []
     reps = conjugacy_class_representatives(g, g.chain().elements())
-    closures: list[PermGroup] = []
-    for rep in reps:
-        if is_identity(rep):
-            continue
-        nc = normal_closure(g, [rep])
-        if not any(order(c) == order(nc) and _subgroup_leq(c, nc) for c in closures):
-            closures.append(nc)
-    minimal = []
+    closures = sorted((normal_closure(g, [rep]) for rep in reps if not is_identity(rep)),
+                      key=order)
+    minimal: list[PermGroup] = []
     for c in closures:
-        if not any(order(d) < order(c) and _subgroup_leq(d, c) for d in closures):
+        if not any(_subgroup_leq(k, c) for k in minimal):
             minimal.append(c)
-    minimal.sort(key=order)
     return minimal
 
 
@@ -296,8 +293,6 @@ def is_simple(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
     nothing is enumerated.  Otherwise g is simple exactly when its minimal
     normal subgroups are g alone."""
     n = order(g)
-    if n == 1:
-        return False
     d = _simple_residual(g, enum_cap)
     if d is not None:
         return order(d) == n

@@ -3,7 +3,9 @@
 Each file in tests/goldens/ is the stdout of one CLI call: `analyze --json`
 on datum and pair input, `validate --json` on a valid and a broken datum,
 `tower` and `bound`.  Regenerate a file only when a report is meant to
-change, and say why in the change.
+change, and say why in the change.  CI also runs this module against the
+installed package, from outside the checkout, so a new golden needs only
+a case here.
 """
 
 import json
@@ -67,6 +69,11 @@ OTHER_CASES = ("validate_commuting_t4x4", "validate_broken_oriented",
                "tower_growth_h4", "bound_13_2")
 # the exit code of each case that does not exit with 0
 EXIT_CODES = {"validate_broken_oriented": 1}
+
+
+def test_every_golden_file_has_a_case():
+    # a golden file with no case would be checked nowhere
+    assert sorted(p.stem for p in GOLDENS.glob("*.json")) == sorted(CASES + OTHER_CASES)
 
 
 @pytest.mark.parametrize("case", CASES)
