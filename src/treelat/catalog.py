@@ -1,19 +1,16 @@
 """Bundled catalog: example inputs, their provenance, and golden summaries.
 
-Each datum and raw-group entry is built by its own builder and shipped as
-`data/<name>.json`; the test suite checks every file against its builder
-(the Mathieu group's order, for instance, is recomputed by the BSGS engine
-at test time).  A pair entry names two bundled raw groups and ships no file
-of its own.  The tool ships nothing it cannot verify and fabricates
-nothing: square tables published elsewhere in the literature are not
-reproduced here.
+Each datum and raw-group entry has its own builder, which builds the
+entry's document on every load (the Mathieu group's order, for instance, is
+recomputed by the BSGS engine at test time).  A pair entry names two
+bundled raw groups and has no document of its own.  The tool ships nothing
+it cannot verify and fabricates nothing: square tables published elsewhere
+in the literature are not reproduced here.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Optional
 
 from .errors import UnknownEntry
@@ -42,7 +39,7 @@ class CatalogEntry:
     description: str
     expected: Optional[dict] = None
     members: tuple[str, ...] = ()  # for raw_group_pair entries
-    # builds the datum or raw group behind data/<name>.json; None for pairs
+    # builds the datum or raw group behind load_document; None for pairs
     build: Optional[Callable[[], VhDatum | PermGroup]] = None
 
 
@@ -163,28 +160,24 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 def load_document(name: str) -> dict:
-    """The bundled JSON document of a datum or raw-group entry."""
+    """The JSON document of a datum or raw-group entry, built by its builder.
+
+    A raw group is named after its entry (`a6_natural`, not the builder's
+    "A6"), and the keys come in sorted order.
+    """
     entry = get_entry(name)
     if entry.kind == RAW_GROUP_PAIR:
         raise UnknownEntry(
             f"catalog entry {name!r} is a pair of bundled groups, not a document; "
             f"run `treelat analyze --pair {' '.join(entry.members)}`")
-    text = resources.files("treelat.data").joinpath(f"{name}.json").read_text()
-    return json.loads(text)
+    built = entry.build()
+    if entry.kind == DATUM:
+        doc = serialize_datum(built)
+    else:
+        doc = group_to_raw(
+            PermGroup(degree=built.degree, generators=built.generators, name=entry.name))
+    return dict(sorted(doc.items()))
 
 
 def load_group(name: str) -> PermGroup:
     return group_from_raw(load_document(name))
-
-
-def regenerate_documents() -> dict[str, dict]:
-    """The documents the bundled data files must contain, built from scratch."""
-    documents = {}
-    for entry in _ENTRIES:
-        if entry.kind == DATUM:
-            documents[f"{entry.name}.json"] = serialize_datum(entry.build())
-        elif entry.kind == RAW_GROUP:
-            g = entry.build()
-            documents[f"{entry.name}.json"] = group_to_raw(
-                PermGroup(degree=g.degree, generators=g.generators, name=entry.name))
-    return documents

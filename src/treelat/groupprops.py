@@ -610,6 +610,8 @@ def solvable_outer_check(p: PermGroup, m: PermGroup) -> bool:
 
     This operationalizes solvability of S/(S∩M) without forming the
     quotient: the series of S eventually landing inside M∩S is equivalent.
+    The terms of the series decrease, so some term lies in M∩S exactly
+    when the last one does, and only the last is tested.
     """
     if not is_normal_in(m, p):
         raise NotNormal("m is not normal in p")
@@ -618,7 +620,4 @@ def solvable_outer_check(p: PermGroup, m: PermGroup) -> bool:
     s = point_stabilizer(p)
     m_cap_s = point_stabilizer(m)
     chain = m_cap_s.chain()
-    for term in derived_series(s):
-        if all(chain.contains(q) for q in term.generators):
-            return True
-    return False
+    return all(chain.contains(q) for q in derived_series(s)[-1].generators)

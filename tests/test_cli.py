@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from treelat import catalog
-from treelat.cli import main
+from treelat.cli import _print_json, main
 from treelat.permcore import (
     DEGREE_BOUND,
     alternating_group,
@@ -470,13 +470,8 @@ def test_catalog_show_unknown(capsys):
 # bundled payload integrity
 # ---------------------------------------------------------------------------
 
-def test_catalog_ships_one_file_per_non_pair_entry():
-    entries = catalog.entries()
-    files = {f"{e.name}.json" for e in entries if e.kind != catalog.RAW_GROUP_PAIR}
-    assert set(catalog.regenerate_documents()) == files
-    data_dir = Path(catalog.__file__).parent / "data"
-    assert {p.name for p in data_dir.iterdir()} == files
-    for entry in entries:
+def test_catalog_pairs_name_two_raw_groups():
+    for entry in catalog.entries():
         if entry.kind == catalog.RAW_GROUP_PAIR:
             assert len(entry.members) == 2
             for member in entry.members:
@@ -494,11 +489,16 @@ def test_every_bundled_payload_parses_and_validates():
             group_from_raw(doc)
 
 
-def test_bundled_files_match_programmatic_builders():
-    regenerated = catalog.regenerate_documents()
-    for filename, doc in regenerated.items():
-        name = filename.removesuffix(".json")
-        assert catalog.load_document(name) == doc
+def test_catalog_documents_have_sorted_keys_and_show_prints_them(capsys):
+    for entry in catalog.entries():
+        if entry.kind == catalog.RAW_GROUP_PAIR:
+            continue
+        doc = catalog.load_document(entry.name)
+        assert list(doc) == sorted(doc)
+        code, out, _ = run(capsys, "catalog", "show", entry.name)
+        assert code == 0
+        _print_json(doc)
+        assert out.split("payload:\n", 1)[1] == capsys.readouterr().out
 
 
 def test_bundled_datum_files_round_trip_byte_normalized():

@@ -34,8 +34,10 @@ from treelat.permcore import (
     PermGroup,
     StabilizerChain,
     alternating_group,
+    compose,
     from_cycles,
     induced_action_on_pairs,
+    inverse,
     order,
     perm_group,
     point_stabilizer,
@@ -879,6 +881,22 @@ def test_solvable_outer_group_by_itself():
     assert solvable_outer_check(a6, a6)
     a5 = alternating_group(5)
     assert solvable_outer_check(a5, a5)
+
+
+def test_solvable_outer_fails_when_the_stabilizer_quotient_is_a5():
+    # A5 x A5 on the 60 elements of A5 by y -> x.y.z^-1, with M the left
+    # factor: S, the stabilizer of a point, is a diagonal A5, M acts
+    # regularly so M∩S is trivial, and S/(S∩M) ≅ A5 is not solvable
+    a5 = alternating_group(5)
+    elements = a5.chain().elements()
+    index = {y: i for i, y in enumerate(elements)}
+    left = [tuple(index[compose(x, y)] for y in elements) for x in a5.generators]
+    right = [tuple(index[compose(y, inverse(z))] for y in elements)
+             for z in a5.generators]
+    p = perm_group(left + right, degree=60)
+    m = perm_group(left, degree=60)
+    assert order(p) == 3600
+    assert not solvable_outer_check(p, m)
 
 
 def test_solvable_outer_not_normal():
