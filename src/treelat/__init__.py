@@ -16,7 +16,7 @@ from .permcore import (
     perm_group,
 )
 from .vhcomplex import VhDatum, dual, parse_datum, serialize_datum, validate
-from .localaction import local_group, tower, discreteness_verdict
+from .localaction import tower, discreteness_verdict
 from .pipeline import (
     AnalysisCaps,
     WangReport,
@@ -41,7 +41,6 @@ __all__ = [
     "dual",
     "enumerate_complete_data",
     "inverse",
-    "local_group",
     "parse_datum",
     "perm_group",
     "serialize_datum",

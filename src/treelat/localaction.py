@@ -125,13 +125,6 @@ def local_groups(aut: MealyAutomaton, depth: int) -> Iterator[PermGroup]:
         yield below
 
 
-def local_group(d: VhDatum, side: str, k: int) -> PermGroup:
-    """The group of permutations of the depth-k sphere words generated by
-    the states of the other side's automaton."""
-    *_, group = local_groups(automaton_for_side(d, side), k)
-    return group
-
-
 def _kernel_order(group: PermGroup, q: int, k: int, below: int) -> int:
     """|K_k| from one chain of P_{k+1} = `group` on its fibres of q words,
     whose own order, |P_k|, must equal `below`."""

@@ -11,6 +11,7 @@ say so.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -362,7 +363,10 @@ def wang_index_bound(vol_ratio: Ratio) -> WangIndexBound:
     """N = floor(vol_ratio) and the (N-1)! bound on the index of the kernel
     of the coset action inside the lattice."""
     if vol_ratio < 1:
-        raise RatioBelowOne(f"covolume ratio must be >= 1, got {float(vol_ratio)}")
+        # shown as a float: str() of a long denominator is refused, and a
+        # ratio below the float range is shown as -inf
+        shown = float(vol_ratio) if vol_ratio > -sys.float_info.max else -math.inf
+        raise RatioBelowOne(f"covolume ratio must be >= 1, got {shown}")
     n = math.floor(vol_ratio)
     if n > INDEX_BOUND_MAX_N:
         raise RatioTooLarge(f"N = floor(ratio) exceeds the index-bound cap {INDEX_BOUND_MAX_N}")

@@ -15,7 +15,6 @@ lists and keys them there; it builds a datum only for its record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -151,12 +150,6 @@ def _key(involution: bytes, out: bytes, nxt: bytes) -> bytes:
     return involution + out + b"".join([rows[t] for t in nxt])
 
 
-def _level2_key(aut: MealyAutomaton) -> bytes:
-    """The key of an automaton; see `_key`."""
-    return _key(bytes(aut.letters.involution), bytes(chain.from_iterable(aut.out)),
-                bytes(chain.from_iterable(aut.nxt)))
-
-
 def _automaton_from_rows(states: Alphabet, letters: Alphabet, out: bytes,
                          nxt: bytes) -> MealyAutomaton:
     """The automaton of the flat rows `out` and `nxt`, as in `_key`."""
@@ -201,7 +194,7 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
     nxt[a][b] = img[a*m + b] // m.  The vertical one has
     out[b][a] = pre[a*m + b] // m and nxt[b][a] = pre[a*m + b] % m.
 
-    |P1| and |P2| are computed once per distinct `_level2_key` of the two
+    |P1| and |P2| are computed once per distinct `_key` of the two
     automata of each datum.  P1's generators are the `out` rows.  P2's
     generator for state s is assembled from the involution, out[s] and the
     rows out[t] for t = nxt[s][x], which are P1's generators t; the

@@ -246,10 +246,11 @@ def vertical_automaton(d: VhDatum) -> MealyAutomaton:
 
 
 def horizontal_automaton(d: VhDatum) -> MealyAutomaton:
-    """Dual construction: states are horizontal letters acting on vertical
-    words, row a sends b to b2 with next state a2, from a . b = b2 . a2."""
-    return _automaton(d.horiz, d.vert,
-                      ((a, b, b2, a2) for a, b, a2, b2 in d.squares))
+    """States are horizontal letters acting on vertical words, row a sends
+    b to b2 with next state a2, from a . b = b2 . a2: the vertical
+    automaton of the dual datum, whose square (b2, a2, b, a) gives that
+    move."""
+    return vertical_automaton(dual(d))
 
 
 def automaton_for_side(d: VhDatum, side: str) -> MealyAutomaton:
@@ -340,43 +341,28 @@ def _involution_pairs(alphabet: Alphabet) -> list[list[int]]:
     return [[i, alphabet.inv(i)] for i in range(alphabet.size) if i < alphabet.inv(i)]
 
 
-def serialize_datum(d: VhDatum, oriented: bool = False) -> dict:
-    """Inverse of parse_datum up to square ordering.
-
-    By default emits canonical geometric representatives (the smallest
-    tuple of each orientation orbit); falls back to the full oriented list
-    when the square set is not orientation-closed.
-    """
-    squares: list[Square]
-    emit_oriented = oriented
-    if not oriented:
-        square_set = set(d.squares)
-        reps = []
-        seen: set[Square] = set()
-        closed = True
-        for sq in d.squares:
-            if sq in seen:
-                continue
-            orbit = _orientation_orbit(d.horiz, d.vert, sq)
-            if not orbit <= square_set:
-                closed = False
-                break
-            seen.update(orbit)
-            reps.append(min(orbit))
-        if closed and len(seen) == len(d.squares):
-            squares = sorted(reps)
-        else:
-            emit_oriented = True
-            squares = list(d.squares)
-    else:
-        squares = list(d.squares)
+def serialize_datum(d: VhDatum) -> dict:
+    """Inverse of parse_datum up to square ordering: the geometric squares,
+    the smallest tuple of each orientation orbit, in sorted order.  A square
+    set that lists a square twice, or is not orientation-closed, has no
+    geometric form and is refused with InvalidDatum."""
+    square_set = set(d.squares)
+    if len(square_set) != len(d.squares):
+        raise InvalidDatum("a square is listed twice; no geometric form")
+    squares: set[Square] = set()
+    for sq in d.squares:
+        orbit = _orientation_orbit(d.horiz, d.vert, sq)
+        if not orbit <= square_set:
+            raise InvalidDatum(f"not orientation-closed: {sq} present but "
+                               f"{min(orbit - square_set)} missing; no geometric form")
+        squares.add(min(orbit))
     doc = {
         "n": d.n,
         "m": d.m,
         "h_involution": _involution_pairs(d.horiz),
         "v_involution": _involution_pairs(d.vert),
-        "oriented": emit_oriented,
-        "squares": [list(sq) for sq in squares],
+        "oriented": False,
+        "squares": [list(sq) for sq in sorted(squares)],
     }
     if d.name is not None:
         doc["name"] = d.name

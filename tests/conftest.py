@@ -16,9 +16,15 @@ from treelat.permcore import (
     symmetric_group,
     trivial_group,
 )
-from treelat.localaction import tower
+from treelat.localaction import local_groups, tower
 from treelat.survey import enumerate_complete_data
-from treelat.vhcomplex import Alphabet, VhDatum, vertical_automaton
+from treelat.vhcomplex import (
+    Alphabet,
+    VhDatum,
+    automaton_for_side,
+    serialize_datum,
+    vertical_automaton,
+)
 
 SUITE_SEED = 20260808
 
@@ -68,6 +74,20 @@ def chain_builds(monkeypatch) -> list:
 def cyclic_group(n: int) -> PermGroup:
     return PermGroup(degree=n, generators=(from_cycles(n, [tuple(range(n))]),),
                      name=f"C{n}")
+
+
+def local_group(d: VhDatum, side: str, k: int) -> PermGroup:
+    """The group of permutations of the depth-k sphere words generated by
+    the states of the other side's automaton."""
+    *_, group = local_groups(automaton_for_side(d, side), k)
+    return group
+
+
+def oriented_document(d: VhDatum) -> dict:
+    """The datum document listing all of d's oriented squares, with
+    `"oriented": true`."""
+    return {**serialize_datum(d), "oriented": True,
+            "squares": [list(sq) for sq in d.squares]}
 
 
 def first_nontrivial_datum(horiz: Alphabet, vert: Alphabet) -> Optional[VhDatum]:

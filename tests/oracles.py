@@ -5,8 +5,10 @@ products, block systems come from enumerating every equal-size partition,
 and the normal-subgroup lattice from enumerating every subgroup.  Local
 groups on tree spheres come from listing the reduced words and rewriting
 each one letter by letter, and complete data from a walk over the corner
-map that keeps corners and images as pairs in dicts.  These are the
-reference answers the engine is checked against.
+map that keeps corners and images as pairs in dicts.  Automaton rows are
+read straight off a datum's squares, and the survey's key straight off an
+automaton's rows.  These are the reference answers the engine is checked
+against.
 """
 
 from __future__ import annotations
@@ -337,6 +339,25 @@ def local_group_generators(aut, k) -> tuple[tuple[int, ...], ...]:
     index = {w: i for i, w in enumerate(words)}
     return tuple(tuple(index[act_word(aut, s, w)] for w in words)
                  for s in range(aut.states.size))
+
+
+def horizontal_rows(d):
+    """The `out` and `nxt` rows of the horizontal automaton, read straight
+    off the squares: a square (a, b, a2, b2) reads a . b = b2 . a2, so
+    state a sends letter b to b2 and moves to a2."""
+    out = [[None] * d.m for _ in range(d.n)]
+    nxt = [[None] * d.m for _ in range(d.n)]
+    for a, b, a2, b2 in d.squares:
+        out[a][b], nxt[a][b] = b2, a2
+    return tuple(map(tuple, out)), tuple(map(tuple, nxt))
+
+
+def level2_key(aut) -> bytes:
+    """The survey's key of an automaton: the letter involution, the `out`
+    rows, and for each state s and letter x the row out[nxt[s][x]]."""
+    return bytes([*aut.letters.involution,
+                  *(y for row in aut.out for y in row),
+                  *(y for moves in aut.nxt for t in moves for y in aut.out[t])])
 
 
 def complete_data_walk(horiz, vert):

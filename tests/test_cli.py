@@ -19,7 +19,7 @@ from treelat.permcore import (
 )
 from treelat.vhcomplex import commuting_datum, parse_datum, serialize_datum, validate
 
-from conftest import growth_datum
+from conftest import growth_datum, oriented_document
 
 
 @pytest.fixture()
@@ -50,10 +50,8 @@ def test_validate_ok(capsys, commuting_file):
 
 
 def test_validate_corrupted_datum(capsys, tmp_path):
-    doc = catalog.load_document("commuting_t4x4")
-    doc["oriented"] = True
     d = parse_datum(catalog.load_document("commuting_t4x4"))
-    oriented = serialize_datum(d, oriented=True)
+    oriented = oriented_document(d)
     del oriented["squares"][0]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(oriented))
@@ -404,6 +402,12 @@ def test_bound_tiny_ratio_below_one(capsys):
     # be converted to a string
     code, _, err = run(capsys, "bound", "--ratio", "1e-5000")
     assert code == 2 and "must be >= 1" in err
+
+
+def test_bound_ratio_below_the_float_range(capsys):
+    # the message prints the ratio, which is too large for a float
+    code, _, err = run(capsys, "bound", "--ratio=-1e400")
+    assert code == 2 and "must be >= 1" in err and "Traceback" not in err
 
 
 def test_bound_unparseable(capsys):

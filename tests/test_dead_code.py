@@ -1,18 +1,18 @@
-"""Every public top-level function and class of the package is used.
+"""Every top-level function and class of the package is used.
 
-A name counts as used when the package exports it in `treelat.__all__`, or
-when it is referenced, as a name or an attribute, somewhere in
-`src/treelat` or `scripts/` outside its own definition.  Tests do not
-count: code that only tests call belongs in the tests.
+A name counts as used when it is referenced, as a name or an attribute,
+somewhere in `src/treelat`, `scripts/` or the benchmark's own modules
+(`perfbench/*.py`, not its tests) outside its own definition.  Exporting
+a name in `treelat.__all__` does not count, and neither do tests: code
+that only tests call belongs in the tests.
 """
 
 import ast
 from pathlib import Path
 
-import treelat
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "treelat"
+USERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -24,23 +24,27 @@ def _referenced_names(node: ast.AST):
             yield sub.attr
 
 
-def unused_public_definitions() -> list[str]:
+def unused_definitions() -> list[tuple[Path, str]]:
     # name -> the (file, enclosing top-level definition) pairs referring to it
     references: dict[str, set] = {}
-    public = []
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    for path in files:
+    defined = []
+    for path in [path for folder in USERS for path in sorted(folder.glob("*.py"))]:
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
-            if owner and path.parent == PACKAGE and not owner.startswith("_"):
-                public.append((path, owner))
+            if owner and path.parent == PACKAGE:
+                defined.append((path, owner))
             for name in _referenced_names(stmt):
                 references.setdefault(name, set()).add((path, owner))
-    return [f"{path.name}: {name}" for path, name in public
-            if name not in treelat.__all__
-            and not references.get(name, set()) - {(path, name)}]
+    return [(path, name) for path, name in defined
+            if not references.get(name, set()) - {(path, name)}]
 
 
 def test_no_unused_public_definitions():
-    assert unused_public_definitions() == []
+    assert [f"{path.name}: {name}" for path, name in unused_definitions()
+            if not name.startswith("_")] == []
+
+
+def test_no_unused_private_definitions():
+    assert [f"{path.name}: {name}" for path, name in unused_definitions()
+            if name.startswith("_")] == []

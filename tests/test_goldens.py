@@ -18,7 +18,7 @@ from treelat.cli import main
 from treelat.permcore import alternating_group, group_to_raw, symmetric_group
 from treelat.vhcomplex import parse_datum, serialize_datum
 
-from conftest import growth_datum
+from conftest import growth_datum, oriented_document
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -40,8 +40,7 @@ def golden_argv(case: str, tmp_path: Path) -> list[str]:
         return ["validate", "commuting_t4x4", "--json"]
     if case == "validate_broken_oriented":
         # the commuting datum's oriented squares, one of them missing
-        doc = serialize_datum(parse_datum(catalog.load_document("commuting_t4x4")),
-                              oriented=True)
+        doc = oriented_document(parse_datum(catalog.load_document("commuting_t4x4")))
         del doc["squares"][0]
         return ["validate", _write(tmp_path, case, doc), "--json"]
     if case == "tower_growth_h4":

@@ -19,7 +19,6 @@ from treelat.localaction import (
     _kernel_order,
     _local_group_from_automaton,
     discreteness_verdict,
-    local_group,
     local_groups,
     sphere_index,
     tower,
@@ -36,7 +35,7 @@ from treelat.vhcomplex import (
     vertical_automaton,
 )
 
-from conftest import first_nontrivial_datum, growth_datum
+from conftest import first_nontrivial_datum, growth_datum, local_group
 from oracles import act_word, closure_elements, local_group_generators, sphere_words
 
 A4 = Alphabet.with_adjacent_pairs(4)

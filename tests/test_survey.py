@@ -5,13 +5,13 @@ from itertools import product
 
 import pytest
 
-from oracles import complete_data_walk
+from conftest import local_group
+from oracles import complete_data_walk, level2_key
 from treelat import localaction
 from treelat.errors import ResourceCapExceeded
-from treelat.localaction import local_group, local_groups, tower
+from treelat.localaction import local_groups, tower
 from treelat.survey import (
     _automaton_from_rows,
-    _level2_key,
     _orbit_table,
     _walk_keys,
     enumerate_complete_data,
@@ -87,7 +87,7 @@ def test_walk_keys_match_the_reference_automata(horiz, vert):
     for (_, *keyed), d in zip(walked, data):
         sides = ((vert, horiz, vertical_automaton(d)), (horiz, vert, horizontal_automaton(d)))
         for (states, letters, reference), (key, out, nxt) in zip(sides, keyed):
-            assert key == _level2_key(reference)
+            assert key == level2_key(reference)
             automaton = _automaton_from_rows(states, letters, out, nxt)
             assert automaton == reference
 
@@ -157,7 +157,7 @@ def test_level2_key_fixes_p1_and_p2(h_involution, v_involution, keys):
     for d in enumerate_complete_data(*_alphabets(h_involution, v_involution)):
         for aut in (vertical_automaton(d), horizontal_automaton(d)):
             gens = tuple(group.generators for group in local_groups(aut, 2))
-            seen.setdefault(_level2_key(aut), set()).add(gens)
+            seen.setdefault(level2_key(aut), set()).add(gens)
     assert len(seen) == keys
     assert all(len(gens) == 1 for gens in seen.values())
 

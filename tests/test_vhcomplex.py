@@ -21,7 +21,8 @@ from treelat.vhcomplex import (
     vertical_automaton,
 )
 
-from conftest import first_nontrivial_datum
+from conftest import first_nontrivial_datum, oriented_document
+from oracles import horizontal_rows
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +126,7 @@ def test_round_trip_geometric(commuting):
 
 
 def test_round_trip_oriented(nontrivial):
-    doc = serialize_datum(nontrivial, oriented=True)
+    doc = oriented_document(nontrivial)
     assert doc["oriented"] is True
     assert len(doc["squares"]) == 16
     assert parse_datum(doc).squares == nontrivial.squares
@@ -139,6 +140,15 @@ def test_round_trip_every_enumerated_datum_prefix():
         count += 1
         if count >= 50:
             break
+
+
+def test_serialize_refuses_squares_without_geometric_form(nontrivial):
+    # a square dropped leaves its orientation orbit partly present, and a
+    # square listed twice would be lost in the geometric form
+    for squares in (nontrivial.squares[1:], nontrivial.squares + nontrivial.squares[:1]):
+        broken = VhDatum(horiz=nontrivial.horiz, vert=nontrivial.vert, squares=squares)
+        with pytest.raises(InvalidDatum, match="no geometric form"):
+            serialize_datum(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +297,18 @@ def test_commuting_automata_are_identity(commuting):
         assert va.nxt[s] == (s, s, s, s)
         assert ha.out[s] == (0, 1, 2, 3)
         assert ha.nxt[s] == (s, s, s, s)
+
+
+@pytest.mark.parametrize("n, m, count", [(4, 4, 1564), (2, 4, 26), (4, 2, 26), (2, 2, 4)])
+def test_horizontal_automaton_matches_the_rows_read_off_the_squares(n, m, count):
+    # built from the dual datum's vertical automaton, on every complete datum
+    data = list(enumerate_complete_data(Alphabet.with_adjacent_pairs(n),
+                                        Alphabet.with_adjacent_pairs(m)))
+    assert len(data) == count
+    for d in data:
+        aut = horizontal_automaton(d)
+        assert (aut.states, aut.letters) == (d.horiz, d.vert)
+        assert (aut.out, aut.nxt) == horizontal_rows(d)
 
 
 def test_nontrivial_datum_has_nonidentity_row(nontrivial):
