@@ -96,9 +96,7 @@ def _print_json(value: object) -> None:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _yesno(flag: Optional[bool]) -> str:
-    if flag is None:
-        return "-"
+def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 

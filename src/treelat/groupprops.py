@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DegreeTooSmall,
@@ -39,6 +39,7 @@ from .permcore import (
     conjugacy_class_representatives,
     contains,
     derived_series,
+    derived_subgroup,
     element_order,
     inverse,
     is_identity,
@@ -451,18 +452,24 @@ def _word_orders(a: Perm, b: Perm) -> tuple[int, ...]:
             element_order(compose(compose(inverse(a), b_inv), ab)))
 
 
+def _graph_order(xs: Sequence[Perm], ys: Sequence[Perm]) -> int:
+    """|<(x_i, y_i)>| on the disjoint union of the two point sets."""
+    shift = len(xs[0])
+    return StabilizerChain(shift + len(ys[0]), [x + tuple(shift + i for i in y)
+                                                for x, y in zip(xs, ys)]).order()
+
+
 def _embeds(m: PermGroup, om: int, s: PermGroup) -> bool:
     """Whether a seeded search of _EMBEDDING_DRAWS random elements of s
-    finds images x_i of generators g_i of the nonabelian simple group m
-    (two of them where _two_generators finds a pair) that make g_i ↦ x_i
-    an injective homomorphism; True proves that m is a subgroup of s.
+    finds images x_i of generators g_i of m (two of them where
+    _two_generators finds a pair) that make g_i ↦ x_i an injective
+    homomorphism; True proves that m is a subgroup of s.
 
-    Proof.  D = <(g_i, x_i)> acts on the disjoint union of the two point
-    sets, and its projection onto the first factor maps D onto m.  When
-    |D| = |m| that projection is a bijection, so φ(g) = the second
-    component of its preimage is a homomorphism m -> s with φ(g_i) = x_i.
-    Its kernel is normal in the simple group m, and it is not m, because
-    ord(x_i) = ord(g_i) > 1; so φ is injective and m ≅ φ(m) <= s.
+    Proof.  D = <(g_i, x_i)> on the disjoint union of the two point sets
+    projects onto m and onto <x_i>.  When |D| = |m| = |<x_i>| both
+    projections are bijections, so D is the graph of an isomorphism
+    m ≅ <x_i> <= s.  For a simple m, |D| = |m| already forces the second
+    equality; the chain of <x_i> is built only after the first passes.
 
     Only tuples with ord(x_i) = ord(g_i) and with the orders of a few
     short words in x_1, x_2 equal to those in g_1, g_2 are closed into D:
@@ -474,7 +481,6 @@ def _embeds(m: PermGroup, om: int, s: PermGroup) -> bool:
     wanted = [element_order(g) for g in gens]
     words = _word_orders(gens[0], gens[1])
     chain = s.chain()
-    shift = m.degree
     images: list[Perm] = []
     for _ in range(_EMBEDDING_DRAWS):
         x = chain.random_element(rng)
@@ -483,21 +489,19 @@ def _embeds(m: PermGroup, om: int, s: PermGroup) -> bool:
         images.append(x)
         if len(images) < len(gens):
             continue
-        if _word_orders(images[0], images[1]) == words:
-            d = StabilizerChain(shift + s.degree,
-                                [g + tuple(shift + y for y in x)
-                                 for g, x in zip(gens, images)])
-            if d.order() == om:
-                return True
+        if (_word_orders(images[0], images[1]) == words
+                and _graph_order(gens, images) == om
+                and StabilizerChain(s.degree, images).order() == om):
+            return True
         images = []
     return False
 
 
 def _quotient_search(m: PermGroup, om: int, p: PermGroup) -> bool:
-    """Whether some subgroup of p maps onto the nonabelian simple group m,
-    by an exhaustive search for images x_i in p of generators g_i of m
-    (two of them where _two_generators finds a pair) such that
-    x_i ↦ g_i extends to a homomorphism <x_i> -> m.
+    """Whether some subgroup of p maps onto the perfect group m, by an
+    exhaustive search for images x_i in p of generators g_i of m (two of
+    them where _two_generators finds a pair) such that x_i ↦ g_i extends
+    to a homomorphism <x_i> -> m.
 
     x_1 runs over the conjugacy class representatives of p and every
     other x_i over all of p.  A tuple is closed only when ord(g_i)
@@ -516,17 +520,13 @@ def _quotient_search(m: PermGroup, om: int, p: PermGroup) -> bool:
     ranges += [elements] * (len(gens) - 1)
     candidates = [[x for x in xs if element_order(x) % element_order(g) == 0]
                   for g, xs in zip(gens, ranges)]
-    shift = p.degree
     for images in itertools.product(*candidates):
         if any(wx % wg for wx, wg in zip(_word_orders(images[0], images[1]), words)):
             continue
         ox = StabilizerChain(p.degree, images).order()
         if ox % om:
             continue
-        d = StabilizerChain(shift + m.degree,
-                            [x + tuple(shift + y for y in g)
-                             for x, g in zip(images, gens)])
-        if d.order() == ox:
+        if _graph_order(images, gens) == ox:
             return True
     return False
 
@@ -535,11 +535,14 @@ def section_exact_small(m: PermGroup, s: PermGroup,
                         cap: int = DEFAULT_SECTION_CAP) -> str:
     """Exact section test: is m isomorphic to H/K for some K normal in H <= s?
 
+    m must be of prime order, or nontrivial and perfect, as every simple m
+    is: the proofs below use no more.  PreconditionFailed otherwise.
+
     Decided only when |s| <= cap, where the answer is always "yes" or
     "no"; above the cap it is "unknown".  The steps, in order:
 
-    1. The cheap checks: |m| must divide |s|, an abelian m is answered at
-       once, and above the cap the answer is "unknown".
+    1. The cheap checks: |m| must divide |s|, an m of prime order is then
+       a section (Cauchy), and above the cap the answer is "unknown".
     2. The seeded embedding search _embeds seeks m as a subgroup of s.
        Its "yes" is exact (the proof is in its docstring), with K = 1.
        It cannot refute: a section that is no subgroup (A5 in SL(2,5))
@@ -562,32 +565,41 @@ def section_exact_small(m: PermGroup, s: PermGroup,
     holds every g_i, and <x_i>/kernel ≅ m is a section of p.
 
     Why the search is complete.  When m is a section of s, take H <= p
-    smallest with a quotient H/K ≅ m; it exists by the reduction.  Suppose a maximal subgroup M of H did not contain K.  Then
-    MK = H and M/(M∩K) ≅ MK/K ≅ m, which contradicts minimality.  So K
-    lies in every maximal subgroup of H, K <= Φ(H), and elements y_i of H
-    mapping to the g_i generate H: if <y_i> were proper it would lie in
-    a maximal M, and <y_i>K = H would lie in M too.  So the tuple (y_i)
-    passes the test above, as do its conjugates by any element of p,
-    and it is enough to take x_1 up to conjugacy in p.
+    smallest with a quotient H/K ≅ m; it exists by the reduction.  Suppose
+    a maximal subgroup M of H did not contain K.  Then MK = H and
+    M/(M∩K) ≅ MK/K ≅ m, which contradicts minimality.  So K lies in every
+    maximal subgroup of H, K <= Φ(H), and elements y_i of H mapping to the
+    g_i generate H: if <y_i> were proper it would lie in a maximal M, and
+    <y_i>K = H would lie in M too.  So the tuple (y_i) passes the test
+    above, as do its conjugates by any element of p, and it is enough to
+    take x_1 up to conjugacy in p.
     """
     om = order(m)
-    if om == 1 or not is_simple(m):
-        raise PreconditionFailed("section tests require a simple, non-trivial m")
+    prime = _prime_factors(om) == {om}
+    if not prime and (om == 1 or order(derived_subgroup(m)) != om):
+        raise PreconditionFailed("section tests need m of prime order, or nontrivial and perfect")
     os_ = order(s)
     if os_ % om != 0:
         return NO
-    if is_abelian(m):
-        # m is cyclic of prime order; by Cauchy it is a section of s
-        # exactly when its order divides |s|, which it does here.
+    if prime:
         return YES
     if os_ > cap:
         return UNKNOWN
     if _embeds(m, om, s):
         return YES
     p = derived_series(s)[-1]
-    if order(p) % om:
-        return NO
-    return YES if _quotient_search(m, om, p) else NO
+    return YES if order(p) % om == 0 and _quotient_search(m, om, p) else NO
+
+
+def section_report(m: PermGroup, s: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP,
+                   section_cap: int = DEFAULT_SECTION_CAP) -> SectionReport:
+    """Whether m is a section of s: section_necessary's report, with the
+    exact answer from section_exact_small, whose precondition m must then
+    meet, where the necessary flags all pass and leave it "unknown"."""
+    report = section_necessary(m, s, enum_cap)
+    if report.exact != UNKNOWN:
+        return report
+    return replace(report, exact=section_exact_small(m, s, section_cap))
 
 
 # ---------------------------------------------------------------------------

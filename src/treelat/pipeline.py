@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -30,15 +30,13 @@ from .groupprops import (
     INTRANSITIVE,
     NO,
     NOT_QUASIPRIMITIVE,
-    UNKNOWN,
     QpType,
     SectionReport,
     classify_qp_with_mns,
     is_2transitive,
     is_primitive,
     is_transitive,
-    section_exact_small,
-    section_necessary,
+    section_report,
     solvable_outer_check,
 )
 from .localaction import (
@@ -225,15 +223,6 @@ class Theorem25Report:
     conclusion: Optional[str]
 
 
-def _section_combined(m: PermGroup, s: PermGroup, caps: AnalysisCaps) -> SectionReport:
-    report = section_necessary(m, s, caps.enum_cap)
-    if report.exact == UNKNOWN:
-        exact = section_exact_small(m, s, caps.section_cap)
-        if exact != UNKNOWN:
-            report = replace(report, exact=exact)
-    return report
-
-
 def theorem25_obstruction(r1: SideReport, r2: SideReport,
                           caps: AnalysisCaps = AnalysisCaps()) -> Theorem25Report:
     """Section tests in both directions; the obstruction is established when
@@ -242,8 +231,8 @@ def theorem25_obstruction(r1: SideReport, r2: SideReport,
         raise NotAlmostSimple("section obstruction requires both sides almost simple")
     assert r1.m_group is not None and r2.m_group is not None
     assert r1.s_group is not None and r2.s_group is not None
-    m1_in_s2 = _section_combined(r1.m_group, r2.s_group, caps)
-    m2_in_s1 = _section_combined(r2.m_group, r1.s_group, caps)
+    m1_in_s2 = section_report(r1.m_group, r2.s_group, caps.enum_cap, caps.section_cap)
+    m2_in_s1 = section_report(r2.m_group, r1.s_group, caps.enum_cap, caps.section_cap)
     established = m1_in_s2.exact == NO or m2_in_s1.exact == NO
     conclusion = None
     if established:

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 from .errors import ResourceCapExceeded
 from .localaction import local_groups
 from .permcore import PermGroup, order
-from .vhcomplex import Alphabet, MealyAutomaton, VhDatum
+from .vhcomplex import Alphabet, MealyAutomaton, Square, VhDatum, _orientation_orbit
 
 _Orbit = tuple[tuple[int, int], ...]
 
@@ -31,20 +31,20 @@ def _orbit_table(horiz: Alphabet, vert: Alphabet) -> list[list[_Orbit]]:
 
     A corner (a, b) has index c = a*m + b and an image (a2, b2) index
     i = a2*m + b2.  The pairs are the squares of the orientation orbit of
-    (a, b, a2, b2), each once, and they never clash.  Of the other three
-    squares, one has corner (inv a, b2) and one (a2, inv b), so neither
-    shares the corner (a, b); the third, (inv a2, inv b2, inv a, inv b),
-    does only when a2 = inv a and b2 = inv b, and is then the square
-    itself.  The orbit is that of a group, so this holds between any two of
-    its squares, and for images by the same argument."""
+    (a, b, a2, b2), that square first and each once, and they never clash.
+    Of the other three squares, one has corner (inv a, b2) and one
+    (a2, inv b), so neither shares the corner (a, b); the third,
+    (inv a2, inv b2, inv a, inv b), does only when a2 = inv a and
+    b2 = inv b, and is then the square itself.  The orbit is that of a
+    group, so this holds between any two of its squares, and for images
+    likewise."""
     n, m = horiz.size, vert.size
-    h_inv, v_inv = horiz.involution, vert.involution
-    return [[tuple(dict.fromkeys((
-                (a * m + b, a2 * m + b2),
-                (h_inv[a] * m + b2, h_inv[a2] * m + b),
-                (a2 * m + v_inv[b], a * m + v_inv[b2]),
-                (h_inv[a2] * m + v_inv[b2], h_inv[a] * m + v_inv[b]),
-            ))) for a2 in range(n) for b2 in range(m)]
+
+    def pairs(square: Square) -> _Orbit:
+        orbit = dict.fromkeys((square, *_orientation_orbit(horiz, vert, square)))
+        return tuple((a * m + b, a2 * m + b2) for a, b, a2, b2 in orbit)
+
+    return [[pairs((a, b, a2, b2)) for a2 in range(n) for b2 in range(m)]
             for a in range(n) for b in range(m)]
 
 

@@ -60,6 +60,17 @@ def test_validate_corrupted_datum(capsys, tmp_path):
     assert "violation" in out
 
 
+def test_validate_prints_warnings(capsys, tmp_path):
+    # a 2-letter alphabet is valid, but its tree is a line
+    path = tmp_path / "two_letters.json"
+    path.write_text(json.dumps(oriented_document(commuting_datum(2, 4))))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "ok: 8 oriented squares (2 geometric)",
+        "warning: alphabet of size 2: the corresponding tree is degenerate (a line)"]
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nowhere.json")
     assert code == 2
@@ -146,6 +157,19 @@ def test_analyze_depth_one_tower_too_short(capsys, commuting_file):
     assert code == 2
 
 
+def test_analyze_growth_datum_text(capsys, tmp_path):
+    # neither side is almost simple, so each shows |S| alone, and the
+    # tower grows at every level up to the default depth
+    path = tmp_path / "growth.json"
+    path.write_text(json.dumps(oriented_document(growth_datum())))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines.count("  |S| = 6") == 2
+    assert out.count("discreteness: no stabilization up to depth 5 "
+                     "(non-discreteness evidence)") == 2
+
+
 def test_analyze_pair_entry_names_the_pair_command(capsys):
     code, _, err = run(capsys, "analyze", "pair_a6_a6")
     assert code == 2
@@ -211,6 +235,15 @@ def test_analyze_cap_below_one_is_usage_error(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("flag", ["--enum-cap", "--section-cap"])
+def test_analyze_non_integer_cap_is_usage_error(capsys, flag):
+    code, out, err = run(capsys, "analyze", "--pair", "a6_natural", "s5_on_pairs",
+                         flag, "abc")
+    assert code == 2
+    assert out == ""
+    assert "not an integer: 'abc'" in err
 
 
 def test_analyze_depth_zero_is_usage_error(capsys, commuting_file):
@@ -355,6 +388,20 @@ def test_tower_command(capsys, commuting_file):
     assert doc["verdict"] == {"kind": "discrete", "at": 1}
 
 
+def test_tower_on_an_invalid_datum(capsys, tmp_path):
+    d = parse_datum(catalog.load_document("commuting_t4x4"))
+    oriented = oriented_document(d)
+    del oriented["squares"][0]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(oriented))
+    code, out, err = run(capsys, "tower", str(path), "--side", "h", "--depth", "2")
+    assert code == 1
+    assert out == ""
+    violations = validate(parse_datum(oriented)).violations
+    assert violations
+    assert err.splitlines() == [f"violation: {v}" for v in violations]
+
+
 def test_tower_depth_one_rejected(capsys, commuting_file):
     code, _, err = run(capsys, "tower", str(commuting_file), "--side", "h",
                        "--depth", "1")
@@ -473,6 +520,13 @@ def test_catalog_show_unknown(capsys):
 # ---------------------------------------------------------------------------
 # bundled payload integrity
 # ---------------------------------------------------------------------------
+
+def test_catalog_show_without_a_name(capsys):
+    code, out, err = run(capsys, "catalog", "show")
+    assert code == 2
+    assert out == ""
+    assert "catalog show requires an entry name" in err
+
 
 def test_catalog_pairs_name_two_raw_groups():
     for entry in catalog.entries():

@@ -549,6 +549,14 @@ def test_section_exact_requires_a_simple_nontrivial_m():
     assert section_exact_small(cyclic_group(5), s6) == YES
 
 
+def test_section_exact_takes_a_perfect_m_that_is_not_simple():
+    # SL(2,5) is perfect with centre ±1; S5 has no perfect subgroup of
+    # order 120, so SL(2,5) is no section of it
+    sl25 = sl_2_5_on_vectors()
+    assert section_exact_small(sl25, sl25) == YES
+    assert section_exact_small(sl25, symmetric_group(5)) == NO
+
+
 def test_section_exact_c2_in_s3():
     c2 = perm_group([from_cycles(3, [(0, 1)])], degree=3)
     assert section_exact_small(c2, symmetric_group(3)) == YES
@@ -677,6 +685,28 @@ def test_sl_2_5_has_a5_as_a_quotient_not_a_subgroup():
     assert section_bruteforce(a5.generators, s.generators, s.degree)
     assert not groupprops._embeds(a5, 60, s)
     assert section_exact_small(a5, s) == YES
+
+
+def test_embedding_needs_the_image_as_large_as_m(monkeypatch):
+    # with the word filter off, SL(2,5) -> A5 with kernel ±1 gives a
+    # graph of order 120 = |m|; only |<x_i>| = 60 refuses it
+    monkeypatch.setattr(groupprops, "_word_orders", lambda a, b: (1,))
+    assert not groupprops._embeds(sl_2_5_on_vectors(), 120, alternating_group(5))
+
+
+@pytest.mark.parametrize("embeds", [True, False])
+def test_section_exact_falls_back_to_the_generators_of_m(monkeypatch, embeds):
+    # with no random pairs drawn, _two_generators falls back to m's own
+    # three generators
+    monkeypatch.setattr(groupprops, "_GENERATOR_PAIRS", 0)
+    if not embeds:
+        monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
+    a5 = perm_group([from_cycles(5, [c]) for c in ((0, 1, 2), (1, 2, 3), (2, 3, 4))],
+                    degree=5)
+    assert order(a5) == 60
+    for s in (alternating_group(5), alternating_group(6)):
+        assert section_bruteforce(a5.generators, s.generators, s.degree)
+        assert section_exact_small(a5, s) == YES, s.name
 
 
 def test_quotient_search_matches_bruteforce(suite, monkeypatch):

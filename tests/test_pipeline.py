@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelat import pipeline
+from treelat import groupprops, pipeline
 from treelat.cli import json_data
 from treelat.errors import (
     InvalidDatum,
@@ -164,6 +164,22 @@ def test_theorem25_a6_s5(a6_report, s5p_report):
     assert t25.m1_in_s2.exact == "no"  # 360 does not divide 12
     assert t25.m2_in_s1.exact == "yes"  # A5 is a section of the A6 stabilizer
     assert t25.obstruction_established
+
+
+def test_section_tests_do_not_reprove_the_socle_simple(monkeypatch):
+    # typing has proved each socle simple; the section tests only check
+    # that it is perfect
+    calls = []
+    is_simple = groupprops.is_simple
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return is_simple(*args, **kwargs)
+
+    monkeypatch.setattr(groupprops, "is_simple", counting)
+    report = analyze_pair(alternating_group(5), alternating_group(7))
+    assert report.theorem25 is not None
+    assert calls == []
 
 
 def test_theorem25_requires_almost_simple(a6_report):
