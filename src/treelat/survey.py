@@ -9,7 +9,8 @@ routes independent and lets the test suite cross-check one against the
 other.
 
 The level-growth survey reads both automata of each datum off the walk's
-lists and keys them there; it builds a datum only for its record.
+lists and keys them there, and types each class of automata, equal up to
+state order and letter labels, once; it builds a datum only for its record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, Optional
 from .errors import ResourceCapExceeded
 from .localaction import local_groups
 from .permcore import PermGroup, order
-from .vhcomplex import Alphabet, MealyAutomaton, Square, VhDatum, _orientation_orbit
+from .vhcomplex import Alphabet, MealyAutomaton, VhDatum, _orientation_orbit
 
 _Orbit = tuple[tuple[int, int], ...]
 
@@ -37,15 +38,18 @@ def _orbit_table(horiz: Alphabet, vert: Alphabet) -> list[list[_Orbit]]:
     (inv a2, inv b2, inv a, inv b), does only when a2 = inv a and
     b2 = inv b, and is then the square itself.  The orbit is that of a
     group, so this holds between any two of its squares, and for images
-    likewise."""
+    likewise.  Each orbit is computed once, and the entry of each of its
+    squares is the orbit turned to start at that square."""
     n, m = horiz.size, vert.size
-
-    def pairs(square: Square) -> _Orbit:
-        orbit = dict.fromkeys((square, *_orientation_orbit(horiz, vert, square)))
-        return tuple((a * m + b, a2 * m + b2) for a, b, a2, b2 in orbit)
-
-    return [[pairs((a, b, a2, b2)) for a2 in range(n) for b2 in range(m)]
-            for a in range(n) for b in range(m)]
+    forced: list[list[_Orbit]] = [[()] * (n * m) for _ in range(n * m)]
+    for c in range(n * m):
+        for i in range(n * m):
+            if not forced[c][i]:
+                orbit = [(a * m + b, a2 * m + b2) for a, b, a2, b2
+                         in _orientation_orbit(horiz, vert, (*divmod(c, m), *divmod(i, m)))]
+                for k, (c2, i2) in enumerate(orbit):
+                    forced[c2][i2] = (*orbit[k:], *orbit[:k])
+    return forced
 
 
 def _walk(horiz: Alphabet, vert: Alphabet) -> Iterator[tuple[list[int], list[int]]]:
@@ -160,6 +164,39 @@ def _automaton_from_rows(states: Alphabet, letters: Alphabet, out: bytes,
         nxt=tuple(tuple(nxt[k:k + width]) for k in range(0, len(nxt), width)))
 
 
+def _relabelling(letters: Alphabet, states: int) -> tuple[bytes, bytes, itemgetter]:
+    """The standard involution on as many letters, and for the map λ that
+    sends the i-th 2-cycle of `letters`' involution, ordered by its smaller
+    point, to (2i, 2i+1): its translate table, and the itemgetter that
+    moves entry x of each of `states` flat rows to position λx."""
+    involution, width = letters.involution, letters.size
+    lam = [0] * width
+    for i, x in enumerate([x for x in range(width) if x < involution[x]]):
+        lam[x], lam[involution[x]] = 2 * i, 2 * i + 1
+    back = sorted(range(width), key=lam.__getitem__)
+    return (bytes(Alphabet.with_adjacent_pairs(width).involution),
+            bytes.maketrans(bytes(range(width)), bytes(lam)),
+            itemgetter(*[q * width + x for q in range(states) for x in back]))
+
+
+def _class_form(relabelling: tuple[bytes, bytes, itemgetter], out: bytes,
+                nxt: bytes) -> tuple[bytes, bytes, bytes]:
+    """The class key and the flat `out` and `nxt` rows of the automaton's
+    class form: its letters relabelled by λ, then its states renumbered in
+    order of their sort bytes; see `survey_level_growth`."""
+    involution, table, positions = relabelling
+    width = len(involution)
+    out, nxt = bytes(positions(out.translate(table))), bytes(positions(nxt))
+    rows = [out[k:k + width] for k in range(0, len(out), width)]
+    moves = [nxt[k:k + width] for k in range(0, len(nxt), width)]
+    sort = [row + b"".join([rows[t] for t in step]) for row, step in zip(rows, moves)]
+    order = sorted(range(len(rows)), key=sort.__getitem__)
+    out = b"".join([rows[q] for q in order])
+    nxt = b"".join([moves[q] for q in order]).translate(
+        bytes.maketrans(bytes(order), bytes(range(len(order)))))
+    return _key(involution, out, nxt), out, nxt
+
+
 def _walk_keys(horiz: Alphabet, vert: Alphabet) -> Iterator[
         tuple[list[int], tuple[bytes, bytes, bytes], tuple[bytes, bytes, bytes]]]:
     """For each set of `_walk`: img, and the key and the flat `out` and
@@ -194,35 +231,57 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
     nxt[a][b] = img[a*m + b] // m.  The vertical one has
     out[b][a] = pre[a*m + b] // m and nxt[b][a] = pre[a*m + b] % m.
 
-    |P1| and |P2| are computed once per distinct `_key` of the two
-    automata of each datum.  P1's generators are the `out` rows.  P2's
-    generator for state s is assembled from the involution, out[s] and the
-    rows out[t] for t = nxt[s][x], which are P1's generators t; the
-    reduced-word check and the truncation guard read nothing else.  So the
-    key fixes both generator tuples, and a repeated key passes or raises
-    exactly as its first occurrence did.  Underneath, a group's order
-    depends only on the set of its generators, so each distinct set's order
-    is computed once per call.  The T4 x T4 survey has 3,128 automata.
-    With one involution on both sides they have 436 keys, and 135
-    stabilizer chains are built; with two different involutions, 872 keys
-    and 219 to 236 chains.
+    |P1| and |P2| are computed once per class: the automata equal up to
+    renumbering their states and relabelling their letters onto the
+    standard involution 0<->1, 2<->3, ...  An automaton's `_key` is looked
+    up first.  P1's generators are the `out` rows.  P2's generator for
+    state s is assembled from the involution, out[s] and the rows out[t]
+    for t = nxt[s][x], which are P1's generators t; the reduced-word check
+    and the truncation guard read nothing else.  So the key fixes both
+    generator tuples, and a repeated key passes or raises exactly as its
+    first occurrence did.  On a miss the class key is looked up, and on a
+    class miss the class form is built and typed; the flags are stored
+    under both keys.
+
+    The class form: with w letters and involution ι, λ sends the i-th
+    2-cycle of ι, ordered by its smaller point, to (2i, 2i+1), the pairs
+    of the standard ι'.  The letters are relabelled, out'[q][λx] =
+    λ(out[q][x]) and nxt'[q][λx] = nxt[q][x], then the states renumbered
+    in order of the bytes out'[q] + out'[nxt'[q][0]] + ... +
+    out'[nxt'[q][w-1]].  The class key is `_key` of the result, with ι'.
+    - φ(x1...xk) = λx1...λxk is a bijection from the ι-reduced words to
+      the ι'-reduced ones, as y = ιx exactly when λy = ι'λx, and it
+      commutes with truncation.  State q of the relabelled automaton sends
+      φ(v) to φ(q.v), so each P_k' = φP_kφ⁻¹, of the same order.
+    - λ carries each equation of the permutation check, the reduced-word
+      check (out[t][ιx] = ι out[s][x] for t = nxt[s][x]) and the
+      truncation guard to the same equation of the relabelled automaton,
+      so they hold for both or for neither.
+    - Renumbering the states only reorders the generator tuples and the
+      checks' equations.  Two states with equal sort bytes have equal P1
+      and P2 generators, as those bytes fix them, so ties do not matter.
+    A class is built from its class form, on standard alphabets, so what
+    a survey builds does not depend on the involutions.  The T4 x T4
+    survey has 3,128 automata: 436 keys with one involution on both
+    sides, 872 with two, and 86 classes either way.  It builds 172 local
+    groups and, as a group's order depends only on the set of its
+    generators and each set's order is computed once per call, 135
+    stabilizer chains.
 
     Every check of the route through `VhDatum` and `vertical_automaton`
-    still holds, or is decided once per key:
+    still holds, or is decided once per class:
     - a state reading a letter in more than one square, or in none: the
       walk yields only when img is total (every corner up to `size` has
       an image) and injective (pre marks each image used), so each corner,
       and each image, lies in exactly one square;
     - `VhDatum`'s letter range checks: every index is below n*m, so its
       quotient by m is below n and its remainder below m;
-    - `MealyAutomaton`'s permutation check reads only the `out` rows,
-      which are part of the key, so it runs on a key's first occurrence
-      and decides every repeat;
-    - `local_groups`' reduced-word check and truncation guard run once per
-      key, as the key fixes what they read."""
+    - `MealyAutomaton`'s permutation check and `local_groups`'
+      reduced-word check and truncation guard run on the class form, on
+      the class's first occurrence, and decide every member, as above."""
     result = SurveyResult()
     orders: dict[frozenset, int] = {}
-    # key -> 1 if |P1| > 1, plus 2 if |P2| > |P1|
+    # key or class key -> 1 if |P1| > 1, plus 2 if |P2| > |P1|
     flags: dict[bytes, int] = {}
     levels: list[tuple[int, int]] = []
 
@@ -232,16 +291,22 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
             orders[key] = order(group)
         return orders[key]
 
-    sides = ((vert, horiz), (horiz, vert))
+    # per side: the class form's states and letters, and λ
+    sides = [(Alphabet.with_adjacent_pairs(states.size), Alphabet.with_adjacent_pairs(letters.size),
+              _relabelling(letters, states.size))
+             for states, letters in ((vert, horiz), (horiz, vert))]
     for img, *keyed in _walk_keys(horiz, vert):
         result.total += 1
         found = 0
-        for (states, letters), (key, out, nxt) in zip(sides, keyed):
+        for (states, letters, relabelling), (key, out, nxt) in zip(sides, keyed):
             if key not in flags:
-                automaton = _automaton_from_rows(states, letters, out, nxt)
-                p1, p2 = map(order_of, local_groups(automaton, 2))
-                levels.append((p1, p2))
-                flags[key] = (p1 > 1) | (p2 > p1) << 1
+                cls, out, nxt = _class_form(relabelling, out, nxt)
+                if cls not in flags:
+                    automaton = _automaton_from_rows(states, letters, out, nxt)
+                    p1, p2 = map(order_of, local_groups(automaton, 2))
+                    levels.append((p1, p2))
+                    flags[cls] = (p1 > 1) | (p2 > p1) << 1
+                flags[key] = flags[cls]
             found |= flags[key]
         result.nontrivial_p1 += found & 1
         if found & 2:

@@ -6,7 +6,7 @@ and the normal-subgroup lattice from enumerating every subgroup.  Local
 groups on tree spheres come from listing the reduced words and rewriting
 each one letter by letter, and complete data from a walk over the corner
 map that keeps corners and images as pairs in dicts.  Automaton rows are
-read straight off a datum's squares, and the survey's key straight off an
+read straight off a datum's squares, and the survey's keys straight off an
 automaton's rows.  These are the reference answers the engine is checked
 against.
 """
@@ -358,6 +358,29 @@ def level2_key(aut) -> bytes:
     return bytes([*aut.letters.involution,
                   *(y for row in aut.out for y in row),
                   *(y for moves in aut.nxt for t in moves for y in aut.out[t])])
+
+
+def class_key(aut) -> bytes:
+    """The survey's class key of an automaton, from its rows: the letters
+    are relabelled by the map that sends the i-th 2-cycle of the
+    involution, taken in order of its smaller point, to (2i, 2i+1), and
+    the states renumbered in order of their `out` row followed by the
+    `out` rows of their next states; the key is `level2_key` of the
+    result, whose involution is 0<->1, 2<->3, ..."""
+    inv = aut.letters.involution
+    relabel = {}
+    for i, x in enumerate(x for x in range(len(inv)) if x < inv[x]):
+        relabel[x], relabel[inv[x]] = 2 * i, 2 * i + 1
+    letters = sorted(relabel, key=relabel.get)  # the new letter j is old letters[j]
+    out = [tuple(relabel[row[x]] for x in letters) for row in aut.out]
+    nxt = [tuple(moves[x] for x in letters) for moves in aut.nxt]
+    states = sorted(range(len(out)), key=lambda s: (out[s], [out[t] for t in nxt[s]]))
+    renumber = {s: r for r, s in enumerate(states)}
+    out2 = [out[s] for s in states]
+    nxt2 = [tuple(renumber[t] for t in nxt[s]) for s in states]
+    standard = [x ^ 1 for x in range(len(inv))]
+    return bytes([*standard, *(y for row in out2 for y in row),
+                  *(y for moves in nxt2 for t in moves for y in out2[t])])
 
 
 def complete_data_walk(horiz, vert):
