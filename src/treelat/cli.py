@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -233,10 +234,15 @@ def _cmd_tower(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    # a decimal is read as a Decimal, which keeps its exponent apart:
+    # Fraction("1e10000000") would spend seconds on a 10^7-digit integer
     try:
-        ratio = Fraction(args.ratio)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"bound: cannot parse ratio {args.ratio!r}: {exc}", file=sys.stderr)
+        ratio = Fraction(args.ratio) if "/" in args.ratio else Decimal(args.ratio)
+        if isinstance(ratio, Decimal) and not ratio.is_finite():
+            raise ValueError
+    except (ValueError, ArithmeticError):
+        print(f"bound: cannot parse ratio {args.ratio!r}: not a finite number or p/q",
+              file=sys.stderr)
         return EXIT_USAGE
     _print_json(wang_index_bound(ratio))
     return EXIT_OK

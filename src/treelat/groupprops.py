@@ -5,13 +5,14 @@ point per suborbit, from the stabilizer chain), quasi-primitivity via
 minimal normal subgroups, almost-simple typing, and the section tests
 that drive the obstruction reports.
 
-Everything here is exact.  Almost simple typing and simplicity are first
-proved without listing the group (``_simple_residual``); where that proof
-does not apply, the group is enumerated.  TooLarge means only that an
-enumeration which had to run would list more elements than the cap allows;
-no heuristic answer is ever returned instead.  The section tests draw
-seeded random elements, but only to find a witness whose check is exact;
-when the draws find none, the exhaustive path decides.
+Everything here is exact.  Almost simple typing is first proved without
+listing the group (``_simple_residual``); where that proof does not apply,
+the group is enumerated, and so is its minimal normal subgroup when it is
+the only one and neither abelian nor the whole group.  TooLarge means only
+that an enumeration which had to run would list more elements than the cap
+allows; no heuristic answer is ever returned instead.  The section tests
+draw seeded random elements, but only to find a witness whose check is
+exact; when the draws find none, the exhaustive path decides.
 """
 
 from __future__ import annotations
@@ -279,28 +280,6 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     return None
 
 
-def is_abelian(g: PermGroup) -> bool:
-    gens = g.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if compose(a, b) != compose(b, a):
-                return False
-    return True
-
-
-def is_simple(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Simplicity.  When _simple_residual finds the residual D, D is g's
-    only minimal normal subgroup, so g is simple exactly when D = g and
-    nothing is enumerated.  Otherwise g is simple exactly when its minimal
-    normal subgroups are g alone."""
-    n = order(g)
-    d = _simple_residual(g, enum_cap)
-    if d is not None:
-        return order(d) == n
-    mns = minimal_normal_subgroups(g, enum_cap)
-    return len(mns) == 1 and order(mns[0]) == n
-
-
 def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
                          ) -> tuple[QpType, list[PermGroup]]:
     """Quasi-primitivity type per the almost-simple / two-regular split,
@@ -312,6 +291,15 @@ def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
     quasi-primitive group is expected to have one or two of them; more
     than two is reported as an internal error rather than silently trusted
     away.
+
+    With one minimal normal subgroup m, g is almost simple exactly when m
+    is nonabelian simple: when |m| has more than one prime factor, and
+    m = g or m has one minimal normal subgroup.  Proof.  m is minimal
+    normal, so m ≅ T^k for a simple T.  m is abelian exactly when |m| is a
+    prime power, as a simple p-group has a nontrivial centre and so is C_p.
+    For a nonabelian T, the minimal normal subgroups of T^k are its k
+    factors.  An m = g is minimal normal in itself, so simple, and nothing
+    more is listed; else |m| < |g|, so listing m raises no new TooLarge.
     """
     socle = _simple_residual(g, enum_cap)
     if socle is not None:
@@ -322,28 +310,21 @@ def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
     mns_orders = tuple(order(m) for m in mns)
     socle_gens = tuple(p for m in mns for p in m.generators)
     socle_order = order(PermGroup(degree=g.degree, generators=socle_gens))
-    transitive = g.degree < 2 or len(orbit(g, 0)) == g.degree
-    if not transitive:
-        return QpType(tag=INTRANSITIVE, mns_orders=mns_orders,
-                      socle_order=socle_order), mns
-    if any(len(orbit(m, 0)) != g.degree for m in mns):
-        return QpType(tag=NOT_QUASIPRIMITIVE, mns_orders=mns_orders,
-                      socle_order=socle_order), mns
-    if len(mns) > 2:
+    if g.degree >= 2 and len(orbit(g, 0)) != g.degree:
+        tag = INTRANSITIVE
+    elif any(len(orbit(m, 0)) != g.degree for m in mns):
+        tag = NOT_QUASIPRIMITIVE
+    elif len(mns) > 2:
         raise InternalInvariantError(
             f"quasi-primitive group with {len(mns)} minimal normal subgroups")
-    if len(mns) == 1:
-        m = mns[0]
-        # a minimal normal subgroup equal to g leaves g no proper nontrivial
-        # normal subgroup: g is simple by definition
-        if not is_abelian(m) and (order(m) == order(g) or is_simple(m, enum_cap)):
-            return QpType(tag=ALMOST_SIMPLE, mns_orders=mns_orders,
-                          socle_order=socle_order), mns
-    if len(mns) == 2 and all(o == g.degree for o in mns_orders):
-        return QpType(tag=TWO_REGULAR_MNS, mns_orders=mns_orders,
-                      socle_order=socle_order), mns
-    return QpType(tag=OTHER_QUASIPRIMITIVE, mns_orders=mns_orders,
-                  socle_order=socle_order), mns
+    elif len(mns) == 1 and len(_prime_factors(socle_order)) > 1 and (
+            socle_order == order(g) or len(minimal_normal_subgroups(mns[0], enum_cap)) == 1):
+        tag = ALMOST_SIMPLE
+    elif len(mns) == 2 and all(o == g.degree for o in mns_orders):
+        tag = TWO_REGULAR_MNS
+    else:
+        tag = OTHER_QUASIPRIMITIVE
+    return QpType(tag=tag, mns_orders=mns_orders, socle_order=socle_order), mns
 
 
 # ---------------------------------------------------------------------------

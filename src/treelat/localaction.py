@@ -35,14 +35,19 @@ NOT_APPLICABLE = "not_applicable"
 
 def sphere_index(alphabet: Alphabet, k: int) -> range:
     """The positions of the reduced words of length k in lexicographic
-    order; a depth below 1 or more than DEGREE_BOUND words is refused."""
+    order; a depth below 1 or more than DEGREE_BOUND words is refused.
+    The n * (n-1)^(k-1) words are counted level by level up to the first
+    depth past the bound, and for n = 2 they are 2 at every depth."""
     if k < 1:
         raise DepthOverflow(f"sphere depth must be >= 1, got {k}")
     n = alphabet.size
-    count = n * (n - 1) ** (k - 1)
+    count, depth = n, 1
+    while n > 2 and depth < k and count <= DEGREE_BOUND:
+        count *= n - 1
+        depth += 1
     if count > DEGREE_BOUND:
         raise DepthOverflow(
-            f"sphere of depth {k} has {count} words, exceeding bound {DEGREE_BOUND}")
+            f"sphere of depth {depth} has more than {DEGREE_BOUND} words, exceeding bound")
     return range(count)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -335,7 +336,7 @@ def analyze_pair(g1: PermGroup, g2: PermGroup,
 # covolume index bound
 # ---------------------------------------------------------------------------
 
-Ratio = Union[int, float, Fraction]
+Ratio = Union[int, float, Fraction, Decimal]
 
 # the largest N whose (N-1)! the bound computes: 999! has 2,565 digits,
 # within Python's 4,300-digit limit on int-to-string conversion
@@ -350,13 +351,14 @@ class WangIndexBound:
 
 def wang_index_bound(vol_ratio: Ratio) -> WangIndexBound:
     """N = floor(vol_ratio) and the (N-1)! bound on the index of the kernel
-    of the coset action inside the lattice."""
+    of the coset action inside the lattice.  The cap on N is compared with
+    the ratio itself, before the floor builds an integer of its size."""
     if vol_ratio < 1:
         # shown as a float: str() of a long denominator is refused, and a
         # ratio below the float range is shown as -inf
         shown = float(vol_ratio) if vol_ratio > -sys.float_info.max else -math.inf
         raise RatioBelowOne(f"covolume ratio must be >= 1, got {shown}")
-    n = math.floor(vol_ratio)
-    if n > INDEX_BOUND_MAX_N:
+    if vol_ratio >= INDEX_BOUND_MAX_N + 1:
         raise RatioTooLarge(f"N = floor(ratio) exceeds the index-bound cap {INDEX_BOUND_MAX_N}")
+    n = math.floor(vol_ratio)
     return WangIndexBound(N=n, index_bound=math.factorial(n - 1))

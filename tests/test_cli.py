@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -306,6 +307,42 @@ def test_datum_mistyped_optional_field_is_usage_error(capsys, tmp_path, key, val
     assert key in err
 
 
+@pytest.mark.parametrize("kind, document, message", [
+    ("group", [], "must be a JSON object"),
+    ("group", {"degree": 3}, "missing field"),
+    ("group", {"degree": 3, "generators": 5}, "generators must be a list"),
+    ("datum", {"n": "4"}, "n and m must be integers"),
+    ("datum", {"squares": 5}, "squares must be a list"),
+    ("datum", {"squares": [[0, 1, 2]]}, "not a list of 4 letters"),
+    ("datum", {"h_involution": 5}, "h_involution must be a list"),
+    ("datum", {"h_involution": [[0, 9], [2, 3]]}, "out of range 0..3"),
+    ("datum", {"oriented": True, "squares": [[9, 0, 0, 0]]}, "horizontal letter 9"),
+    ("datum", {"oriented": True, "squares": [[0, 9, 0, 0]]}, "vertical letter 9"),
+])
+def test_malformed_document_is_usage_error(capsys, tmp_path, kind, document, message):
+    # a raw group, or a datum that differs from commuting_t4x4 in the
+    # given fields, refused as input before any analysis
+    path = tmp_path / "malformed.json"
+    if kind == "datum":
+        document = {**catalog.load_document("commuting_t4x4"), **document}
+        argv = ("analyze", str(path))
+    else:
+        argv = ("analyze", "--pair", str(path), str(path))
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error") and message in err and "Traceback" not in err
+
+
+def test_raw_group_of_one_point_is_domain_error(capsys, tmp_path):
+    # a group on one point parses, but transitivity needs two
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"degree": 1, "generators": []}))
+    code, out, err = run(capsys, "analyze", "--pair", str(path), str(path))
+    assert code == 1 and out == ""
+    assert "transitivity needs degree >= 2" in err and "Traceback" not in err
+
+
 def test_raw_group_mistyped_name_is_usage_error(capsys, tmp_path):
     doc = group_to_raw(alternating_group(5))
     doc["name"] = {"x": 1}
@@ -366,6 +403,25 @@ def test_over_deep_tower_exits_3_at_once(capsys, tmp_path, argv):
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert "exceeding bound" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("tower", "commuting_t4x4", "--side", "h", "--depth", "10000"), 3),
+    (("tower", "commuting_t4x4", "--side", "h", "--depth", "100000000"), 3),
+    (("analyze", "commuting_t4x4", "--depth", "100000000"), 3),
+    (("bound", "--ratio", "1e10000000"), 3),
+    (("bound", "--ratio=1e-10000000"), 2),
+])
+def test_number_over_a_cap_is_refused_before_it_is_built(capsys, argv, expected):
+    # the word count of a deep sphere and the value of a ratio with a long
+    # exponent are compared with their caps before they are expanded, and
+    # the message shows no number larger than the bound
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == expected and out == ""
+    assert err and "Traceback" not in err
+    assert all(int(number) <= DEGREE_BOUND for number in re.findall(r"\d+", err))
 
 
 def test_over_deep_second_side_exits_3_before_any_chain(capsys, tmp_path, chain_builds):

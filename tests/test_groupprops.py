@@ -5,6 +5,7 @@ import pytest
 
 from treelat import catalog, groupprops
 from treelat.errors import (
+    DegreeTooSmall,
     NotNormal,
     NotTransitive,
     PreconditionFailed,
@@ -19,11 +20,11 @@ from treelat.groupprops import (
     TWO_REGULAR_MNS,
     UNKNOWN,
     YES,
+    QpType,
     classify_qp_with_mns,
     element_order_spectrum,
     is_2transitive,
     is_primitive,
-    is_simple,
     is_transitive,
     minimal_normal_subgroups,
     section_exact_small,
@@ -83,6 +84,12 @@ def test_s5_on_pairs_not_2transitive():
 
 def test_trivial_group_not_transitive():
     assert not is_transitive(trivial_group(3))
+
+
+def test_transitivity_needs_two_points():
+    for check in (is_transitive, is_2transitive):
+        with pytest.raises(DegreeTooSmall):
+            check(trivial_group(1))
 
 
 def test_transitivity_matches_oracle(suite):
@@ -224,7 +231,7 @@ def test_residual_proof_over_the_cap_raises():
     with pytest.raises(TooLarge):
         classify_qp_with_mns(symmetric_group(7), enum_cap=10)
     with pytest.raises(TooLarge):
-        is_simple(alternating_group(7), enum_cap=10)
+        classify_qp_with_mns(alternating_group(7), enum_cap=10)
 
 
 def test_mns_matches_lattice_oracle(suite):
@@ -333,22 +340,6 @@ def test_almost_simple_socle_index_is_degree(suite):
 
 
 # ---------------------------------------------------------------------------
-# simplicity
-# ---------------------------------------------------------------------------
-
-def test_is_simple():
-    assert is_simple(alternating_group(5))
-    assert is_simple(cyclic_group(5))
-    assert not is_simple(cyclic_group(4))
-    assert not is_simple(symmetric_group(4))
-    assert not is_simple(trivial_group(2))
-    # the residual proof shows A12 to be the only minimal normal subgroup,
-    # so S12 is not simple and nothing is listed
-    assert not is_simple(symmetric_group(12))
-    assert not is_simple(symmetric_group(7), enum_cap=1000)
-
-
-# ---------------------------------------------------------------------------
 # almost-simple typing without enumeration
 # ---------------------------------------------------------------------------
 
@@ -405,20 +396,18 @@ def fast_path_cases(suite):
 
 
 def by_enumeration(monkeypatch, g):
-    """classify_qp_with_mns and is_simple with the fast path switched off."""
+    """classify_qp_with_mns with the fast path switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(groupprops, "_simple_residual", lambda g, enum_cap: None)
-        qp, mns = classify_qp_with_mns(g)
-        return qp, mns, is_simple(g)
+        return classify_qp_with_mns(g)
 
 
 def test_fast_path_matches_enumeration(suite, monkeypatch):
     proved = set()
     for g in fast_path_cases(suite):
         qp, mns = classify_qp_with_mns(g)
-        enum_qp, enum_mns, enum_simple = by_enumeration(monkeypatch, g)
+        enum_qp, enum_mns = by_enumeration(monkeypatch, g)
         assert qp == enum_qp, g.name
-        assert is_simple(g) == enum_simple, g.name
         if order(g) <= 2000:
             assert ([frozenset(m.chain().elements()) for m in mns]
                     == [frozenset(m.chain().elements()) for m in enum_mns]), g.name
@@ -450,6 +439,47 @@ def test_imprimitive_perfect_group_falls_back():
     assert qp.mns_orders == (2,)
 
 
+def pgl_2_7():
+    """PGL(2,7) on the projective line 0..6, 7 = infinity: x -> x + 1,
+    x -> 3x (3 is no square mod 7) and x -> -1/x."""
+    def moebius(a, b, c, d):
+        def image(x):
+            num, den = (a, c) if x == 7 else ((a * x + b) % 7, (c * x + d) % 7)
+            return 7 if den == 0 else num * pow(den, -1, 7) % 7
+        return tuple(image(x) for x in range(8))
+
+    return perm_group([moebius(1, 1, 0, 1), moebius(3, 0, 0, 1), moebius(0, 6, 1, 0)],
+                      degree=8, name="PGL(2,7)")
+
+
+def s5_wr_s2_product_action():
+    """S5 wr S2 on the 25 pairs (i, j), as 5i + j."""
+    rows = [tuple(5 * p[i] + j for i in range(5) for j in range(5))
+            for p in symmetric_group(5).generators]
+    swap = tuple(5 * j + i for i in range(5) for j in range(5))
+    return perm_group(rows + [swap], degree=25, name="S5 wr S2 on 25 points")
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: cyclic_group(5), QpType(OTHER_QUASIPRIMITIVE, (5,), 5)),
+    (lambda: symmetric_group(3), QpType(OTHER_QUASIPRIMITIVE, (3,), 3)),
+    (lambda: alternating_group(4), QpType(OTHER_QUASIPRIMITIVE, (4,), 4)),
+    (lambda: matrix_group(5, 1, [[[2]]], "AGL(1,5)"), QpType(OTHER_QUASIPRIMITIVE, (5,), 5)),
+    (pgl_2_7, QpType(ALMOST_SIMPLE, (168,), 168)),
+    (s5_wr_s2_product_action, QpType(OTHER_QUASIPRIMITIVE, (3600,), 3600)),
+], ids=["C5", "S3", "A4", "AGL(1,5)", "PGL(2,7)", "S5wrS2"])
+def test_listed_socle_typing(make, expected):
+    # the residual proof does not apply, so the one minimal normal subgroup
+    # is listed.  It is abelian; or PSL(2,7), simple and of index 2 (degree
+    # 8 = 2^3 and |H| = 21 divides |GL(3,2)|, so condition (d) fails); or
+    # A5 x A5, transitive and nonabelian but not simple, whose two factors
+    # are its minimal normal subgroups (A5 x A5 keeps the rows of the 5 x 5
+    # grid as blocks, so it is not primitive)
+    g = make()
+    assert groupprops._simple_residual(g, 10 ** 6) is None
+    assert classify_qp_with_mns(g)[0] == expected
+
+
 @pytest.mark.parametrize("g, socle", [(alternating_group(10), 1814400),
                                       (alternating_group(11), 19958400),
                                       (symmetric_group(12), 239500800)])
@@ -459,7 +489,8 @@ def test_large_natural_groups_typed_under_small_cap(g, socle):
     assert qp.tag == ALMOST_SIMPLE
     assert qp.mns_orders == (socle,)
     assert qp.socle_order == socle
-    assert is_simple(mns[0], enum_cap=1000)
+    socle_type, _ = classify_qp_with_mns(mns[0], enum_cap=1000)
+    assert socle_type == QpType(ALMOST_SIMPLE, (socle,), socle)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +845,12 @@ def test_quotient_search_needs_the_order_of_the_closure(monkeypatch):
 
 
 def test_section_exact_decides_at_or_below_the_cap(suite):
-    ms = [g for g in suite if order(g) > 1 and is_simple(g)]
-    assert {order(m) for m in ms if not groupprops.is_abelian(m)} == {60, 168, 360}
+    # the simple groups: those of prime order, and those almost simple
+    # with the whole group as socle
+    ms = [g for g in suite if groupprops._prime_factors(order(g)) == {order(g)}
+          or classify_qp_with_mns(g)[0] == QpType(ALMOST_SIMPLE, (order(g),), order(g))]
+    assert {order(m) for m in ms
+            if len(groupprops._prime_factors(order(m))) > 1} == {60, 168, 360}
     for s in suite:
         if order(s) <= groupprops.DEFAULT_SECTION_CAP:
             for m in ms:
@@ -934,3 +969,10 @@ def test_solvable_outer_not_normal():
     not_normal = perm_group([from_cycles(4, [(0, 1)])], degree=4)
     with pytest.raises(NotNormal):
         solvable_outer_check(s4, not_normal)
+
+
+def test_solvable_outer_not_transitive():
+    # <(0 1)> on four points is normal in itself and leaves 2 and 3 fixed
+    c2 = perm_group([from_cycles(4, [(0, 1)])], degree=4)
+    with pytest.raises(NotTransitive):
+        solvable_outer_check(c2, c2)

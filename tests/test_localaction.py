@@ -9,6 +9,7 @@ from treelat.errors import (
     DepthOverflow,
     InternalInvariantError,
     InvalidDatum,
+    MalformedDocument,
     TowerTooShort,
 )
 from treelat.localaction import (
@@ -63,6 +64,8 @@ def test_sphere_counts():
     assert sphere_index(A4, 2) == range(12)
     assert sphere_index(A6, 3) == range(150)
     assert len(sphere_words(A6, 3)) == 150
+    # on two letters the count never grows, and it takes no time in k
+    assert sphere_index(Alphabet.with_adjacent_pairs(2), 10 ** 100) == range(2)
 
 
 def test_sphere_words_reduced_and_lexicographic():
@@ -77,6 +80,9 @@ def test_sphere_words_reduced_and_lexicographic():
 def test_sphere_depth_overflow():
     with pytest.raises(DepthOverflow):
         sphere_index(A6, 9)  # 6 * 5**8 = 2,343,750 words
+    # the count stops at the first depth past the bound and is not printed
+    with pytest.raises(DepthOverflow, match="sphere of depth 13 has more than 1000000"):
+        sphere_index(A4, 10 ** 6)
     with pytest.raises(DepthOverflow):
         sphere_index(A4, 0)
 
@@ -214,6 +220,11 @@ def test_tower_commuting(commuting):
     t = tower(commuting, "horizontal", 5)
     assert t.orders == (1, 1, 1, 1, 1)
     assert discreteness_verdict(t) == DiscretenessVerdict(kind=DISCRETE, at=1)
+
+
+def test_tower_of_an_unknown_side(commuting):
+    with pytest.raises(MalformedDocument):
+        tower(commuting, "x")
 
 
 def test_tower_orders_divide(nontrivial):
