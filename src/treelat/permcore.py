@@ -30,6 +30,18 @@ Schreier's lemma any generating set of the group gives the stabilizer of
 the first base point, and the inputs are usually far fewer than the
 strong generators.  A deeper level's group is known only through the
 chain being built, so it uses its strong generators.
+
+Three rules spare work without changing any chain that is built.  Only a
+level's root, the representative of its base point, is the chain's
+identity object ``_identity``; every other representative moves its
+point.  So a sift, an orbit extension and a Schreier generator skip the
+product when a representative ``is`` that object.  The Schreier
+generator of a point β and a generator s is v_γ·s·v_β⁻¹, where γ is the
+image of β and v a representative; it is the identity exactly when
+w = v_γ·s equals v_β, so v_β⁻¹ is formed only at β's first generator
+where they differ, once per visit of β.  A block chain remembers the
+residues it has handed to its kernel and drops a repeat before any block
+test or sift.
 ``StabilizerChain.extend`` grows a finished chain in place, which is how
 ``normal_closure`` keeps one chain for the whole closure.  That private
 chain, and a block chain's kernel, are the only ones ever extended: a
@@ -192,10 +204,25 @@ class StabilizerChain:
     the group, and those that fix every block are in ``kernel`` already, so
     closing ``kernel`` under conjugation by the others gives K.  A block
     chain is never extended.
+
+    ``_sent`` holds residues that a block chain has handed to ``kernel``.
+    The kernel chain only grows, so a residue handed over once stays a
+    member, and ``_install`` returns at once on a repeat, with no block
+    test and no sift through the kernel.  The set stops growing once it
+    holds as many tuples as the transversals, so it at most doubles the
+    chain's memory; a residue past that bound is sifted as before.
+    ``stabilizer()`` shares the set, as it shares the kernel the set
+    describes.
+
+    A transversal's root value is the object ``_identity`` and no other
+    value is, which is what the ``is`` tests in sifting, orbit extension
+    and ``_process_level`` rely on.  ``_process_level`` forms a point's
+    inverse representative only when one of its Schreier generators is
+    not the identity.
     """
 
     __slots__ = ("degree", "block", "base", "transversals", "kernel", "_gens",
-                 "_inputs", "_verified", "_identity", "_starts", "_reps")
+                 "_inputs", "_verified", "_identity", "_starts", "_reps", "_sent")
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]], block: int = 1):
         self.degree = degree
@@ -210,6 +237,7 @@ class StabilizerChain:
         self._starts = (self._identity if block == 1
                         else tuple(x - x % block for x in range(degree)))
         self._reps: Optional[list[list[Perm]]] = None
+        self._sent: set[Perm] = set()
         # the first level is point 0's orbit, trivial when every generator
         # fixes 0; the chain from level 1 on is then the stabilizer's own
         self._add_level(0)
@@ -245,12 +273,18 @@ class StabilizerChain:
                 break
         if j is None:
             q = self.block
-            # the first points of the blocks g sends the blocks to
-            if q > 1 and compose(starts, g[::q]) == starts[::q]:
-                if self.kernel is None:
-                    self.kernel = StabilizerChain(self.degree, ())
-                self.kernel.extend(g)
-                return None
+            if q > 1:
+                sent = self._sent
+                if g in sent:
+                    return None
+                # the first points of the blocks g sends the blocks to
+                if compose(starts, g[::q]) == starts[::q]:
+                    if self.kernel is None:
+                        self.kernel = StabilizerChain(self.degree, ())
+                    self.kernel.extend(g)
+                    if len(sent) < sum(map(len, self.transversals)):
+                        sent.add(g)
+                    return None
             # new base point: the first point of the smallest block g moves
             self._add_level(
                 next(x for x in range(0, self.degree, q) if starts[g[x]] != x))
@@ -268,12 +302,13 @@ class StabilizerChain:
         them.  Points already present keep their representatives."""
         trans = self.transversals[i]
         starts = self._starts
+        ident = self._identity
         g, g_inv = pair
         new = []
         for x, v in list(trans.items()):
             y = starts[g[x]]
             if y not in trans:
-                trans[y] = compose(v, g_inv)
+                trans[y] = g_inv if v is ident else compose(v, g_inv)
                 new.append(y)
         gens = self._gens[i]
         for x in new:  # `new` grows while it is walked: a breadth-first search
@@ -290,11 +325,13 @@ class StabilizerChain:
         chain: fixes every block exactly when g's action on the blocks
         lies in the level's)."""
         starts = self._starts
+        ident = self._identity
         for i in range(level, len(self.base)):
             v = self.transversals[i].get(starts[g[self.base[i]]])
             if v is None:
                 return g
-            g = compose(v, g)
+            if v is not ident:
+                g = compose(v, g)
         return g
 
     def _process_level(self, i: int) -> Optional[int]:
@@ -312,22 +349,30 @@ class StabilizerChain:
             done = verified.get(beta, 0)
             if done == count:
                 continue
-            u_beta = inverse(v_beta)
+            u_beta = None
             for k in range(done, count):
                 s = gens[k][0]
-                schreier = compose(trans[starts[s[beta]]], compose(s, u_beta))
-                if schreier != ident:
-                    residue = self._sift_from(i + 1, schreier)
-                    if residue != ident:
-                        changed = self._install(residue)
-                        if changed is not None:
-                            # the orbits only grow, so every verified pair
-                            # stays verified: its Schreier generator and
-                            # sift path are fixed.  Returning at once also
-                            # keeps `trans`, which _install extends, from
-                            # changing under this loop.
-                            verified[beta] = k
-                            return changed
+                v_gamma = trans[starts[s[beta]]]
+                w = s if v_gamma is ident else compose(v_gamma, s)
+                # the Schreier generator w·v_β⁻¹ is the identity exactly
+                # when w = v_β; otherwise w becomes it
+                if w == v_beta:
+                    continue
+                if v_beta is not ident:
+                    if u_beta is None:
+                        u_beta = inverse(v_beta)
+                    w = compose(w, u_beta)
+                residue = self._sift_from(i + 1, w)
+                if residue != ident:
+                    changed = self._install(residue)
+                    if changed is not None:
+                        # the orbits only grow, so every verified pair
+                        # stays verified: its Schreier generator and
+                        # sift path are fixed.  Returning at once also
+                        # keeps `trans`, which _install extends, from
+                        # changing under this loop.
+                        verified[beta] = k
+                        return changed
             verified[beta] = count
         return None
 

@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelat import permcore
 from treelat.cli import json_data
 from treelat.errors import (
     DepthOverflow,
@@ -25,7 +27,7 @@ from treelat.localaction import (
     tower,
     tower_report,
 )
-from treelat.permcore import StabilizerChain, order, trivial_group
+from treelat.permcore import StabilizerChain, compose, order, trivial_group
 from treelat.survey import enumerate_complete_data
 from treelat.vhcomplex import (
     Alphabet,
@@ -373,6 +375,70 @@ def test_tower_builds_no_chain_of_a_deeper_level_on_its_whole_sphere(monkeypatch
     assert [(degree, block) for degree, block, count in built if count] == \
         [(4, 1)] + [(g.degree, 3) for g in t.groups[1:]]
     assert all(block == 1 for degree, block, count in built if not count)
+
+
+def test_growth_block_chain_is_pinned():
+    # the growth datum's P_5 on its fibres of three words: the chain the
+    # engine builds, which sparing products and sifts must not change
+    *_, p5 = local_groups(automaton_for_side(growth_datum(), "horizontal"), 5)
+    chain = StabilizerChain(p5.degree, p5.generators, block=3)
+    assert [len(t) for t in chain.transversals] == [108, 2, 3, 9, 27, 3]
+    assert [len(level) for level in chain._gens] == [11, 9, 7, 6, 4, 1]
+    assert chain.kernel.order() == 27
+
+
+def test_tower_never_multiplies_by_the_identity(monkeypatch):
+    lefts = []
+
+    def recording_compose(p, q):
+        lefts.append(p)
+        return compose(p, q)
+
+    monkeypatch.setattr(permcore, "compose", recording_compose)
+    tower(growth_datum(), "horizontal", 5)
+    assert lefts
+    assert not [p for p in lefts if p == tuple(range(len(p)))]
+
+
+def _record_kernel_handoffs(monkeypatch) -> dict:
+    """Maps each kernel chain to the elements that block chains' installs
+    extend it by; the conjugation closure extends kernels too, from
+    another caller, and is not recorded."""
+    handed: dict = {}
+    extend = StabilizerChain.extend
+
+    def recording_extend(self, g):
+        if sys._getframe(1).f_code.co_name == "_install":
+            handed.setdefault(self, []).append(g)
+        return extend(self, g)
+
+    monkeypatch.setattr(StabilizerChain, "extend", recording_extend)
+    return handed
+
+
+def test_block_chains_hand_each_residue_to_their_kernel_once(monkeypatch):
+    handed = _record_kernel_handoffs(monkeypatch)
+    tower(growth_datum(), "horizontal", 5)
+    assert handed
+    for elements in handed.values():
+        assert len(elements) == len(set(elements))
+
+
+def test_kernel_memo_fills_to_its_bound(monkeypatch):
+    # datum 260 of T4 x T4: the block chain of P_4 has a kernel of order
+    # 3^19 and remembers as many residues as its transversals hold, 86;
+    # residues past that are sifted through the kernel, and the orders
+    # still equal those of chains of each level on its whole sphere
+    d = next(itertools.islice(enumerate_complete_data(A4, A4), 260, None))
+    t = tower(d, "horizontal", 4)
+    p4 = t.groups[3]
+    handed = _record_kernel_handoffs(monkeypatch)
+    chain = StabilizerChain(p4.degree, p4.generators, block=3)
+    assert chain.kernel.order() == 3 ** 19
+    assert len(chain._sent) == sum(map(len, chain.transversals)) == 86
+    assert len(handed[chain.kernel]) > 86
+    assert t.orders == (24, 648, 1417176, 1647129056757192)
+    assert t.orders == tuple(StabilizerChain(g.degree, g.generators).order() for g in t.groups)
 
 
 def test_fibre_chain_order_is_checked_against_the_level_below():

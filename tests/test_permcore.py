@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelat import permcore
 from treelat.errors import (
     DegreeMismatch,
     MalformedDocument,
@@ -286,6 +287,9 @@ def test_chain_invariants_on_engine_suite():
                 assert starts[x] == x and starts[rep[x]] == b, (chain.base, i, x)
                 assert all(starts[rep[p]] == p for p in prefix), (chain.base, i, x)
                 assert _holds(chain, rep)
+                # only the root holds the identity object, which the
+                # engine's `is` tests skip multiplying by
+                assert (rep is chain._identity) == (x == b), (chain.base, i, x)
         # level i's generators are exactly the level-0 ones fixing the
         # blocks base[:i], in installation order, each stored with its inverse
         for i, level in enumerate(chain._gens):
@@ -301,6 +305,13 @@ def test_chain_invariants_on_engine_suite():
             assert all(pair in level0 for pair in chain._inputs), chain.base
             assert all(chain._verified[0].get(x, 0) == len(chain._inputs)
                        for x in chain.transversals[0]), chain.base
+        # every residue a block chain remembers handing to its kernel is in
+        # the kernel
+        assert all(chain.kernel.contains(g) for g in chain._sent), chain.base
+    # a block chain remembers at most as many residues as its transversals
+    # hold representatives
+    for chain in blocks:
+        assert len(chain._sent) <= sum(map(len, chain.transversals)), chain.base
     # a group's inputs are its distinct generators other than the identity
     for g in groups:
         assert [s for s, _ in g.chain()._inputs] == [
@@ -312,6 +323,7 @@ def test_chain_invariants_on_engine_suite():
         if any(s[0] != 0 for s in g.generators)]
     for chain, stab in shared:
         assert stab.kernel is chain.kernel and stab.base == chain.base[1:]
+        assert stab._sent is chain._sent
         # a stabilizer's inputs are its own level-0 generators
         if stab.base:
             assert stab._inputs is stab._gens[0]
@@ -404,6 +416,22 @@ def test_block_chain_with_no_kernel():
     swap = (3, 4, 5, 0, 1, 2)
     chain = StabilizerChain(6, [swap], block=3)
     assert (chain.order(), chain.kernel) == (2, None)
+
+
+def test_chain_of_a_cycle_inverts_only_its_generator(monkeypatch):
+    # every Schreier generator of C12 on its 12-cycle is the identity, so
+    # no orbit point's representative is inverted; the one inverse is the
+    # generator's own, formed when it is installed
+    inverted = []
+
+    def counting_inverse(p):
+        inverted.append(p)
+        return inverse(p)
+
+    monkeypatch.setattr(permcore, "inverse", counting_inverse)
+    chain = StabilizerChain(12, cyclic_group(12).generators)
+    assert chain.order() == 12
+    assert inverted == list(cyclic_group(12).generators)
 
 
 # ---------------------------------------------------------------------------
