@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Exhaustively enumerate the complete VH data on two 4-letter alphabets
-(involutions 0<->1, 2<->3 on both sides) and record the level-growth survey:
-how many data exist, and whether any has |P2| > |P1| on some side.
+"""Exhaustively enumerate the complete VH data on two alphabets of N and M
+letters (involutions 0<->1, 2<->3, ... on both sides; 4 and 4 unless
+--sizes says otherwise) and record the level-growth survey: how many data
+exist, and whether any has |P2| > |P1| on some side.
 
-    python scripts/survey_t4x4.py [--json out.json]
+    python scripts/survey_t4x4.py [--sizes N M] [--json out.json]
+
+The record goes to standard output, and the number of automaton classes
+whose local groups were built to standard error.
 """
 
 import argparse
@@ -22,12 +26,14 @@ from treelat.vhcomplex import Alphabet, serialize_datum, validate  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser()
+    parser.add_argument("--sizes", nargs=2, type=int, default=(4, 4), metavar=("N", "M"),
+                        help="the horizontal and the vertical alphabet size (default 4 4)")
     parser.add_argument("--json", metavar="PATH", help="also write the survey record")
     args = parser.parse_args()
 
-    a4 = Alphabet.with_adjacent_pairs(4)
+    horiz, vert = map(Alphabet.with_adjacent_pairs, args.sizes)
     start = time.perf_counter()
-    result = survey_level_growth(a4, a4)
+    result = survey_level_growth(horiz, vert)
     elapsed = time.perf_counter() - start
 
     record = result.to_json()
@@ -38,6 +44,7 @@ def main() -> int:
     print(f"largest |P1| seen:          {result.max_p1_order}")
     print(f"largest |P2| seen:          {result.max_p2_order}")
     print(f"elapsed:                    {elapsed:.2f}s")
+    print(f"classes typed:              {result.classes_typed}", file=sys.stderr)
 
     if result.first_growth is not None:
         d = result.first_growth

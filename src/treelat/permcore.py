@@ -34,8 +34,10 @@ chain being built, so it uses its strong generators.
 Three rules spare work without changing any chain that is built.  Only a
 level's root, the representative of its base point, is the chain's
 identity object ``_identity``; every other representative moves its
-point.  So a sift, an orbit extension and a Schreier generator skip the
-product when a representative ``is`` that object.  The Schreier
+point.  So a sift, an orbit extension, a Schreier generator, a random
+element and the element list skip the product when a factor ``is`` that
+object, and a normal closure's random phase, which starts from it, skips
+its first product.  The Schreier
 generator of a point β and a generator s is v_γ·s·v_β⁻¹, where γ is the
 image of β and v a representative; it is the identity exactly when
 w = v_γ·s equals v_β, so v_β⁻¹ is formed only at β's first generator
@@ -432,17 +434,24 @@ class StabilizerChain:
         if reps is None:
             reps = self._reps = [list(t.values()) for t in self.transversals
                                  if len(t) > 1]
-        g = self._identity
+        ident = g = self._identity
         for level in reps:
-            g = compose(rng.choice(level), g)
+            v = rng.choice(level)
+            if g is ident:
+                g = v
+            elif v is not ident:
+                g = compose(v, g)
         return g
 
     def elements(self) -> list[Perm]:
         """All group elements as image tuples (size = order)."""
-        elems = [self._identity]
+        ident = self._identity
+        elems = [ident]
         for trans in reversed(self.transversals):
-            reps = [inverse(trans[x]) for x in sorted(trans)]
-            elems = [compose(u, e) for u in reps for e in elems]
+            reps = [trans[x] for x in sorted(trans)]
+            reps = [v if v is ident else inverse(v) for v in reps]
+            elems = [e if u is ident else u if e is ident else compose(u, e)
+                     for u in reps for e in elems]
         return elems
 
 
@@ -602,7 +611,8 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
         misses = 0
         while misses < _CLOSURE_MISSES:
             x = ambient.random_element(rng)
-            r = compose(inverse(x), compose(compose(r, rng.choice(seed_tuples)), x))
+            s = rng.choice(seed_tuples)
+            r = compose(inverse(x), compose(s if r is ident else compose(r, s), x))
             residue = chain._sift_from(0, r)
             if residue == ident:
                 misses += 1

@@ -9,13 +9,15 @@ routes independent and lets the test suite cross-check one against the
 other.
 
 The level-growth survey reads both automata of each datum off the walk's
-lists and keys them there, and types each class of automata, equal up to
-state order and letter labels, once; it builds a datum only for its record.
+lists and keys each by its class there, and types each class of automata,
+equal up to state order and every relabelling of the letters that keeps
+the involution, once; it builds a datum only for its record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -128,6 +130,7 @@ class SurveyResult:
     max_p2_order: int = 1
     first_growth: Optional[VhDatum] = None
     p1_orders_seen: set = field(default_factory=set)
+    classes_typed: int = 0  # automaton classes whose local groups were built
 
     @property
     def any_growth(self) -> bool:
@@ -145,80 +148,105 @@ class SurveyResult:
         }
 
 
-def _key(involution: bytes, out: bytes, nxt: bytes) -> bytes:
-    """The letter involution, the `out` rows, and for each state s and
-    letter x the row out[nxt[s][x]], as bytes; `out` and `nxt` hold the
-    rows one after the other, in state order."""
-    width = len(involution)
-    rows = [out[k:k + width] for k in range(0, len(out), width)]
-    return involution + out + b"".join([rows[t] for t in nxt])
-
-
-def _automaton_from_rows(states: Alphabet, letters: Alphabet, out: bytes,
-                         nxt: bytes) -> MealyAutomaton:
-    """The automaton of the flat rows `out` and `nxt`, as in `_key`."""
-    width = letters.size
-    return MealyAutomaton(
-        states=states, letters=letters,
-        out=tuple(tuple(out[k:k + width]) for k in range(0, len(out), width)),
-        nxt=tuple(tuple(nxt[k:k + width]) for k in range(0, len(nxt), width)))
-
-
-def _relabelling(letters: Alphabet, states: int) -> tuple[bytes, bytes, itemgetter]:
-    """The standard involution on as many letters, and for the map λ that
-    sends the i-th 2-cycle of `letters`' involution, ordered by its smaller
-    point, to (2i, 2i+1): its translate table, and the itemgetter that
-    moves entry x of each of `states` flat rows to position λx."""
-    involution, width = letters.involution, letters.size
-    lam = [0] * width
-    for i, x in enumerate([x for x in range(width) if x < involution[x]]):
+def _standard_relabelling(involution: tuple[int, ...]) -> list[int]:
+    """λ: the i-th 2-cycle of `involution`, ordered by its smaller point,
+    goes to (2i, 2i+1), a 2-cycle of the standard involution x <-> x^1."""
+    lam = [0] * len(involution)
+    for i, x in enumerate([x for x in range(len(involution)) if x < involution[x]]):
         lam[x], lam[involution[x]] = 2 * i, 2 * i + 1
-    back = sorted(range(width), key=lam.__getitem__)
-    return (bytes(Alphabet.with_adjacent_pairs(width).involution),
-            bytes.maketrans(bytes(range(width)), bytes(lam)),
-            itemgetter(*[q * width + x for q in range(states) for x in back]))
+    return lam
 
 
-def _class_form(relabelling: tuple[bytes, bytes, itemgetter], out: bytes,
-                nxt: bytes) -> tuple[bytes, bytes, bytes]:
-    """The class key and the flat `out` and `nxt` rows of the automaton's
-    class form: its letters relabelled by λ, then its states renumbered in
-    order of their sort bytes; see `survey_level_growth`."""
-    involution, table, positions = relabelling
-    width = len(involution)
-    out, nxt = bytes(positions(out.translate(table))), bytes(positions(nxt))
-    rows = [out[k:k + width] for k in range(0, len(out), width)]
-    moves = [nxt[k:k + width] for k in range(0, len(nxt), width)]
-    sort = [row + b"".join([rows[t] for t in step]) for row, step in zip(rows, moves)]
-    order = sorted(range(len(rows)), key=sort.__getitem__)
-    out = b"".join([rows[q] for q in order])
-    nxt = b"".join([moves[q] for q in order]).translate(
-        bytes.maketrans(bytes(order), bytes(range(len(order)))))
-    return _key(involution, out, nxt), out, nxt
+def _centralizer(width: int) -> list[tuple[int, ...]]:
+    """The letter permutations μ that commute with x <-> x^1, the identity
+    first: μ(2i + e) = 2π(i) + (e xor f_i), for a permutation π of the
+    pairs and flips f, so 2^k k! of them on k pairs."""
+    pairs = width // 2
+    return [tuple(2 * p + (e ^ (flips >> i & 1)) for i, p in enumerate(perm) for e in (0, 1))
+            for perm in permutations(range(pairs)) for flips in range(2 ** pairs)]
 
 
-def _walk_keys(horiz: Alphabet, vert: Alphabet) -> Iterator[
-        tuple[list[int], tuple[bytes, bytes, bytes], tuple[bytes, bytes, bytes]]]:
-    """For each set of `_walk`: img, and the key and the flat `out` and
-    `nxt` rows of its vertical and of its horizontal automaton, read off
-    img and pre as `survey_level_growth` says.  Indices are kept in bytes,
-    so at most 256 corners are taken, far more than any walk can finish."""
+class _Side:
+    """How the survey reads and keys one automaton of each walked set.
+
+    `rows(entries)` gives the flat `out` and `nxt` rows of the automaton
+    with its letters relabelled by λ, from the walk's list `entries` (pre
+    for the vertical automaton, img for the horizontal one); `entry(q, x)`
+    is the list index that holds state q's move on letter x, and
+    `split[v]` the (letter, state) pair an entry v encodes."""
+
+    def __init__(self, states: int, letters: Alphabet, entry, split) -> None:
+        width = letters.size
+        lam = _standard_relabelling(letters.involution)
+        back = sorted(range(width), key=lam.__getitem__)
+        self.states = Alphabet.with_adjacent_pairs(states)
+        self.letters = Alphabet.with_adjacent_pairs(width)
+        self.width = width
+        self.prefix = bytes([width])
+        self._gather = itemgetter(*[entry(q, x) for q in range(states) for x in back])
+        self._out = bytes(lam[y] for y, _ in split).ljust(256, b"\0")
+        self._nxt = bytes(t for _, t in split).ljust(256, b"\0")
+        # per μ: its translate table, the positions that move each
+        # state's bytes to those of the relabelled automaton, and those
+        # that move the flat rows
+        chunk = width * (width + 1)
+        self._relabellings = []
+        for mu in _centralizer(width):
+            inv = sorted(range(width), key=mu.__getitem__)
+            in_chunk = [b * width + inv[y] for b in [0, *(1 + x for x in inv)] for y in range(width)]
+            self._relabellings.append((
+                bytes.maketrans(bytes(range(width)), bytes(mu)),
+                itemgetter(*[q * chunk + p for q in range(states) for p in in_chunk]),
+                itemgetter(*[q * width + inv[y] for q in range(states) for y in range(width)])))
+
+    def rows(self, entries: list[int]) -> tuple[bytes, bytes]:
+        raw = bytes(self._gather(entries))
+        return raw.translate(self._out), raw.translate(self._nxt)
+
+    def key(self, out: bytes, nxt: bytes) -> bytes:
+        """The class key: the width, then the sorted bytes of the states,
+        each its row out[q] and then the rows out[t] for t = nxt[q][x]."""
+        width = self.width
+        rows = [out[k:k + width] for k in range(0, len(out), width)]
+        moved = b"".join([rows[t] for t in nxt])
+        size = width * width
+        return self.prefix + b"".join(sorted([
+            row + moved[k:k + size] for row, k in zip(rows, range(0, len(moved), size))]))
+
+    def least(self, key: bytes) -> tuple[bytes, int]:
+        """The least class key over the relabellings μ, and the index of a
+        μ that gives it."""
+        body = key[1:]
+        chunk = self.width * (self.width + 1)
+        forms = []
+        for index, (table, in_states, _) in enumerate(self._relabellings):
+            moved = bytes(in_states(body)).translate(table)
+            forms.append((self.prefix + b"".join(sorted([
+                moved[k:k + chunk] for k in range(0, len(moved), chunk)])), index))
+        return min(forms)
+
+    def automaton(self, out: bytes, nxt: bytes, index: int) -> MealyAutomaton:
+        """The automaton of the rows relabelled by the index-th μ."""
+        table, _, in_rows = self._relabellings[index]
+        out, nxt = bytes(in_rows(out)).translate(table), bytes(in_rows(nxt))
+        width = self.width
+        return MealyAutomaton(
+            states=self.states, letters=self.letters,
+            out=tuple(tuple(out[k:k + width]) for k in range(0, len(out), width)),
+            nxt=tuple(tuple(nxt[k:k + width]) for k in range(0, len(nxt), width)))
+
+
+def _sides(horiz: Alphabet, vert: Alphabet) -> tuple[_Side, _Side]:
+    """The vertical and the horizontal side, read off pre and img as
+    `survey_level_growth` says.  Indices are kept in bytes, so at most 256
+    corners are taken, far more than any walk can finish."""
     n, m = horiz.size, vert.size
     if n * m > 256:
         raise ResourceCapExceeded(
             f"the survey takes at most 256 corners, got {n} x {m} = {n * m}")
-    indices = bytes(range(n * m))
-    high = bytes.maketrans(indices, bytes(x // m for x in indices))
-    low = bytes.maketrans(indices, bytes(x % m for x in indices))
-    # the indices a*m + b in order of (b, a)
-    by_column = itemgetter(*[a * m + b for b in range(m) for a in range(n)])
-    h_involution, v_involution = bytes(horiz.involution), bytes(vert.involution)
-    for img, pre in _walk(horiz, vert):
-        h, v = bytes(img), bytes(by_column(pre))
-        v_out, v_nxt = v.translate(high), v.translate(low)
-        h_out, h_nxt = h.translate(low), h.translate(high)
-        yield (img, (_key(h_involution, v_out, v_nxt), v_out, v_nxt),
-               (_key(v_involution, h_out, h_nxt), h_out, h_nxt))
+    return (_Side(m, horiz, lambda b, a: a * m + b, [divmod(c, m) for c in range(n * m)]),
+            _Side(n, vert, lambda a, b: a * m + b,
+                  [divmod(i, m)[::-1] for i in range(n * m)]))
 
 
 def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
@@ -232,40 +260,49 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
     out[b][a] = pre[a*m + b] // m and nxt[b][a] = pre[a*m + b] % m.
 
     |P1| and |P2| are computed once per class: the automata equal up to
-    renumbering their states and relabelling their letters onto the
-    standard involution 0<->1, 2<->3, ...  An automaton's `_key` is looked
-    up first.  P1's generators are the `out` rows.  P2's generator for
-    state s is assembled from the involution, out[s] and the rows out[t]
-    for t = nxt[s][x], which are P1's generators t; the reduced-word check
-    and the truncation guard read nothing else.  So the key fixes both
-    generator tuples, and a repeated key passes or raises exactly as its
-    first occurrence did.  On a miss the class key is looked up, and on a
-    class miss the class form is built and typed; the flags are stored
-    under both keys.
+    renumbering their states and relabelling their letters by any
+    bijection that carries one's involution to the other's.  Each
+    automaton is read with its letters relabelled by λ, which sends the
+    i-th 2-cycle of its involution ι, ordered by its smaller point, to
+    (2i, 2i+1), a pair of the standard involution ι' = x <-> x^1:
+    out'[q][λx] = λ(out[q][x]) and nxt'[q][λx] = nxt[q][x].  With w
+    letters, state q's bytes are out'[q] + out'[nxt'[q][0]] + ... +
+    out'[nxt'[q][w-1]], and the class key is w followed by the states'
+    bytes in sorted order.  On a class key not seen before, the least
+    class key over the relabellings μ that commute with ι' is taken:
+    those of C2≀C2, of order 8, on 4 letters, and of C2≀S3, of order 48,
+    on 6.  On a least key not seen before either, the automaton relabelled
+    by a μ that gives it is built and typed.  The flags are stored under
+    both keys, and a key of one width never equals a key of another.
 
-    The class form: with w letters and involution ι, λ sends the i-th
-    2-cycle of ι, ordered by its smaller point, to (2i, 2i+1), the pairs
-    of the standard ι'.  The letters are relabelled, out'[q][λx] =
-    λ(out[q][x]) and nxt'[q][λx] = nxt[q][x], then the states renumbered
-    in order of the bytes out'[q] + out'[nxt'[q][0]] + ... +
-    out'[nxt'[q][w-1]].  The class key is `_key` of the result, with ι'.
-    - φ(x1...xk) = λx1...λxk is a bijection from the ι-reduced words to
-      the ι'-reduced ones, as y = ιx exactly when λy = ι'λx, and it
+    (i) The class key fixes P1, P2 and the checks.  P1's generators are
+    the `out` rows.  P2's generator for state s is assembled from the
+    involution, out[s] and the rows out[t] for t = nxt[s][x], which are
+    P1's generators t; the reduced-word check (out[t][ιx] = ι out[s][x]
+    for t = nxt[s][x]) and the truncation guard read nothing else.  So
+    P1's and P2's generator sets, and whether the checks pass, depend only
+    on the set of the states' bytes, which the class key fixes; in
+    particular renumbering the states changes nothing, and two states with
+    equal bytes have equal generators, so ties in the sort do not matter.
+
+    (ii) A relabelling keeps |P1|, |P2| and the checks.  Let μ be a letter
+    bijection with μι = ι''μ, and relabel out''[q][μx] = μ(out[q][x]) and
+    nxt''[q][μx] = nxt[q][x].
+    - φ(x1...xk) = μx1...μxk is a bijection from the ι-reduced words to
+      the ι''-reduced ones, as y = ιx exactly when μy = ι''μx, and it
       commutes with truncation.  State q of the relabelled automaton sends
-      φ(v) to φ(q.v), so each P_k' = φP_kφ⁻¹, of the same order.
-    - λ carries each equation of the permutation check, the reduced-word
-      check (out[t][ιx] = ι out[s][x] for t = nxt[s][x]) and the
-      truncation guard to the same equation of the relabelled automaton,
-      so they hold for both or for neither.
-    - Renumbering the states only reorders the generator tuples and the
-      checks' equations.  Two states with equal sort bytes have equal P1
-      and P2 generators, as those bytes fix them, so ties do not matter.
-    A class is built from its class form, on standard alphabets, so what
-    a survey builds does not depend on the involutions.  The T4 x T4
-    survey has 3,128 automata: 436 keys with one involution on both
-    sides, 872 with two, and 86 classes either way.  It builds 172 local
-    groups and, as a group's order depends only on the set of its
-    generators and each set's order is computed once per call, 135
+      φ(v) to φ(q.v), so each P_k'' = φP_kφ⁻¹, of the same order.
+    - μ carries each equation of the permutation check, the reduced-word
+      check and the truncation guard to the same equation of the
+      relabelled automaton, so they hold for both or for neither.
+    λ is such a bijection from ι to ι', each μ above one from ι' to ι',
+    and so is their composite.  So two automata with one class key, or
+    with one least key, have the same |P1| and |P2| and pass or fail the
+    checks together, and a class is built on standard alphabets whatever
+    the survey's involutions.  The T4 x T4 survey has 3,128 automata, with
+    86 class keys and 44 least keys on every pairing of involutions.  It
+    builds 88 local groups and, as a group's order depends only on the set
+    of its generators and each set's order is computed once per call, 72
     stabilizer chains.
 
     Every check of the route through `VhDatum` and `vertical_automaton`
@@ -277,11 +314,13 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
     - `VhDatum`'s letter range checks: every index is below n*m, so its
       quotient by m is below n and its remainder below m;
     - `MealyAutomaton`'s permutation check and `local_groups`'
-      reduced-word check and truncation guard run on the class form, on
-      the class's first occurrence, and decide every member, as above."""
+      reduced-word check and truncation guard run on the automaton built
+      for the class, on the class's first occurrence, and decide every
+      member, as above."""
+    sides = _sides(horiz, vert)
     result = SurveyResult()
     orders: dict[frozenset, int] = {}
-    # key or class key -> 1 if |P1| > 1, plus 2 if |P2| > |P1|
+    # class key or least key -> 1 if |P1| > 1, plus 2 if |P2| > |P1|
     flags: dict[bytes, int] = {}
     levels: list[tuple[int, int]] = []
 
@@ -291,28 +330,26 @@ def survey_level_growth(horiz: Alphabet, vert: Alphabet) -> SurveyResult:
             orders[key] = order(group)
         return orders[key]
 
-    # per side: the class form's states and letters, and λ
-    sides = [(Alphabet.with_adjacent_pairs(states.size), Alphabet.with_adjacent_pairs(letters.size),
-              _relabelling(letters, states.size))
-             for states, letters in ((vert, horiz), (horiz, vert))]
-    for img, *keyed in _walk_keys(horiz, vert):
+    for img, pre in _walk(horiz, vert):
         result.total += 1
         found = 0
-        for (states, letters, relabelling), (key, out, nxt) in zip(sides, keyed):
+        for side, entries in zip(sides, (pre, img)):
+            out, nxt = side.rows(entries)
+            key = side.key(out, nxt)
             if key not in flags:
-                cls, out, nxt = _class_form(relabelling, out, nxt)
-                if cls not in flags:
-                    automaton = _automaton_from_rows(states, letters, out, nxt)
-                    p1, p2 = map(order_of, local_groups(automaton, 2))
+                least, index = side.least(key)
+                if least not in flags:
+                    p1, p2 = map(order_of, local_groups(side.automaton(out, nxt, index), 2))
                     levels.append((p1, p2))
-                    flags[cls] = (p1 > 1) | (p2 > p1) << 1
-                flags[key] = flags[cls]
+                    flags[least] = (p1 > 1) | (p2 > p1) << 1
+                flags[key] = flags[least]
             found |= flags[key]
         result.nontrivial_p1 += found & 1
         if found & 2:
             result.growth_count += 1
             if result.first_growth is None:
                 result.first_growth = _datum(horiz, vert, _letters(horiz, vert), img)
+    result.classes_typed = len(levels)
     for p1, p2 in levels:
         result.max_p1_order = max(result.max_p1_order, p1)
         result.max_p2_order = max(result.max_p2_order, p2)

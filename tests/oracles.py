@@ -6,14 +6,16 @@ and the normal-subgroup lattice from enumerating every subgroup.  Local
 groups on tree spheres come from listing the reduced words and rewriting
 each one letter by letter, and complete data from a walk over the corner
 map that keeps corners and images as pairs in dicts.  Automaton rows are
-read straight off a datum's squares, and the survey's keys straight off an
-automaton's rows.  These are the reference answers the engine is checked
+read straight off a datum's squares, and the survey's keys off an
+automaton's rows, as the least over every letter relabelling and state
+order.  These are the reference answers the engine is checked
 against.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 
 def compose_t(p, q):
@@ -352,35 +354,59 @@ def horizontal_rows(d):
     return tuple(map(tuple, out)), tuple(map(tuple, nxt))
 
 
-def level2_key(aut) -> bytes:
-    """The survey's key of an automaton: the letter involution, the `out`
-    rows, and for each state s and letter x the row out[nxt[s][x]]."""
-    return bytes([*aut.letters.involution,
-                  *(y for row in aut.out for y in row),
-                  *(y for moves in aut.nxt for t in moves for y in aut.out[t])])
+@cache
+def standard_relabellings(involution) -> tuple[tuple[int, ...], ...]:
+    """Every letter bijection σ that carries the involution to the
+    standard one, σ(inv x) = σ(x) xor 1, found among all permutations."""
+    width = len(involution)
+    return tuple(sigma for sigma in permutations(range(width))
+                 if all(sigma[involution[x]] == sigma[x] ^ 1 for x in range(width)))
 
 
-def class_key(aut) -> bytes:
-    """The survey's class key of an automaton, from its rows: the letters
-    are relabelled by the map that sends the i-th 2-cycle of the
-    involution, taken in order of its smaller point, to (2i, 2i+1), and
-    the states renumbered in order of their `out` row followed by the
-    `out` rows of their next states; the key is `level2_key` of the
-    result, whose involution is 0<->1, 2<->3, ..."""
-    inv = aut.letters.involution
-    relabel = {}
-    for i, x in enumerate(x for x in range(len(inv)) if x < inv[x]):
-        relabel[x], relabel[inv[x]] = 2 * i, 2 * i + 1
-    letters = sorted(relabel, key=relabel.get)  # the new letter j is old letters[j]
-    out = [tuple(relabel[row[x]] for x in letters) for row in aut.out]
-    nxt = [tuple(moves[x] for x in letters) for moves in aut.nxt]
-    states = sorted(range(len(out)), key=lambda s: (out[s], [out[t] for t in nxt[s]]))
-    renumber = {s: r for r, s in enumerate(states)}
-    out2 = [out[s] for s in states]
-    nxt2 = [tuple(renumber[t] for t in nxt[s]) for s in states]
-    standard = [x ^ 1 for x in range(len(inv))]
-    return bytes([*standard, *(y for row in out2 for y in row),
-                  *(y for moves in nxt2 for t in moves for y in out2[t])])
+def relabelled(aut, sigma, order=None):
+    """The `out` and `nxt` rows of the automaton with letter x renamed
+    sigma[x], so that a state sends sigma[x] to sigma[out[s][x]], and with
+    its states renumbered so that the new state r is the old state
+    order[r]."""
+    order = list(range(aut.states.size)) if order is None else list(order)
+    new = {s: r for r, s in enumerate(order)}
+    out = [[0] * len(sigma) for _ in order]
+    nxt = [[0] * len(sigma) for _ in order]
+    for r, s in enumerate(order):
+        for x in range(len(sigma)):
+            out[r][sigma[x]] = sigma[aut.out[s][x]]
+            nxt[r][sigma[x]] = new[aut.nxt[s][x]]
+    return tuple(map(tuple, out)), tuple(map(tuple, nxt))
+
+
+def survey_key(out, nxt) -> bytes:
+    """The bytes the survey keys rows on the standard involution by, in
+    their own state order: the number of letters, then for each state its
+    `out` row followed by the `out` rows of its next states."""
+    rows = [bytes(row) for row in out]
+    return bytes([len(rows[0])]) + b"".join(
+        [rows[s] + b"".join([rows[t] for t in nxt[s]]) for s in range(len(rows))])
+
+
+def canonical_form(aut, sigmas=None):
+    """The least `survey_key` over the letter bijections `sigmas` (by
+    default every one that carries the involution to the standard one)
+    and over every renumbering of the states, with the `out` and `nxt`
+    rows that have it.  A state's bytes name no state, so a renumbering
+    only reorders them, and they all have one length, so the least
+    concatenation is that of the least tuple of them."""
+    best = None
+    for sigma in standard_relabellings(aut.letters.involution) if sigmas is None else sigmas:
+        body = survey_key(*relabelled(aut, sigma))
+        size = len(sigma) * (len(sigma) + 1)
+        states = [body[k:k + size] for k in range(1, len(body), size)]
+        key = body[:1] + b"".join(min(permutations(states)))
+        if best is None or key < best[0]:
+            best = (key, sigma, states)
+    key, sigma, states = best
+    order = next(order for order in permutations(range(len(states)))
+                 if key[1:] == b"".join([states[s] for s in order]))
+    return (key, *relabelled(aut, sigma, order))
 
 
 def complete_data_walk(horiz, vert):

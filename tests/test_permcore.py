@@ -519,6 +519,64 @@ def test_random_elements_follow_an_extended_chain():
     assert {chain.random_element(rng) for _ in range(600)} == set(chain.elements())
 
 
+def test_draws_and_element_lists_never_multiply_by_the_identity(suite, monkeypatch):
+    # both are products of one representative per level, so a factor is
+    # the identity only where a level's root is taken; skipping those
+    # products must leave every draw and the order of every list as the
+    # full products give them
+    factors = []
+
+    def recording_compose(p, q):
+        factors.extend((p, q))
+        return compose(p, q)
+
+    def full_draw(chain, rng):
+        g = identity(chain.degree)
+        for level in (list(t.values()) for t in chain.transversals if len(t) > 1):
+            g = compose(rng.choice(level), g)
+        return g
+
+    def full_list(chain):
+        elems = [identity(chain.degree)]
+        for trans in reversed(chain.transversals):
+            elems = [compose(inverse(trans[x]), e) for x in sorted(trans) for e in elems]
+        return elems
+
+    for g in suite:
+        chain = g.chain()
+        expected_list = full_list(chain)
+        rng = random.Random(3)
+        expected_draws = [full_draw(chain, rng) for _ in range(20)]
+        with monkeypatch.context() as patched:
+            patched.setattr(permcore, "compose", recording_compose)
+            listed = chain.elements()
+            rng = random.Random(3)
+            draws = [chain.random_element(rng) for _ in range(20)]
+        assert listed == expected_list, g.name
+        assert draws == expected_draws, g.name
+    assert factors
+    assert not [p for p in factors if p == tuple(range(len(p)))]
+
+
+def test_whole_normal_closures_never_multiply_by_the_identity(monkeypatch):
+    # the random phase starts from the identity, and its first draw is the
+    # seed conjugated, with no product by that identity; with these seeds
+    # and draws no later product is the identity either
+    lefts = []
+
+    def recording_compose(p, q):
+        lefts.append(p)
+        return compose(p, q)
+
+    monkeypatch.setattr(permcore, "compose", recording_compose)
+    for g, seed in ((alternating_group(5), from_cycles(5, [(0, 1, 2)])),
+                    (symmetric_group(6), from_cycles(6, [(0, 1)])),
+                    (alternating_group(7), from_cycles(7, [(0, 1), (2, 3)]))):
+        assert normal_closure(g, [seed]) is g
+    assert lefts
+    assert not [p for p in lefts if p == tuple(range(len(p)))]
+
+
 # ---------------------------------------------------------------------------
 # point stabilizer
 # ---------------------------------------------------------------------------

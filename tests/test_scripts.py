@@ -33,6 +33,20 @@ def test_survey_t4x4_writes_and_prints_the_record(capsys, monkeypatch, tmp_path)
     record = json.loads(path.read_text())
     assert record["total"] == 1564 and record["growth_count"] == 616
     assert "squares" in record["first_growth_datum"]
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert "complete data found:        1564" in lines
     assert "with |P2| > |P1| somewhere: 616" in lines
+    assert captured.err.splitlines() == ["classes typed:              44"]
+
+
+def test_survey_t4x4_takes_the_alphabet_sizes(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "s.json"
+    monkeypatch.setattr(sys, "argv", ["survey_t4x4.py", "--sizes", "2", "6", "--json", str(path)])
+    assert _load("survey_t4x4").main() == 0
+    record = json.loads(path.read_text())
+    assert record["total"] == 232 and record["growth_count"] == 0
+    assert "first_growth_datum" not in record
+    out, err = capsys.readouterr()
+    assert "complete data found:        232" in out.splitlines()
+    assert err.splitlines() == ["classes typed:              22"]

@@ -1,23 +1,23 @@
 """The level-growth survey's record and the work it does."""
 
+import functools
 import gc
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from conftest import SUITE_SEED, local_group
-from oracles import class_key, complete_data_walk, level2_key
+from oracles import canonical_form, complete_data_walk, relabelled
 from treelat import localaction
 from treelat.errors import ResourceCapExceeded
 from treelat.localaction import local_groups, tower
 from treelat.permcore import order
 from treelat.survey import (
-    _automaton_from_rows,
-    _class_form,
     _orbit_table,
-    _relabelling,
-    _walk_keys,
+    _Side,
+    _sides,
+    _walk,
     enumerate_complete_data,
     survey_level_growth,
 )
@@ -26,7 +26,6 @@ from treelat.vhcomplex import (
     VERTICAL,
     Alphabet,
     MealyAutomaton,
-    automaton_for_side,
     horizontal_automaton,
     vertical_automaton,
 )
@@ -36,6 +35,8 @@ from treelat.vhcomplex import (
 FPF_INVOLUTIONS_4 = [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
 A2 = Alphabet(size=2, involution=(1, 0))
 A4 = Alphabet.with_adjacent_pairs(4)
+A6 = Alphabet.with_adjacent_pairs(6)
+B6 = Alphabet(size=6, involution=(3, 4, 5, 0, 1, 2))
 
 T4X4_RECORD = {
     "total": 1564,
@@ -81,38 +82,106 @@ def test_walk_matches_the_reference_in_order(horiz, vert):
             == list(complete_data_walk(horiz, vert)))
 
 
+def _lam(involution):
+    """λ of the survey: the i-th 2-cycle, by its smaller point, to (2i, 2i+1)."""
+    paired = [y for x in range(len(involution)) if x < involution[x] for y in (x, involution[x])]
+    return tuple(map(paired.index, range(len(involution))))
+
+
+def _walked(horiz, vert):
+    """For each datum in walk order: the datum, and per side (vertical,
+    then horizontal) the survey's side, its rows read off the walk and
+    the reference automaton."""
+    sides = _sides(horiz, vert)
+    for (img, pre), d in zip(_walk(horiz, vert), enumerate_complete_data(horiz, vert)):
+        yield d, [(side, *side.rows(entries), aut) for side, entries, aut
+                  in zip(sides, (pre, img), (vertical_automaton(d), horizontal_automaton(d)))]
+
+
+def _flat(rows):
+    return bytes(y for row in rows for y in row)
+
+
 @pytest.mark.parametrize("horiz, vert", PAIRINGS)
 def test_walk_keys_match_the_reference_automata(horiz, vert):
-    # the survey's keys and the automata it builds on a miss, read off the
-    # walk's lists, against vhcomplex's automata of the datum at the same
-    # position
-    walked = list(_walk_keys(horiz, vert))
-    data = list(enumerate_complete_data(horiz, vert))
-    assert len(walked) == len(data)
-    for (_, *keyed), d in zip(walked, data):
-        sides = ((vert, horiz, vertical_automaton(d)), (horiz, vert, horizontal_automaton(d)))
-        for (states, letters, reference), (key, out, nxt) in zip(sides, keyed):
-            assert key == level2_key(reference)
-            automaton = _automaton_from_rows(states, letters, out, nxt)
-            assert automaton == reference
+    # the rows the survey reads off the walk's lists, with the letters
+    # relabelled by λ, and their class key, against vhcomplex's automata
+    # of the datum at the same position, relabelled by the oracle
+    count = 0
+    for _, sides in _walked(horiz, vert):
+        for side, out, nxt, reference in sides:
+            lam = _lam(reference.letters.involution)
+            assert (out, nxt) == tuple(map(_flat, relabelled(reference, lam)))
+            assert side.key(out, nxt) == canonical_form(reference, [lam])[0]
+            built = side.automaton(out, nxt, 0)
+            assert (built.out, built.nxt) == relabelled(reference, lam)
+            count += 1
+    assert count == 2 * sum(1 for _ in enumerate_complete_data(horiz, vert))
 
 
-def _class_form_of(aut):
-    """`survey._class_form` of an automaton's rows."""
-    return _class_form(_relabelling(aut.letters, aut.states.size),
-                       bytes(y for row in aut.out for y in row),
-                       bytes(t for moves in aut.nxt for t in moves))
+# least keys per survey, over the automata of both sides, by alphabet sizes
+CLASSES = {(4, 4): 44, (2, 4): 9, (4, 2): 9, (2, 2): 2}
+# least keys over both sides of the first 300 data in walk order
+FIRST_300_CLASSES = {(4, 6): 41, (6, 4): 37}
+
+
+def _check_classes(walked, classes):
+    """Each automaton's least key against the oracle's, the automaton built
+    for its class against that key, and each least key mapped to the
+    (|P1|, |P2|) of its automata, each group and chain built afresh."""
+    seen: dict = {}
+    for d, sides in walked:
+        # the vertical automaton's states act on the horizontal tree
+        for (side, out, nxt, aut), name in zip(sides, (HORIZONTAL, VERTICAL)):
+            least, index = side.least(side.key(out, nxt))
+            assert least == canonical_form(aut)[0]
+            form = side.automaton(out, nxt, index)
+            assert canonical_form(form, [tuple(range(form.letters.size))])[0] == least
+            seen.setdefault(least, set()).add(
+                tuple(order(local_group(d, name, k)) for k in (1, 2)))
+    assert len(seen) == classes
+    assert all(len(orders) == 1 for orders in seen.values())
+
+
+@pytest.mark.parametrize("horiz, vert", PAIRINGS)
+def test_class_key_fixes_the_orders(horiz, vert):
+    _check_classes(_walked(horiz, vert), CLASSES[horiz.size, vert.size])
+
+
+@pytest.mark.parametrize("horiz, vert", [(A4, A6), (A6, A4)])
+def test_class_key_fixes_the_orders_on_six_letters(horiz, vert):
+    # the first 300 data in walk order, whose 6-letter side is keyed under
+    # the 48 relabellings of C2 wr S3
+    _check_classes(islice(_walked(horiz, vert), 300), FIRST_300_CLASSES[horiz.size, vert.size])
+
+
+@functools.cache
+def _survey_side(states: int, letters: Alphabet) -> _Side:
+    """The survey's side for automata on these states and letters, read
+    from the list of their moves nxt[q][x] * w + out[q][x] in row order."""
+    width = letters.size
+    return _Side(states, letters, lambda q, x: q * width + x,
+                 [divmod(v, width)[::-1] for v in range(states * width)])
+
+
+def _survey_least_key(aut) -> bytes:
+    side = _survey_side(aut.states.size, aut.letters)
+    moves = [t * aut.letters.size + y for row, step in zip(aut.out, aut.nxt)
+             for y, t in zip(row, step)]
+    return side.least(side.key(*side.rows(moves)))[0]
 
 
 def _renamed(aut, rng, involution):
     """The automaton with its states renumbered at random and its letters
-    relabelled onto `involution`, the i-th 2-cycle of its own involution,
-    in order of the smaller point, onto the i-th one of `involution`."""
+    relabelled onto `involution` by a random bijection: a random order of
+    the 2-cycles, each turned at random, onto those of `involution`."""
     def cycles(inv):
         return [(x, inv[x]) for x in range(len(inv)) if x < inv[x]]
 
+    targets = [pair[::rng.choice((1, -1))] for pair in cycles(involution)]
+    rng.shuffle(targets)
     letter = dict(zip((x for pair in cycles(aut.letters.involution) for x in pair),
-                      (x for pair in cycles(involution) for x in pair)))
+                      (x for pair in targets for x in pair)))
     state = list(range(aut.states.size))
     rng.shuffle(state)
     out = [[0] * len(involution) for _ in state]
@@ -125,42 +194,19 @@ def _renamed(aut, rng, involution):
                           out=tuple(map(tuple, out)), nxt=tuple(map(tuple, nxt)))
 
 
-# class keys per survey, over the automata of both sides, by alphabet sizes
-CLASSES = {(4, 4): 86, (2, 4): 12, (4, 2): 12, (2, 2): 2}
-
-
-@pytest.mark.parametrize("horiz, vert", PAIRINGS)
-def test_class_key_fixes_the_orders(horiz, vert):
-    # the survey's class form against the oracle's class key, and each
-    # class key mapped to the (|P1|, |P2|) of its automata, each group and
-    # chain built afresh
-    seen: dict = {}
-    for d in enumerate_complete_data(horiz, vert):
-        for side in (HORIZONTAL, VERTICAL):
-            aut = automaton_for_side(d, side)
-            key, out, nxt = _class_form_of(aut)
-            assert key == class_key(aut)
-            form = _automaton_from_rows(Alphabet.with_adjacent_pairs(aut.states.size),
-                                        Alphabet.with_adjacent_pairs(aut.letters.size),
-                                        out, nxt)
-            assert level2_key(form) == key
-            seen.setdefault(key, set()).add(
-                tuple(order(local_group(d, side, k)) for k in (1, 2)))
-    assert len(seen) == CLASSES[horiz.size, vert.size]
-    assert all(len(orders) == 1 for orders in seen.values())
-
-
 @pytest.mark.parametrize("horiz, vert", PAIRINGS)
 def test_class_key_ignores_state_order_and_letter_labels(horiz, vert):
     # each automaton with its states renumbered at random and its letters
-    # relabelled onto an involution drawn from those of its size
+    # relabelled by a random bijection onto an involution drawn from those
+    # of its size: the survey's side for that one automaton keys it as it
+    # keys the automaton itself, and as the oracle does
     rng = random.Random(SUITE_SEED)
     involutions = {4: FPF_INVOLUTIONS_4, 2: [A2.involution]}
     for d in enumerate_complete_data(horiz, vert):
         for aut in (vertical_automaton(d), horizontal_automaton(d)):
             renamed = _renamed(aut, rng, rng.choice(involutions[aut.letters.size]))
-            assert class_key(renamed) == class_key(aut)
-            assert _class_form_of(renamed)[0] == class_key(aut)
+            least = _survey_least_key(renamed)
+            assert least == _survey_least_key(aut) == canonical_form(renamed)[0]
 
 
 def test_survey_refuses_more_than_256_corners():
@@ -208,34 +254,45 @@ def test_orbit_table_never_clashes():
 
 
 def test_one_chain_per_distinct_generator_set(chain_builds):
-    a4 = Alphabet.with_adjacent_pairs(4)
-    generator_sets = {frozenset(local_group(d, side, k).generators)
-                      for d in enumerate_complete_data(a4, a4)
-                      for side in (HORIZONTAL, VERTICAL) for k in (1, 2)}
-    assert len(generator_sets) == 135
-    survey_level_growth(a4, a4)
+    # one class form per least key, as the oracle builds it, and one chain
+    # per distinct generator set of their P1 and P2
+    forms = {}
+    for d in enumerate_complete_data(A4, A4):
+        for aut in (vertical_automaton(d), horizontal_automaton(d)):
+            key, out, nxt = canonical_form(aut)
+            forms[key] = MealyAutomaton(states=aut.states, letters=A4, out=out, nxt=nxt)
+    assert len(forms) == CLASSES[4, 4]
+    generator_sets = {frozenset(group.generators)
+                      for form in forms.values() for group in local_groups(form, 2)}
+    assert len(generator_sets) == 72
+    chain_builds.clear()
+    survey_level_growth(A4, A4)
     assert len(chain_builds) == len(generator_sets)
 
 
 # one involution on both sides, and two different ones
-KEYED_SURVEYS = [((1, 0, 3, 2), (1, 0, 3, 2), 436), ((1, 0, 3, 2), (2, 3, 0, 1), 872)]
+INVOLUTION_PAIRS = [((1, 0, 3, 2), (1, 0, 3, 2)), ((1, 0, 3, 2), (2, 3, 0, 1))]
+# class keys per T4 x T4 survey, over the automata of both sides
+CLASS_KEYS = 86
 
 
-@pytest.mark.parametrize("h_involution, v_involution, keys", KEYED_SURVEYS)
-def test_level2_key_fixes_p1_and_p2(h_involution, v_involution, keys):
-    # each key, mapped to the (P1, P2) generator tuples of its automata
+@pytest.mark.parametrize("h_involution, v_involution", INVOLUTION_PAIRS)
+def test_class_key_fixes_the_generator_sets(h_involution, v_involution):
+    # each class key, mapped to the (P1, P2) generator sets of the
+    # automata the survey reads, relabelled by λ
     seen: dict = {}
-    for d in enumerate_complete_data(*_alphabets(h_involution, v_involution)):
-        for aut in (vertical_automaton(d), horizontal_automaton(d)):
-            gens = tuple(group.generators for group in local_groups(aut, 2))
-            seen.setdefault(level2_key(aut), set()).add(gens)
-    assert len(seen) == keys
+    for _, sides in _walked(*_alphabets(h_involution, v_involution)):
+        for side, out, nxt, _ in sides:
+            groups = local_groups(side.automaton(out, nxt, 0), 2)
+            seen.setdefault(side.key(out, nxt), set()).add(
+                tuple(frozenset(group.generators) for group in groups))
+    assert len(seen) == CLASS_KEYS
     assert all(len(gens) == 1 for gens in seen.values())
 
 
-@pytest.mark.parametrize("h_involution, v_involution, keys", KEYED_SURVEYS)
-def test_local_groups_built_once_per_key(monkeypatch, chain_builds,
-                                         h_involution, v_involution, keys):
+@pytest.mark.parametrize("h_involution, v_involution", INVOLUTION_PAIRS)
+def test_local_groups_built_once_per_class(monkeypatch, chain_builds,
+                                           h_involution, v_involution):
     calls = []
     build = localaction._local_group_from_automaton
 
@@ -244,10 +301,32 @@ def test_local_groups_built_once_per_key(monkeypatch, chain_builds,
         return build(aut, below)
 
     monkeypatch.setattr(localaction, "_local_group_from_automaton", counting_build)
-    survey_level_growth(*_alphabets(h_involution, v_involution))
-    # one call per level per class, fewer than one per level per key, and
-    # 2 * 3,128 = 6,256 without the memo
-    assert len(calls) == 2 * CLASSES[4, 4] < 2 * keys
-    # each class is built from its class form on 0<->1, 2<->3, so two
-    # different involutions build the chains of one
-    assert len(chain_builds) == 135
+    result = survey_level_growth(*_alphabets(h_involution, v_involution))
+    # one call per level per least key, fewer than one per level per
+    # class key, and 2 * 3,128 = 6,256 without the memo
+    assert len(calls) == 2 * CLASSES[4, 4] == 2 * result.classes_typed < 2 * CLASS_KEYS
+    # each class is built on 0<->1, 2<->3, so two different involutions
+    # build the chains of one
+    assert len(chain_builds) == 72
+
+
+# the record of every T2 x T6 and T6 x T2 survey: the 6-letter automata
+# are typed up to the 48 relabellings that keep the involution
+T2X6_RECORD = {
+    "total": 232,
+    "nontrivial_p1": 231,
+    "growth_count": 0,
+    "any_growth": False,
+    "max_p1_order": 6,
+    "max_p2_order": 6,
+    "p1_orders_seen": [1, 2, 3, 4, 6],
+}
+
+
+@pytest.mark.parametrize("horiz, vert", [(A2, A6), (A6, A2), (A2, B6), (B6, A2)],
+                         ids=["2x6", "6x2", "2x6-shifted", "6x2-shifted"])
+def test_t2x6_survey_record(horiz, vert):
+    result = survey_level_growth(horiz, vert)
+    assert result.to_json() == T2X6_RECORD
+    assert result.first_growth is None
+    assert result.classes_typed == 22
