@@ -36,6 +36,7 @@ from .permcore import (
     Perm,
     PermGroup,
     StabilizerChain,
+    chain_of_known_order,
     compose,
     conjugacy_class_representatives,
     contains,
@@ -56,6 +57,8 @@ DEFAULT_SECTION_CAP = 2_000
 _SPECTRUM_DRAWS = 64
 _GENERATOR_PAIRS = 16
 _EMBEDDING_DRAWS = 2_000
+# _on_support needs about 1.3 draws per point moved on A_n (63 on 47 points)
+_TRANSPORT_DRAWS = 500
 
 # QpType tags
 ALMOST_SIMPLE = "AlmostSimple"
@@ -208,25 +211,43 @@ def _no_regular_mns(n: int, h_order: int) -> bool:
     return gl_order % h_order != 0
 
 
-def _minimal_normal_of_stabilizer(h: PermGroup, enum_cap: int) -> list[PermGroup]:
-    """The minimal normal subgroups of h, through _simple_residual on the
-    points h moves when that proves one, else by enumeration, which raises
-    TooLarge past the cap: the caller would enumerate a larger group."""
+def _on_support(h: PermGroup) -> tuple[list[int], PermGroup]:
+    """The points h moves, in order, and h relabelled onto them, with a
+    chain grown from seeded draws of h up to |h|
+    (permcore.chain_of_known_order), else built from its generators."""
     support = sorted({x for s in h.generators for x in range(h.degree) if s[x] != x})
     label = {x: i for i, x in enumerate(support)}
-    on_support = PermGroup(degree=len(support),
-                           generators=tuple(tuple(label[s[x]] for x in support)
-                                            for s in h.generators))
+
+    def relabel(s: Perm) -> Perm:
+        return tuple(label[s[x]] for x in support)
+
+    chain, rng = h.chain(), random.Random(DRAW_SEED)
+    draws = (relabel(chain.random_element(rng)) for _ in range(_TRANSPORT_DRAWS))
+    return support, PermGroup(degree=len(support), generators=tuple(map(relabel, h.generators)),
+                              bsgs=chain_of_known_order(len(support), draws, order(h)))
+
+
+def _minimal_normal_of_stabilizer(h: PermGroup, enum_cap: int) -> list[PermGroup]:
+    """The minimal normal subgroups of h, through _simple_residual on
+    _on_support(h) when that proves one, else by enumeration, which raises
+    TooLarge past the cap: the caller would enumerate a larger group.
+
+    A socle of order |h| is the whole relabelled group, so h is simple: h
+    itself is returned, and _simple_residual takes no closure of it.
+    """
+    support, on_support = _on_support(h)
     socle = _simple_residual(on_support, enum_cap)
-    if socle is not None:
-        gens = []
-        for s in socle.generators:
-            images = list(range(h.degree))
-            for i, x in enumerate(support):
-                images[x] = support[s[i]]
-            gens.append(tuple(images))
-        return [PermGroup(degree=h.degree, generators=tuple(gens))]
-    return minimal_normal_subgroups(h, enum_cap)
+    if socle is None:
+        return minimal_normal_subgroups(h, enum_cap)
+    if order(socle) == order(h):
+        return [h]
+    gens = []
+    for s in socle.generators:
+        images = list(range(h.degree))
+        for i, x in enumerate(support):
+            images[x] = support[s[i]]
+        gens.append(tuple(images))
+    return [PermGroup(degree=h.degree, generators=tuple(gens))]
 
 
 def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
@@ -261,7 +282,10 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     (c) takes the minimal normal subgroups of H by the same test, run on
     the points H moves; where it fails, H is enumerated under enum_cap
     (Seress, *Permutation Group Algorithms*, ch. 6, reduces simplicity
-    through point stabilizers in the same way).
+    through point stabilizers in the same way).  When that test finds H
+    simple, K = H and its closure is not computed: the closure N of H is
+    normal and nontrivial in the primitive group D, so N is transitive,
+    and D = N·D_0 = N·H = N.
     """
     n = g.degree
     if n < 2 or len(orbit(g, 0)) != n:
@@ -275,7 +299,7 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     if h_order == 1 or not _no_regular_mns(n, h_order) or not is_primitive(d):
         return None
     mns = _minimal_normal_of_stabilizer(h, enum_cap)
-    if all(order(normal_closure(d, k.generators)) == d_order for k in mns):
+    if all(k is h or order(normal_closure(d, k.generators)) == d_order for k in mns):
         return d
     return None
 

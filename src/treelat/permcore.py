@@ -36,28 +36,33 @@ level's root, the representative of its base point, is the chain's
 identity object ``_identity``; every other representative moves its
 point.  So a sift, an orbit extension, a Schreier generator, a random
 element and the element list skip the product when a factor ``is`` that
-object, and a normal closure's random phase, which starts from it, skips
-its first product.  The Schreier
-generator of a point β and a generator s is v_γ·s·v_β⁻¹, where γ is the
-image of β and v a representative; it is the identity exactly when
-w = v_γ·s equals v_β, so v_β⁻¹ is formed only at β's first generator
-where they differ, once per visit of β.  A block chain remembers the
-residues it has handed to its kernel and drops a repeat before any block
-test or sift.
+object.  A normal closure's random phase starts from it, and puts it back
+whenever the running product equals the identity, so it skips those
+products too.  The Schreier generator of a point β and a generator s is
+v_γ·s·v_β⁻¹, where γ is the image of β and v a representative; it is the
+identity exactly when w = v_γ·s equals v_β, so v_β⁻¹ is formed only at
+β's first generator where they differ, once per visit of β.  A block
+chain remembers the residues it has handed to its kernel and drops a
+repeat before any block test or sift.
 ``StabilizerChain.extend`` grows a finished chain in place, which is how
 ``normal_closure`` keeps one chain for the whole closure.  That private
 chain, and a block chain's kernel, are the only ones ever extended: a
 group shares its chain's levels with its point stabilizer.
 
 A chain needs no verification when its group's order is known (Seress,
-*Permutation Group Algorithms*, ch. 4): the basic orbits of an unverified
-chain of elements of a subgroup N of g are orbits of subgroups of N's
-basic stabilizers, so its order is at most |N|, and reaching |g| proves
-N = g.  ``normal_closure`` returns g itself once a chain grown from a few
-seeded random elements of the closure reaches |g|.  Typing meets such whole
-closures at every level of a simplicity proof (a perfect group's derived
-subgroup, and each closure of condition (c) of
-``groupprops._simple_residual``); only a proper closure is completed.
+*Permutation Group Algorithms*, ch. 4).  Grow a chain from elements of a
+group H, installing each residue that is not the identity with no
+completion: each basic orbit lies in the orbit of the stabilizer in H of
+the base points before it, so the chain's order is at most |H|.  At |H|
+every basic orbit is that whole orbit and the base's pointwise stabilizer
+is trivial, so the chain is a complete chain of H; the same bound, from
+any level on, shows that the level's strong generators generate its
+stabilizer.  ``chain_of_known_order`` grows one to a known order, for
+``groupprops._on_support``.  ``normal_closure`` grows one from random
+elements of the closure N of seeds in g, and returns g once it reaches
+|g|, which proves N = g.  Typing meets such whole closures at every level
+of a simplicity proof, as a perfect group's derived subgroup; only a
+proper closure is completed.
 
 Image tuples are not validated here: outside data enters through
 ``group_from_raw``, which checks that every generator is a bijection.
@@ -570,10 +575,9 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     random element of g, installing each residue of r that is not the
     identity as an input.  Conjugating the whole product, not only the
     seed, keeps consecutive draws from sifting alike when the seeds move
-    few points.  Each residue lies in N and fixes the base points before
-    its level, so each basic orbit is an orbit of a subgroup of the
-    stabilizer of those points in N, and the chain's order is at most
-    |N| <= |g|: reaching |g| proves N = g, and g is returned.
+    few points.  Each residue lies in N, so the chain's order is at most
+    |N| <= |g| (module docstring): reaching |g| proves N = g, and g is
+    returned.
 
     The bound N <= g needs every seed in g, so the phase runs only when
     each seed sifts through g's chain: with g = <(0 1)(2 3)> and the seed
@@ -612,7 +616,13 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
         while misses < _CLOSURE_MISSES:
             x = ambient.random_element(rng)
             s = rng.choice(seed_tuples)
-            r = compose(inverse(x), compose(s if r is ident else compose(r, s), x))
+            r = s if r is ident else compose(r, s)
+            # the identity object replaces a product equal to it; no
+            # conjugate by the identity is formed
+            if r == ident:
+                r = ident
+            elif x != ident:
+                r = compose(inverse(x), compose(r, x))
             residue = chain._sift_from(0, r)
             if residue == ident:
                 misses += 1
@@ -628,6 +638,24 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     gens += [t for t in seed_tuples if chain.extend(t)]
     _close_under_conjugation(chain, gens, g.generators)
     return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=chain)
+
+
+def chain_of_known_order(degree: int, members: Iterable[Perm],
+                         target: int) -> Optional[StabilizerChain]:
+    """A complete chain of a group H of order `target`, grown from
+    `members`, which must all lie in H, as soon as its order reaches
+    `target` (the module docstring has the proof); None when the members
+    run out first."""
+    chain = StabilizerChain(degree, ())
+    members = iter(members)
+    while chain.order() != target:
+        g = next(members, None)
+        if g is None:
+            return None
+        residue = chain._sift_from(0, g)
+        if residue != chain._identity:
+            chain._install(residue, True)
+    return chain
 
 
 def derived_subgroup(g: PermGroup) -> PermGroup:

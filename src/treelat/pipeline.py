@@ -124,7 +124,8 @@ def _analyze_group(g: PermGroup, source: str, discreteness: DiscretenessVerdict,
             raise InternalInvariantError(
                 f"almost-simple socle index {m_order}/{m_cap_s_order} "
                 f"is not the degree {g.degree}")
-        solvable_outer = solvable_outer_check(g, m_group)
+        # a socle of order |g| is g, so S∩M = S and S/(S∩M) = 1 is solvable
+        solvable_outer = m_order == p1_order or solvable_outer_check(g, m_group)
 
     return SideReport(
         degree=g.degree,

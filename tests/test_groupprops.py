@@ -1,9 +1,11 @@
 import itertools
+import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from treelat import catalog, groupprops
+from treelat import catalog, groupprops, pipeline
 from treelat.errors import (
     DegreeTooSmall,
     NotNormal,
@@ -491,6 +493,104 @@ def test_large_natural_groups_typed_under_small_cap(g, socle):
     assert qp.socle_order == socle
     socle_type, _ = classify_qp_with_mns(mns[0], enum_cap=1000)
     assert socle_type == QpType(ALMOST_SIMPLE, (socle,), socle)
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer relabelled onto its support, and the shortcuts it allows
+# ---------------------------------------------------------------------------
+
+def transport_cases(suite):
+    """The engine suite and A_n, S_n for n <= 12."""
+    return list(suite) + [make(n) for n in range(3, 13)
+                          for make in (alternating_group, symmetric_group)]
+
+
+def test_transported_chain_matches_a_fresh_chain(suite):
+    rng = random.Random(5)
+    transported = 0
+    for g in transport_cases(suite):
+        h = point_stabilizer(g)
+        if order(h) == 1:
+            continue
+        support, t = groupprops._on_support(h)
+        assert t.bsgs is not None, g.name
+        transported += 1
+        fresh = StabilizerChain(t.degree, t.generators)
+        assert t.chain().order() == fresh.order() == order(h), g.name
+        members = [fresh.random_element(rng) for _ in range(20)]
+        assert all(map(t.chain().contains, members)), g.name
+        # uniform permutations of the support: every odd one is outside an
+        # alternating stabilizer, and most are outside any small one
+        others = [tuple(rng.sample(range(t.degree), t.degree)) for _ in range(40)]
+        assert ([t.chain().contains(p) for p in others]
+                == [fresh.contains(p) for p in others]), g.name
+        if g.name and g.name[0] == "A" and g.name[1:].isdigit():
+            # the stabilizer A_{n-1} holds no transposition
+            assert not t.chain().contains(from_cycles(t.degree, [(0, 1)])), g.name
+    assert transported >= 40
+
+
+def test_transport_budget_falls_back_to_a_built_chain(suite, monkeypatch):
+    groups = fast_path_cases(suite)
+    expected = [classify_qp_with_mns(g)[0] for g in groups]
+    monkeypatch.setattr(groupprops, "_TRANSPORT_DRAWS", 0)
+    support, t = groupprops._on_support(point_stabilizer(alternating_group(7)))
+    assert support == [1, 2, 3, 4, 5, 6]
+    assert t.bsgs is None
+    assert order(t) == 360
+    assert [classify_qp_with_mns(g)[0] for g in groups] == expected
+
+
+def side_report(g):
+    """analyze_raw_group's report, with the two groups it keeps replaced
+    by their orders, which the dataclass would compare by identity."""
+    r = analyze_raw_group(g)
+    return replace(r, m_group=r.m_group and order(r.m_group),
+                   s_group=r.s_group and order(r.s_group)), r
+
+
+def test_shortcuts_match_the_long_path(suite, monkeypatch):
+    groups = fast_path_cases(suite) + [catalog.load_group(e.name) for e in catalog.entries()
+                                       if e.kind == catalog.RAW_GROUP]
+    short = [side_report(g) for g in groups]
+    minimal_normal_of_stabilizer = groupprops._minimal_normal_of_stabilizer
+
+    def copies(h, enum_cap):
+        # new objects, so that condition (c) takes the closure of each
+        return [PermGroup(degree=k.degree, generators=k.generators)
+                for k in minimal_normal_of_stabilizer(h, enum_cap)]
+
+    monkeypatch.setattr(groupprops, "_minimal_normal_of_stabilizer", copies)
+    whole = 0
+    for g, (report, full) in zip(groups, short):
+        assert side_report(g)[0] == report, g.name
+        if full.m_order == full.p1_order:
+            # the check the whole socle skips agrees with it
+            assert solvable_outer_check(g, full.m_group) is True
+            assert report.solvable_outer is True
+            whole += 1
+    assert whole >= 10
+
+
+def test_simple_stabilizers_take_no_closure(monkeypatch):
+    closures, outer_checks = [], []
+    normal_closure = groupprops.normal_closure
+
+    def counted_closure(g, seeds):
+        closures.append(order(g))
+        return normal_closure(g, seeds)
+
+    monkeypatch.setattr(groupprops, "normal_closure", counted_closure)
+    monkeypatch.setattr(pipeline, "solvable_outer_check",
+                        lambda p, m: outer_checks.append(p) or solvable_outer_check(p, m))
+    report = analyze_raw_group(alternating_group(9))
+    assert report.qp_type.tag == ALMOST_SIMPLE and report.solvable_outer
+    # A8, ..., A5 are proved simple, so D = A9, ..., A6 take no closure.
+    # A4 is not: listing its minimal normal subgroups takes one closure in
+    # A4 per class other than the identity's, and condition (c) for D = A5
+    # closes the one it finds, V4
+    assert closures == [12, 12, 12, 60]
+    assert outer_checks == []
 
 
 # ---------------------------------------------------------------------------

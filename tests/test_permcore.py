@@ -559,20 +559,47 @@ def test_draws_and_element_lists_never_multiply_by_the_identity(suite, monkeypat
 
 
 def test_whole_normal_closures_never_multiply_by_the_identity(monkeypatch):
-    # the random phase starts from the identity, and its first draw is the
-    # seed conjugated, with no product by that identity; with these seeds
-    # and draws no later product is the identity either
-    lefts = []
+    # the random phase starts from the identity object, and puts it back
+    # whenever the running product r·s equals the identity by value, which
+    # involution seeds make common; it conjugates by no draw equal to the
+    # identity.  So neither that object nor a tuple equal to it is ever a
+    # left factor.  A replay of the phase with every product formed checks
+    # that the draws are the same, that r·s = 1 happens twice in S3, and
+    # that the group of order 6 on 10 points (met in typing S5 on pairs)
+    # draws the identity once
+    lefts, draws = [], []
+    random_element = StabilizerChain.random_element
 
     def recording_compose(p, q):
         lefts.append(p)
         return compose(p, q)
 
-    monkeypatch.setattr(permcore, "compose", recording_compose)
+    def recording_draw(chain, rng):
+        draws.append(random_element(chain, rng))
+        return draws[-1]
+
+    returns = identity_draws = 0
     for g, seed in ((alternating_group(5), from_cycles(5, [(0, 1, 2)])),
                     (symmetric_group(6), from_cycles(6, [(0, 1)])),
-                    (alternating_group(7), from_cycles(7, [(0, 1), (2, 3)]))):
-        assert normal_closure(g, [seed]) is g
+                    (alternating_group(7), from_cycles(7, [(0, 1), (2, 3)])),
+                    (symmetric_group(3), from_cycles(3, [(0, 1)])),
+                    (perm_group([(0, 4, 6, 5, 1, 3, 2, 8, 7, 9), (0, 2, 3, 1, 5, 6, 4, 9, 7, 8)]),
+                     (0, 4, 6, 5, 1, 3, 2, 8, 7, 9))):
+        draws.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(permcore, "compose", recording_compose)
+            patched.setattr(StabilizerChain, "random_element", recording_draw)
+            assert normal_closure(g, [seed]) is g
+        rng = random.Random(permcore.DRAW_SEED)
+        r = identity(g.degree)
+        for x in draws:
+            assert random_element(g.chain(), rng) == x
+            s = rng.choice([seed])
+            r = compose(inverse(x), compose(compose(r, s), x))
+            returns += is_identity(r)
+            identity_draws += is_identity(x)
+    assert returns == 2
+    assert identity_draws == 1
     assert lefts
     assert not [p for p in lefts if p == tuple(range(len(p)))]
 
