@@ -57,7 +57,7 @@ DEFAULT_SECTION_CAP = 2_000
 _SPECTRUM_DRAWS = 64
 _GENERATOR_PAIRS = 16
 _EMBEDDING_DRAWS = 2_000
-# _on_support needs about 1.3 draws per point moved on A_n (63 on 47 points)
+# _on_support's draws: M12's descent needs 4 or 5 per stabilizer
 _TRANSPORT_DRAWS = 500
 
 # QpType tags
@@ -211,6 +211,39 @@ def _no_regular_mns(n: int, h_order: int) -> bool:
     return gl_order % h_order != 0
 
 
+def _giant_residual(g: PermGroup) -> Optional[PermGroup]:
+    """The solvable residual of g when g is the alternating or the
+    symmetric group on its n = g.degree >= 5 points: g itself when
+    |g| = n!/2, derived_subgroup(g) when |g| = n!; else None.
+
+    g <= S_n, so an order of n! makes g = S_n.  An order of n!/2 makes
+    g = A_n: a subgroup of index 2 is normal with a quotient of order 2,
+    so it holds every square, hence every 3-cycle (abc) = (acb)², and the
+    3-cycles generate A_n.  A_n is simple for n >= 5, and it is the solvable residual of
+    both, since S_n/A_n has order 2 and A_n is perfect.
+
+    A_n is the only minimal normal subgroup of A_n and of S_n.  Its
+    centralizer in S_n is trivial for n >= 4: if c moves a to b != a,
+    take x, y outside {a, b}; then c(a x y)c⁻¹ = (b c(x) c(y)) moves b, so
+    c does not commute with (a x y).  A minimal normal N != A_n meets the
+    simple A_n trivially, so [N, A_n] <= N ∩ A_n = 1 and N centralizes
+    A_n, which leaves N = 1.
+
+    The order is divided by n, n-1, ..., 3 and the check stops at the
+    first remainder, so n! is never formed for a group far below it.
+    """
+    if g.degree < 5:
+        return None
+    quotient = order(g)
+    for k in range(g.degree, 2, -1):
+        quotient, remainder = divmod(quotient, k)
+        if remainder:
+            return None
+    if quotient == 1:
+        return g
+    return derived_subgroup(g) if quotient == 2 else None
+
+
 def _on_support(h: PermGroup) -> tuple[list[int], PermGroup]:
     """The points h moves, in order, and h relabelled onto them, with a
     chain grown from seeded draws of h up to |h|
@@ -254,9 +287,11 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     """The solvable residual D of g, when it is provably nonabelian simple
     and the only minimal normal subgroup of g; otherwise None.
 
-    Nothing of the size of g is enumerated.  Let g be transitive on its n
-    points, D the last term of its derived series (so D is perfect) and
-    H = D_0.  D is simple and g's only minimal normal subgroup when
+    Nothing of the size of g is enumerated.  A_n and S_n (n >= 5) are
+    decided by their order alone (_giant_residual).  Otherwise, let g be
+    transitive on its n points, D the last term of its derived series (so
+    D is perfect) and H = D_0.  D is simple and g's only minimal normal
+    subgroup when
 
     (a) D is transitive and primitive;
     (b) H != 1;
@@ -286,10 +321,18 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     simple, K = H and its closure is not computed: the closure N of H is
     normal and nontrivial in the primitive group D, so N is transitive,
     and D = N·D_0 = N·H = N.
+
+    H gets no order certificate of its own before it is relabelled, and
+    the one its relabelling meets here never holds: an H that is A_k or
+    S_k on its support (k >= 5) holds a 3-cycle, and a primitive D holding
+    a 3-cycle contains A_n (Jordan), so g was already typed by its order.
     """
     n = g.degree
     if n < 2 or len(orbit(g, 0)) != n:
         return None
+    giant = _giant_residual(g)
+    if giant is not None:
+        return giant
     d = derived_series(g)[-1]
     d_order = order(d)
     if d_order == 1 or len(orbit(d, 0)) != n:
@@ -341,7 +384,7 @@ def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
     elif len(mns) > 2:
         raise InternalInvariantError(
             f"quasi-primitive group with {len(mns)} minimal normal subgroups")
-    elif len(mns) == 1 and len(_prime_factors(socle_order)) > 1 and (
+    elif len(mns) == 1 and not is_prime_power(socle_order) and (
             socle_order == order(g) or len(minimal_normal_subgroups(mns[0], enum_cap)) == 1):
         tag = ALMOST_SIMPLE
     elif len(mns) == 2 and all(o == g.degree for o in mns_orders):
@@ -366,6 +409,11 @@ def _prime_factors(n: int) -> set[int]:
     if n > 1:
         out.add(n)
     return out
+
+
+def is_prime_power(n: int) -> bool:
+    """Whether n >= 1 is p^k for a prime p and k >= 0; 1 = p^0 counts."""
+    return len(_prime_factors(n)) <= 1
 
 
 def _check_enum_cap(g: PermGroup, enum_cap: int) -> None:

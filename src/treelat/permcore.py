@@ -565,6 +565,11 @@ def point_stabilizer(g: PermGroup) -> PermGroup:
     return PermGroup(degree=g.degree, generators=gens, bsgs=stab)
 
 
+class _Members(list):
+    """Seeds that lie in g by construction: normal_closure runs its random
+    phase on them without sifting each through g's chain."""
+
+
 def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     """Smallest subgroup N containing the seeds and closed under
     conjugation by the generators of g; the object g itself when N = g.
@@ -580,10 +585,11 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     returned.
 
     The bound N <= g needs every seed in g, so the phase runs only when
-    each seed sifts through g's chain: with g = <(0 1)(2 3)> and the seed
-    (0 1), N = <(0 1)> has the order of g but is not g.  It is skipped too
-    when every seed is even and a generator of g is odd, since N then lies
-    in the even part of g and the phase could only miss.
+    each seed sifts through g's chain, or the seeds come as _Members: with
+    g = <(0 1)(2 3)> and the seed (0 1), N = <(0 1)> has the order of g
+    but is not g.  It is skipped too when every seed is even and a
+    generator of g is odd, since N then lies in the even part of g and the
+    phase could only miss.
 
     Each install adds a point to a basic orbit, and a level has at least
     two points, so there are at most log₂|g| levels and degree·log₂|g|
@@ -606,7 +612,7 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     if (seed_tuples
             # conjugates of even seeds are even: N = g needs an odd seed or an even g
             and (not all(map(_is_even, seed_tuples)) or all(map(_is_even, g.generators)))
-            and all(map(g.chain().contains, seed_tuples))):
+            and (isinstance(seeds, _Members) or all(map(g.chain().contains, seed_tuples)))):
         ambient = g.chain()
         target = ambient.order()
         ident = chain._identity
@@ -660,14 +666,18 @@ def chain_of_known_order(degree: int, members: Iterable[Perm],
 
 def derived_subgroup(g: PermGroup) -> PermGroup:
     """Commutator subgroup: normal closure of one commutator per unordered
-    pair of generators ([b, a] is the inverse of [a, b])."""
+    pair of generators ([b, a] is the inverse of [a, b]).
+
+    The commutators are products of g's generators, so they lie in g:
+    passed as _Members, they are not sifted through g's chain before
+    normal_closure's random phase."""
     with_inverses = [(a, inverse(a)) for a in g.generators]
     comms = []
     for (a, a_inv), (b, b_inv) in itertools.combinations(with_inverses, 2):
         c = compose(compose(a_inv, b_inv), compose(a, b))
         if not is_identity(c):
             comms.append(c)
-    return normal_closure(g, comms)
+    return normal_closure(g, _Members(comms))
 
 
 def derived_series(g: PermGroup) -> list[PermGroup]:

@@ -35,6 +35,7 @@ from .groupprops import (
     SectionReport,
     classify_qp_with_mns,
     is_2transitive,
+    is_prime_power,
     is_primitive,
     is_transitive,
     section_report,
@@ -99,7 +100,10 @@ def _analyze_group(g: PermGroup, source: str, discreteness: DiscretenessVerdict,
     p1_order = order(g)
     transitive = is_transitive(g)
     two_transitive = is_2transitive(g) if transitive else False
-    primitive = is_primitive(g) if transitive else False
+    # 2-transitive implies primitive: if a block B holds a and b but not c,
+    # an element fixing a and carrying b to c maps B onto a block that
+    # meets B in a, so is B, yet holds c
+    primitive = (two_transitive or is_primitive(g)) if transitive else False
     qp_type, mns = classify_qp_with_mns(g, caps.enum_cap)
     quasiprimitive = transitive and qp_type.tag not in (NOT_QUASIPRIMITIVE, INTRANSITIVE)
 
@@ -124,8 +128,10 @@ def _analyze_group(g: PermGroup, source: str, discreteness: DiscretenessVerdict,
             raise InternalInvariantError(
                 f"almost-simple socle index {m_order}/{m_cap_s_order} "
                 f"is not the degree {g.degree}")
-        # a socle of order |g| is g, so S∩M = S and S/(S∩M) = 1 is solvable
-        solvable_outer = m_order == p1_order or solvable_outer_check(g, m_group)
+        # S/(S∩M) ≅ SM/M <= G/M, since M is normal; when |G/M| is a prime
+        # power (1 included: M = G), that is a p-group, which is solvable
+        solvable_outer = (is_prime_power(p1_order // m_order)
+                          or solvable_outer_check(g, m_group))
 
     return SideReport(
         degree=g.degree,

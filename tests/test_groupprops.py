@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from treelat import catalog, groupprops, pipeline
+from treelat import catalog, groupprops, permcore, pipeline
 from treelat.errors import (
     DegreeTooSmall,
     NotNormal,
@@ -226,14 +227,23 @@ def test_mns_too_large():
         minimal_normal_subgroups(alternating_group(6), enum_cap=100)
 
 
-def test_residual_proof_over_the_cap_raises():
-    # the proof for A7 and S7 recurses through point stabilizers down to
-    # A4, which it must list: 12 elements are over a cap of 10, and the
-    # whole group listed in its place would be larger still
+def test_residual_proof_over_the_cap_raises(monkeypatch):
+    # A7 and S7 are typed by their order alone, so a cap of 10 lists nothing
+    listed = []
+    elements = StabilizerChain.elements
+    monkeypatch.setattr(StabilizerChain, "elements",
+                        lambda chain: listed.append(chain) or elements(chain))
+    for g in (symmetric_group(7), alternating_group(7)):
+        qp, _ = classify_qp_with_mns(g, enum_cap=10)
+        assert qp == QpType(ALMOST_SIMPLE, (2520,), 2520)
+    assert listed == []
+    # the proof for M12 descends through M11 and M10 to A6 on 10 points,
+    # whose stabilizer 3^2:4 it must list: 36 elements are over a cap of
+    # 35, and the whole group listed in its place would be larger still
+    m12 = catalog.load_group("m12")
     with pytest.raises(TooLarge):
-        classify_qp_with_mns(symmetric_group(7), enum_cap=10)
-    with pytest.raises(TooLarge):
-        classify_qp_with_mns(alternating_group(7), enum_cap=10)
+        classify_qp_with_mns(m12, enum_cap=35)
+    assert classify_qp_with_mns(m12, enum_cap=36)[0] == QpType(ALMOST_SIMPLE, (95040,), 95040)
 
 
 def test_mns_matches_lattice_oracle(suite):
@@ -441,17 +451,23 @@ def test_imprimitive_perfect_group_falls_back():
     assert qp.mns_orders == (2,)
 
 
-def pgl_2_7():
-    """PGL(2,7) on the projective line 0..6, 7 = infinity: x -> x + 1,
-    x -> 3x (3 is no square mod 7) and x -> -1/x."""
+def projective_line(p, k, name):
+    """<x -> x + 1, x -> kx, x -> -1/x> on the projective line 0..p-1,
+    p = infinity: PGL(2,p) for a non-square k, PSL(2,p) when k generates
+    the non-zero squares."""
     def moebius(a, b, c, d):
         def image(x):
-            num, den = (a, c) if x == 7 else ((a * x + b) % 7, (c * x + d) % 7)
-            return 7 if den == 0 else num * pow(den, -1, 7) % 7
-        return tuple(image(x) for x in range(8))
+            num, den = (a, c) if x == p else ((a * x + b) % p, (c * x + d) % p)
+            return p if den == 0 else num * pow(den, -1, p) % p
+        return tuple(image(x) for x in range(p + 1))
 
-    return perm_group([moebius(1, 1, 0, 1), moebius(3, 0, 0, 1), moebius(0, 6, 1, 0)],
-                      degree=8, name="PGL(2,7)")
+    return perm_group([moebius(1, 1, 0, 1), moebius(k, 0, 0, 1), moebius(0, p - 1, 1, 0)],
+                      degree=p + 1, name=name)
+
+
+def pgl_2_7():
+    # 3 is no square mod 7
+    return projective_line(7, 3, "PGL(2,7)")
 
 
 def s5_wr_s2_product_action():
@@ -561,36 +577,144 @@ def test_shortcuts_match_the_long_path(suite, monkeypatch):
                 for k in minimal_normal_of_stabilizer(h, enum_cap)]
 
     monkeypatch.setattr(groupprops, "_minimal_normal_of_stabilizer", copies)
-    whole = 0
+    whole = proper = 0
     for g, (report, full) in zip(groups, short):
         assert side_report(g)[0] == report, g.name
-        if full.m_order == full.p1_order:
-            # the check the whole socle skips agrees with it
+        if full.m_order and groupprops.is_prime_power(full.p1_order // full.m_order):
+            # the check a whole socle or a prime-power index skips agrees with it
             assert solvable_outer_check(g, full.m_group) is True
             assert report.solvable_outer is True
-            whole += 1
-    assert whole >= 10
+            whole += full.m_order == full.p1_order
+            proper += full.m_order != full.p1_order
+    assert whole >= 10 and proper >= 1
+
+
+def count_typing_work(monkeypatch):
+    """Lists that gain, during analyze_raw_group, the order of the group of
+    each closure that groupprops takes, of each stabilizer relabelled onto
+    its support, of each derived subgroup and of each group whose outer
+    quotient solvable_outer_check decides."""
+    work = {"closures": [], "transports": [], "derived": [], "outer_checks": []}
+    normal_closure, on_support = groupprops.normal_closure, groupprops._on_support
+    derived_subgroup = permcore.derived_subgroup
+    monkeypatch.setattr(groupprops, "normal_closure", lambda g, seeds: (
+        work["closures"].append(order(g)) or normal_closure(g, seeds)))
+    monkeypatch.setattr(groupprops, "_on_support", lambda h: (
+        work["transports"].append(order(h)) or on_support(h)))
+    for module in (permcore, groupprops):
+        monkeypatch.setattr(module, "derived_subgroup", lambda g: (
+            work["derived"].append(order(g)) or derived_subgroup(g)))
+    monkeypatch.setattr(pipeline, "solvable_outer_check", lambda p, m: (
+        work["outer_checks"].append(order(p)) or solvable_outer_check(p, m)))
+    return work
 
 
 def test_simple_stabilizers_take_no_closure(monkeypatch):
-    closures, outer_checks = [], []
-    normal_closure = groupprops.normal_closure
-
-    def counted_closure(g, seeds):
-        closures.append(order(g))
-        return normal_closure(g, seeds)
-
-    monkeypatch.setattr(groupprops, "normal_closure", counted_closure)
-    monkeypatch.setattr(pipeline, "solvable_outer_check",
-                        lambda p, m: outer_checks.append(p) or solvable_outer_check(p, m))
-    report = analyze_raw_group(alternating_group(9))
+    work = count_typing_work(monkeypatch)
+    report = analyze_raw_group(catalog.load_group("m12"))
     assert report.qp_type.tag == ALMOST_SIMPLE and report.solvable_outer
-    # A8, ..., A5 are proved simple, so D = A9, ..., A6 take no closure.
-    # A4 is not: listing its minimal normal subgroups takes one closure in
-    # A4 per class other than the identity's, and condition (c) for D = A5
-    # closes the one it finds, V4
-    assert closures == [12, 12, 12, 60]
-    assert outer_checks == []
+    # M11 is proved simple, so D = M12 takes no closure.  M10's socle A6
+    # (on 10 points) is proper, so D = M11 closes it.  A6's stabilizer
+    # 3^2:4 is listed: one closure in it per class other than the
+    # identity's, and condition (c) for D = A6 closes the one it finds, 3^2
+    assert work["closures"] == [36, 36, 36, 36, 36, 360, 7920]
+    assert work["transports"] == [7920, 720, 36]
+    # M12, M11 and A6 are perfect, M10 and 3^2:4 are not
+    assert work["derived"] == [95040, 7920, 720, 360, 36, 9]
+    assert work["outer_checks"] == []
+
+
+@pytest.mark.parametrize("g, derived", [(alternating_group(9), []),
+                                        (symmetric_group(9), [362880])],
+                         ids=["A9", "S9"])
+def test_giants_take_no_descent(monkeypatch, g, derived):
+    # A9 is its own socle; S9's is its derived subgroup, and its outer
+    # quotient has order 2, a prime power
+    work = count_typing_work(monkeypatch)
+    report = analyze_raw_group(g)
+    assert report.qp_type == QpType(ALMOST_SIMPLE, (181440,), 181440)
+    assert report.solvable_outer
+    assert work == {"closures": [], "transports": [], "derived": derived, "outer_checks": []}
+
+
+def giant_cases():
+    """A_n and S_n for n = 5..12, and a seeded random conjugate of each."""
+    rng = random.Random(33)
+    groups = []
+    for n in range(5, 13):
+        for make in (alternating_group, symmetric_group):
+            g = make(n)
+            x = tuple(rng.sample(range(n), n))
+            conjugates = [compose(inverse(x), compose(s, x)) for s in g.generators]
+            groups += [g, perm_group(conjugates, degree=n, name=f"{g.name}^x")]
+    return groups
+
+
+def giant_look_alikes():
+    """Groups whose order is n! or n!/2 for some n, or that are A_n or S_n
+    in another action: none is A_n or S_n on the points it moves."""
+    m12 = catalog.load_group("m12")
+    m11 = point_stabilizer(m12)
+    return [projective_line(5, 2, "PGL(2,5)"), projective_line(5, 4, "A5 on 6 points"),
+            induced_action_on_pairs(symmetric_group(5)),
+            matrix_group(2, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                                [[0, 0, 1], [1, 0, 0], [0, 1, 0]]], "PSL(2,7) on 7 points",
+                         affine=False),
+            groupprops._on_support(m11)[1], m12]
+
+
+def test_giant_certificate_matches_the_long_path(monkeypatch):
+    groups = giant_cases()
+    for g in groups:
+        residual = groupprops._giant_residual(g)
+        half = math.factorial(g.degree) // 2
+        assert order(residual) == half, g.name
+        assert (residual is g) == (order(g) == half), g.name
+    short = [side_report(g)[0] for g in groups]
+    monkeypatch.setattr(groupprops, "_giant_residual", lambda g: None)
+    assert [side_report(g)[0] for g in groups] == short
+
+
+def test_giant_certificate_ignores_look_alikes(monkeypatch):
+    groups = giant_look_alikes()
+    assert [order(g) for g in groups] == [120, 60, 120, 168, 7920, 95040]
+    asked, fired = [], []
+    giant_residual = groupprops._giant_residual
+
+    def spy(g):
+        asked.append((order(g), g.degree))
+        fired.append(giant_residual(g))
+        return fired[-1]
+
+    monkeypatch.setattr(groupprops, "_giant_residual", spy)
+    reports = [side_report(g)[0] for g in groups]
+    # the certificate is asked on every group and on every stabilizer the
+    # descent relabels onto its support, and fires on none
+    assert asked == [(120, 6), (10, 5), (60, 6), (10, 5), (120, 10), (168, 7), (24, 6),
+                     (7920, 11), (720, 10), (36, 9),
+                     (95040, 12), (7920, 11), (720, 10), (36, 9)]
+    assert fired == [None] * len(asked)
+    assert all(r.qp_type.tag == ALMOST_SIMPLE for r in reports)
+    monkeypatch.setattr(groupprops, "_giant_residual", lambda g: None)
+    assert [side_report(g)[0] for g in groups] == reports
+
+
+@pytest.mark.parametrize("g", [alternating_group(4), symmetric_group(4)], ids=["A4", "S4"])
+def test_giants_below_five_points_are_not_almost_simple(g):
+    assert groupprops._giant_residual(g) is None
+    assert classify_qp_with_mns(g)[0] == QpType(OTHER_QUASIPRIMITIVE, (4,), 4)
+    assert analyze_raw_group(g).solvable_outer is None
+
+
+def test_primitive_agrees_with_is_primitive(suite):
+    # the report reads 2-transitivity as primitivity without asking
+    # is_primitive
+    two_transitive = 0
+    for g in suite:
+        report = analyze_raw_group(g)
+        assert report.primitive == (report.transitive and is_primitive(g)), g.name
+        two_transitive += report.two_transitive
+    assert two_transitive >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -823,6 +823,29 @@ def test_derived_subgroup_matches_oracle(suite):
         assert set(derived_subgroup(g).chain().elements()) == expected, g.name
 
 
+def test_derived_subgroup_is_the_checked_closure(suite, monkeypatch):
+    # derived_subgroup settles normal_closure's checks on its seeds without
+    # a sift; the closure it returns is the one normal_closure builds from
+    # the same commutators, generator for generator.  Point stabilizers
+    # carry every level-1 strong generator, so they give many seeds
+    groups = list(suite) + [mathieu_group_12(), alternating_group(9), symmetric_group(9)]
+    groups += [point_stabilizer(g) for g in groups]
+    sifts = []
+    contains = permcore.StabilizerChain.contains
+    for g in groups:
+        comms = [compose(compose(inverse(a), inverse(b)), compose(a, b))
+                 for a, b in itertools.combinations(g.generators, 2)]
+        checked = normal_closure(g, comms)
+        with monkeypatch.context() as patch:
+            patch.setattr(permcore.StabilizerChain, "contains",
+                          lambda chain, p: sifts.append(p) or contains(chain, p))
+            derived = derived_subgroup(g)
+        assert (derived is g) == (checked is g), g.name
+        assert derived.generators == checked.generators, g.name
+        assert order(derived) == order(checked), g.name
+    assert sifts == []
+
+
 def test_derived_series_s3():
     series = derived_series(symmetric_group(3))
     assert [order(h) for h in series] == [6, 3, 1]
