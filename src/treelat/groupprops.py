@@ -56,7 +56,7 @@ DEFAULT_SECTION_CAP = 2_000
 # the random draws of one call
 _SPECTRUM_DRAWS = 64
 _GENERATOR_PAIRS = 16
-_EMBEDDING_DRAWS = 2_000
+_TUPLE_DRAWS = 2_000
 # _on_support's draws: M12's descent needs 4 or 5 per stabilizer
 _TRANSPORT_DRAWS = 500
 
@@ -512,76 +512,48 @@ def _graph_order(xs: Sequence[Perm], ys: Sequence[Perm]) -> int:
                                                 for x, y in zip(xs, ys)]).order()
 
 
-def _embeds(m: PermGroup, om: int, s: PermGroup) -> bool:
-    """Whether a seeded search of _EMBEDDING_DRAWS random elements of s
-    finds images x_i of generators g_i of m (two of them where
-    _two_generators finds a pair) that make g_i ↦ x_i an injective
-    homomorphism; True proves that m is a subgroup of s.
+def _maps_onto(images: Sequence[Perm], gens: Sequence[Perm],
+               words: tuple[int, ...], om: int) -> bool:
+    """Whether x_i ↦ g_i, the images onto m's generators, extends to a
+    homomorphism from <x_i> onto m; words is _word_orders(g_1, g_2).
 
-    Proof.  D = <(g_i, x_i)> on the disjoint union of the two point sets
-    projects onto m and onto <x_i>.  When |D| = |m| = |<x_i>| both
-    projections are bijections, so D is the graph of an isomorphism
-    m ≅ <x_i> <= s.  For a simple m, |D| = |m| already forces the second
-    equality; the chain of <x_i> is built only after the first passes.
-
-    Only tuples with ord(x_i) = ord(g_i) and with the orders of a few
-    short words in x_1, x_2 equal to those in g_1, g_2 are closed into D:
-    an injective homomorphism keeps the order of every word, so the filter
-    drops no tuple that would pass.  False proves nothing.
+    A homomorphism maps each element to one whose order divides its own,
+    and <x_i> must map onto m, so a tuple is closed into D only when its
+    word orders are multiples of words and |<x_i>| one of |m|;
+    section_exact_small's docstring proves that |D| = |<x_i>| decides.
     """
-    rng = random.Random(DRAW_SEED)
-    gens = _two_generators(m, om, rng)
+    if any(wx % wg for wx, wg in zip(_word_orders(images[0], images[1]), words)):
+        return False
+    ox = StabilizerChain(len(images[0]), images).order()
+    return ox % om == 0 and _graph_order(gens, images) == ox
+
+
+def _drawn_tuples(s: PermGroup, gens: Sequence[Perm],
+                  rng: random.Random) -> Iterator[tuple[Perm, ...]]:
+    """Tuples of random elements x_i of s with ord(x_i) = ord(g_i), from
+    _TUPLE_DRAWS draws in all."""
     wanted = [element_order(g) for g in gens]
-    words = _word_orders(gens[0], gens[1])
     chain = s.chain()
     images: list[Perm] = []
-    for _ in range(_EMBEDDING_DRAWS):
+    for _ in range(_TUPLE_DRAWS):
         x = chain.random_element(rng)
         if element_order(x) != wanted[len(images)]:
             continue
         images.append(x)
-        if len(images) < len(gens):
-            continue
-        if (_word_orders(images[0], images[1]) == words
-                and _graph_order(gens, images) == om
-                and StabilizerChain(s.degree, images).order() == om):
-            return True
-        images = []
-    return False
+        if len(images) == len(gens):
+            yield tuple(images)
+            images = []
 
 
-def _quotient_search(m: PermGroup, om: int, p: PermGroup) -> bool:
-    """Whether some subgroup of p maps onto the perfect group m, by an
-    exhaustive search for images x_i in p of generators g_i of m (two of
-    them where _two_generators finds a pair) such that x_i ↦ g_i extends
-    to a homomorphism <x_i> -> m.
-
-    x_1 runs over the conjugacy class representatives of p and every
-    other x_i over all of p.  A tuple is closed only when ord(g_i)
-    divides ord(x_i) and the orders of a few short words in g_1, g_2
-    divide those of the same words in x_1, x_2; a homomorphism maps each
-    element to one whose order divides its own, so the filter drops no
-    tuple that would pass.  Nor does skipping a tuple whose |<x_i>| is no
-    multiple of |m|, since <x_i> must map onto m.  The proof that two
-    chain orders decide a tuple, and that the search is complete, is in
-    section_exact_small's docstring.
-    """
-    gens = _two_generators(m, om, random.Random(DRAW_SEED))
-    words = _word_orders(gens[0], gens[1])
+def _listed_tuples(p: PermGroup, gens: Sequence[Perm]) -> Iterator[tuple[Perm, ...]]:
+    """Every tuple with x_1 a conjugacy class representative of p, the
+    other x_i in p, and ord(g_i) dividing ord(x_i); p is listed once."""
     elements = p.chain().elements()
     ranges = [conjugacy_class_representatives(p, elements)]
     ranges += [elements] * (len(gens) - 1)
     candidates = [[x for x in xs if element_order(x) % element_order(g) == 0]
                   for g, xs in zip(gens, ranges)]
-    for images in itertools.product(*candidates):
-        if any(wx % wg for wx, wg in zip(_word_orders(images[0], images[1]), words)):
-            continue
-        ox = StabilizerChain(p.degree, images).order()
-        if ox % om:
-            continue
-        if _graph_order(images, gens) == ox:
-            return True
-    return False
+    yield from itertools.product(*candidates)
 
 
 def section_exact_small(m: PermGroup, s: PermGroup,
@@ -596,26 +568,29 @@ def section_exact_small(m: PermGroup, s: PermGroup,
 
     1. The cheap checks: |m| must divide |s|, an m of prime order is then
        a section (Cauchy), and above the cap the answer is "unknown".
-    2. The seeded embedding search _embeds seeks m as a subgroup of s.
-       Its "yes" is exact (the proof is in its docstring), with K = 1.
-       It cannot refute: a section that is no subgroup (A5 in SL(2,5))
-       leaves it empty-handed, and so can bad luck.
+    2. The drawn phase: tuples of seeded random elements x_i of s with
+       ord(x_i) = ord(g_i), for generators g_i of m (two of them where
+       _two_generators finds a pair), go through the tuple test
+       _maps_onto.  A pass proves "yes" (the proof below holds for any
+       x_i in s), whether m is a subgroup of s (A5 in A6) or only a
+       quotient of one (A5 in SL(2,5)); no pass proves nothing.
     3. With p the last term of the derived series of s, the answer is
        "no" when |m| does not divide |p|.
-    4. Otherwise _quotient_search decides.
+    4. Otherwise the listed phase decides: the same test on every tuple
+       with x_1 a class representative of p and each other x_i in p.
 
     The reduction to p.  m is perfect.  If H <= s maps onto m, then so
     does H^(∞), the last term of H's derived series, since the image of
     H^(∞) is m^(∞) = m; and H^(∞) <= s^(∞) = p.  So m is a section of s
     exactly when some subgroup of p maps onto m, and then |m| divides |p|.
 
-    Two chain orders decide a tuple.  Let x_i be elements of p and g_i
-    generators of m, and let D = <(x_i, g_i)> act on the disjoint union of
+    Two chain orders decide a tuple.  Let x_i be elements of s and g_i
+    generators of m, and let D = <(g_i, x_i)> act on the disjoint union of
     the two point sets.  D projects onto <x_i>, and the map x_i ↦ g_i
     extends to a homomorphism <x_i> -> m exactly when that projection is
-    injective, that is, when D meets {1} × m trivially, that is, when
+    injective, that is, when D meets m × {1} trivially, that is, when
     |D| = |<x_i>|.  The homomorphism is then onto m, since its image
-    holds every g_i, and <x_i>/kernel ≅ m is a section of p.
+    holds every g_i, and <x_i>/kernel ≅ m is a section of s.
 
     Why the search is complete.  When m is a section of s, take H <= p
     smallest with a quotient H/K ≅ m; it exists by the reduction.  Suppose
@@ -638,10 +613,17 @@ def section_exact_small(m: PermGroup, s: PermGroup,
         return YES
     if os_ > cap:
         return UNKNOWN
-    if _embeds(m, om, s):
+    rng = random.Random(DRAW_SEED)
+    gens = _two_generators(m, om, rng)
+    words = _word_orders(gens[0], gens[1])
+
+    def found(tuples: Iterator[tuple[Perm, ...]]) -> bool:
+        return any(_maps_onto(xs, gens, words, om) for xs in tuples)
+
+    if found(_drawn_tuples(s, gens, rng)):
         return YES
     p = derived_series(s)[-1]
-    return YES if order(p) % om == 0 and _quotient_search(m, om, p) else NO
+    return YES if order(p) % om == 0 and found(_listed_tuples(p, gens)) else NO
 
 
 def section_report(m: PermGroup, s: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP,

@@ -698,8 +698,10 @@ def conjugacy_class_representatives(g: PermGroup, elements: list[Perm]) -> list[
 
     Classes are found by closing the element set under conjugation by the
     generators; deterministic because elements() order is deterministic.
+    The identity's class is {1}, so it is recorded without conjugating it.
     """
     conjugators = [(x, inverse(x)) for x in g.generators]
+    one = identity(g.degree)
     # the elements not yet in a class; holding the listed tuples rather than
     # the conjugates found keeps one copy of each element alive, not two
     unassigned = set(elements)
@@ -708,7 +710,7 @@ def conjugacy_class_representatives(g: PermGroup, elements: list[Perm]) -> list[
         if e not in unassigned:
             continue
         reps.append(e)
-        queue = [e]
+        queue = [] if e == one else [e]
         unassigned.remove(e)
         while queue:
             h = queue.pop()

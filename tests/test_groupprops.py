@@ -898,12 +898,32 @@ def test_section_exact_matches_bruteforce(suite):
         assert section_exact_small(a5, s) == NO, s.name
 
 
-def test_section_exact_tries_the_embedding_first(monkeypatch):
-    # the embedding search answers before the quotient search is reached
-    def refuse(m, om, p):
-        raise AssertionError("the quotient search ran")
+def _drawn_phase(m, s):
+    """Whether a tuple of section_exact_small's drawn phase in s passes the
+    tuple test, with m's generators and draws seeded as there."""
+    om, rng = order(m), random.Random(permcore.DRAW_SEED)
+    gens = groupprops._two_generators(m, om, rng)
+    words = groupprops._word_orders(gens[0], gens[1])
+    return any(groupprops._maps_onto(xs, gens, words, om)
+               for xs in groupprops._drawn_tuples(s, gens, rng))
 
-    monkeypatch.setattr(groupprops, "_quotient_search", refuse)
+
+def _listed_phase(m, p):
+    """Whether a tuple of section_exact_small's listed phase in p passes
+    the tuple test, with m's generators as there."""
+    om = order(m)
+    gens = groupprops._two_generators(m, om, random.Random(permcore.DRAW_SEED))
+    words = groupprops._word_orders(gens[0], gens[1])
+    return any(groupprops._maps_onto(xs, gens, words, om)
+               for xs in groupprops._listed_tuples(p, gens))
+
+
+def test_section_exact_tries_the_embedding_first(monkeypatch):
+    # the drawn phase answers before the listed phase is reached
+    def refuse(p, gens):
+        raise AssertionError("the listed phase ran")
+
+    monkeypatch.setattr(groupprops, "_listed_tuples", refuse)
     assert section_exact_small(alternating_group(5), alternating_group(6)) == YES
 
 
@@ -918,7 +938,7 @@ def test_embedding_fires_only_where_the_oracle_says_yes(suite):
     fired = []
     for s in [g for g in suite if order(g) <= 200]:
         for m in (alternating_group(5), _s5_socle()):
-            if groupprops._embeds(m, 60, s):
+            if _drawn_phase(m, s):
                 assert section_bruteforce(m.generators, s.generators, s.degree), s.name
                 fired.append(s.name)
     assert {"S5", "A5"} <= set(fired)
@@ -931,22 +951,40 @@ def test_embedding_fires_only_where_the_oracle_says_yes(suite):
     (alternating_group(7), alternating_group(8)),
     (alternating_group(6), point_stabilizer(catalog.load_group("m12")))])
 def test_embedding_certifies_subgroups(m, s):
-    assert groupprops._embeds(m, order(m), s)
+    assert _drawn_phase(m, s)
 
 
 def test_sl_2_5_has_a5_as_a_quotient_not_a_subgroup():
+    # no subgroup of SL(2,5) is A5, yet a drawn pair maps onto A5
     a5, s = alternating_group(5), sl_2_5_on_vectors()
     assert order(s) == 120
     assert section_bruteforce(a5.generators, s.generators, s.degree)
-    assert not groupprops._embeds(a5, 60, s)
+    assert _drawn_phase(a5, s)
     assert section_exact_small(a5, s) == YES
 
 
+def test_drawn_phase_certifies_a_quotient_without_listing(monkeypatch):
+    # A5 in SL(2,5) is answered by a drawn pair: neither s nor its derived
+    # series is listed or taken
+    def refuse(*args):
+        raise AssertionError("listed or derived")
+
+    s = sl_2_5_on_vectors()
+    monkeypatch.setattr(StabilizerChain, "elements", refuse)
+    monkeypatch.setattr(groupprops, "derived_series", refuse)
+    assert section_exact_small(alternating_group(5), s) == YES
+
+
 def test_embedding_needs_the_image_as_large_as_m(monkeypatch):
-    # with the word filter off, SL(2,5) -> A5 with kernel ±1 gives a
-    # graph of order 120 = |m|; only |<x_i>| = 60 refuses it
+    # with the word filter off, pairs of A5 reach the order checks for
+    # m = SL(2,5); |<x_i>| <= 60 is no multiple of |m| = 120, which refuses
+    # every one of them before its graph is closed
+    def refuse(xs, ys):
+        raise AssertionError("a graph was closed")
+
     monkeypatch.setattr(groupprops, "_word_orders", lambda a, b: (1,))
-    assert not groupprops._embeds(sl_2_5_on_vectors(), 120, alternating_group(5))
+    monkeypatch.setattr(groupprops, "_graph_order", refuse)
+    assert not _drawn_phase(sl_2_5_on_vectors(), alternating_group(5))
 
 
 @pytest.mark.parametrize("embeds", [True, False])
@@ -955,7 +993,7 @@ def test_section_exact_falls_back_to_the_generators_of_m(monkeypatch, embeds):
     # three generators
     monkeypatch.setattr(groupprops, "_GENERATOR_PAIRS", 0)
     if not embeds:
-        monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
+        monkeypatch.setattr(groupprops, "_TUPLE_DRAWS", 0)
     a5 = perm_group([from_cycles(5, [c]) for c in ((0, 1, 2), (1, 2, 3), (2, 3, 4))],
                     degree=5)
     assert order(a5) == 60
@@ -965,11 +1003,11 @@ def test_section_exact_falls_back_to_the_generators_of_m(monkeypatch, embeds):
 
 
 def test_quotient_search_matches_bruteforce(suite, monkeypatch):
-    # with the embedding search off, the derived-series test and the
-    # quotient search alone decide; the socle of S5 is A5 on three
-    # generators, which the oracle, reading only the order and element
-    # orders of m, cannot tell from A5
-    monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
+    # with the drawn phase off, the derived-series test and the listed
+    # phase alone decide; the socle of S5 is A5 on three generators, which
+    # the oracle, reading only the order and element orders of m, cannot
+    # tell from A5
+    monkeypatch.setattr(groupprops, "_TUPLE_DRAWS", 0)
     a5, socle = alternating_group(5), _s5_socle()
     cases = ([g for g in suite if order(g) <= 200] + [sl_2_5_on_vectors()]
              + _necessary_flags_pass_but_no())
@@ -989,11 +1027,12 @@ def psl_2_7():
 
 def test_quotient_that_is_no_subgroup():
     # -1 is the only involution of SL(2,7), so PSL(2,7) is no subgroup of
-    # it, only its quotient by the centre
+    # it, only its quotient by the centre; no drawn pair finds it, and the
+    # listed phase answers
     psl27 = psl_2_7()
     sl27 = matrix_group(7, 2, SL2, "SL(2,7) on F7^2 - 0", affine=False)
     assert (order(sl27), sl27.degree) == (336, 48)
-    assert not groupprops._embeds(psl27, 168, sl27)
+    assert not _drawn_phase(psl27, sl27)
     assert section_exact_small(psl27, sl27) == YES
 
 
@@ -1041,16 +1080,16 @@ def test_quotient_search_lists_p_once(monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "elements", recorded)
     s = psl_2_8_on_the_projective_line()
-    assert not groupprops._quotient_search(psl_2_7(), 168, s)
+    assert not _listed_phase(psl_2_7(), s)
     assert listed == [504]
 
 
 def test_quotient_search_needs_the_order_of_the_closure(monkeypatch):
     # S4 x C15 is solvable, so A5 is no section of it; yet some pairs in it
     # pass every element and word order filter and generate a group whose
-    # order 60 divides, and only |D| > |<x_i>| turns them away.  The search
-    # is called directly, as section_exact_small stops at the trivial last
-    # term of the derived series
+    # order 60 divides, and only |D| > |<x_i>| turns them away.  The listed
+    # phase is run directly, as section_exact_small stops at the trivial
+    # last term of the derived series
     closures = []
     init = StabilizerChain.__init__
 
@@ -1064,7 +1103,7 @@ def test_quotient_search_needs_the_order_of_the_closure(monkeypatch):
                     c(12, [(4, 5, 6, 7, 8)]), c(12, [(9, 10, 11)])], name="S4xC15")
     s.chain()
     monkeypatch.setattr(StabilizerChain, "__init__", recorded)
-    assert not groupprops._quotient_search(alternating_group(5), 60, s)
+    assert not _listed_phase(alternating_group(5), s)
     assert closures
 
 
@@ -1082,8 +1121,8 @@ def test_section_exact_decides_at_or_below_the_cap(suite):
 
 
 def test_quotient_search_memory(monkeypatch):
-    # the search holds the element list of s and two chains at a time
-    monkeypatch.setattr(groupprops, "_embeds", lambda m, om, s: False)
+    # the listed phase holds the element list of s and two chains at a time
+    monkeypatch.setattr(groupprops, "_TUPLE_DRAWS", 0)
     m, s = alternating_group(5), diagonal_a5_x_a5()
     s.chain()
     tracemalloc.start()
@@ -1105,26 +1144,28 @@ def test_failed_embedding_search_stops_within_its_budget(monkeypatch, chain_buil
 
     monkeypatch.setattr(StabilizerChain, "random_element", counted)
     a5 = alternating_group(5)
-    for s in [sl_2_5_on_vectors()] + _necessary_flags_pass_but_no():
+    a5.chain()
+    for s in _necessary_flags_pass_but_no():
         s.chain()
         draws.clear()
         chain_builds.clear()
-        assert not groupprops._embeds(a5, 60, s), s.name
+        assert not _drawn_phase(a5, s), s.name
         # A5's two generators need no draws of A5 itself
-        assert draws == [s.chain()] * groupprops._EMBEDDING_DRAWS, s.name
+        assert draws == [s.chain()] * groupprops._TUPLE_DRAWS, s.name
         # the word orders turn every tuple away before a closure is built
         assert chain_builds == [], s.name
 
 
 def test_embedding_needs_the_order_of_the_closure(monkeypatch):
     # without the word filter, tuples of the right element orders reach
-    # the closure D, and only |D| = |m| tells an embedding apart
+    # the closures, and only |D| = |<x_i>| tells a map onto m apart
     monkeypatch.setattr(groupprops, "_word_orders", lambda a, b: ())
     a5 = alternating_group(5)
-    assert not groupprops._embeds(a5, 60, sl_2_5_on_vectors())
     for s in _necessary_flags_pass_but_no():
-        assert not groupprops._embeds(a5, 60, s), s.name
-    assert groupprops._embeds(a5, 60, alternating_group(6))
+        assert not _drawn_phase(a5, s), s.name
+    assert _drawn_phase(a5, alternating_group(6))
+    # SL(2,5) maps onto A5 with kernel ±1
+    assert _drawn_phase(a5, sl_2_5_on_vectors())
 
 
 def test_section_necessary_lists_s_only_for_a_missing_order(monkeypatch):

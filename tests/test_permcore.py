@@ -17,6 +17,7 @@ from treelat.permcore import (
     StabilizerChain,
     alternating_group,
     compose,
+    conjugacy_class_representatives,
     contains,
     derived_series,
     derived_subgroup,
@@ -556,6 +557,31 @@ def test_draws_and_element_lists_never_multiply_by_the_identity(suite, monkeypat
         assert draws == expected_draws, g.name
     assert factors
     assert not [p for p in factors if p == tuple(range(len(p)))]
+
+
+def test_class_representatives_never_conjugate_the_identity(suite, monkeypatch):
+    # the identity's class is {1}, so it is recorded with no product; each
+    # representative is still the first element of its class in the list,
+    # the class being read off by conjugating with every element
+    left = []
+
+    def recording_compose(p, q):
+        left.append(p)
+        return compose(p, q)
+
+    for g in suite:
+        elements = g.chain().elements()
+        expected, seen = [], set()
+        for e in elements:
+            if e not in seen:
+                expected.append(e)
+                seen.update(compose(inverse(y), compose(e, y)) for y in elements)
+        with monkeypatch.context() as patched:
+            patched.setattr(permcore, "compose", recording_compose)
+            reps = conjugacy_class_representatives(g, elements)
+        assert reps == expected, g.name
+    assert left
+    assert not [p for p in left if is_identity(p)]
 
 
 def test_whole_normal_closures_never_multiply_by_the_identity(monkeypatch):
