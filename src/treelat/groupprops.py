@@ -5,19 +5,24 @@ point per suborbit, from the stabilizer chain), quasi-primitivity via
 minimal normal subgroups, almost-simple typing, and the section tests
 that drive the obstruction reports.
 
-Everything here is exact.  Almost simple typing is first proved without
-listing the group (``_simple_residual``); where that proof does not apply,
-the group is enumerated, and so is its minimal normal subgroup when it is
-the only one and neither abelian nor the whole group.  TooLarge means only
-that an enumeration which had to run would list more elements than the cap
-allows; no heuristic answer is ever returned instead.  The section tests
-draw seeded random elements, but only to find a witness whose check is
-exact; when the draws find none, the exhaustive path decides.
+Everything here is exact.  A group's only minimal normal subgroup is
+first certified without listing the group (``_certified_socle``): a simple
+solvable residual (``_simple_residual``) or, for a primitive group, a
+regular abelian normal subgroup (``_abelian_socle``).  Only where neither
+certificate applies is the group enumerated, and so is its minimal normal
+subgroup when it is the only one and neither abelian nor the whole group.
+The element orders of A_n and S_n are read off cycle types, with no
+listing.  TooLarge means only that an enumeration which had to run would
+list more elements than the cap allows; no heuristic answer is ever
+returned instead.  The section tests draw seeded random elements, but only
+to find a witness whose check is exact; when the draws find none, the
+exhaustive path decides.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
@@ -36,6 +41,8 @@ from .permcore import (
     Perm,
     PermGroup,
     StabilizerChain,
+    _is_even,
+    alternating_group,
     chain_of_known_order,
     compose,
     conjugacy_class_representatives,
@@ -57,8 +64,11 @@ DEFAULT_SECTION_CAP = 2_000
 _SPECTRUM_DRAWS = 64
 _GENERATOR_PAIRS = 16
 _TUPLE_DRAWS = 2_000
-# _on_support's draws: M12's descent needs 4 or 5 per stabilizer
+# the draws of a chain grown to a known order (_on_support, and A_n in
+# _giant_residual): M12's descent needs 4 or 5 per stabilizer
 _TRANSPORT_DRAWS = 500
+# _abelian_socle's draws, in search of an element of the socle
+_AFFINE_DRAWS = 64
 
 # QpType tags
 ALMOST_SIMPLE = "AlmostSimple"
@@ -211,16 +221,38 @@ def _no_regular_mns(n: int, h_order: int) -> bool:
     return gl_order % h_order != 0
 
 
-def _giant_residual(g: PermGroup) -> Optional[PermGroup]:
-    """The solvable residual of g when g is the alternating or the
-    symmetric group on its n = g.degree >= 5 points: g itself when
-    |g| = n!/2, derived_subgroup(g) when |g| = n!; else None.
+def _giant_ratio(g: PermGroup) -> Optional[int]:
+    """|g| / |A_n| for n = g.degree when g is the alternating group A_n
+    (1) or the symmetric group S_n (2) on its n points; else None.
 
     g <= S_n, so an order of n! makes g = S_n.  An order of n!/2 makes
     g = A_n: a subgroup of index 2 is normal with a quotient of order 2,
     so it holds every square, hence every 3-cycle (abc) = (acb)², and the
-    3-cycles generate A_n.  A_n is simple for n >= 5, and it is the solvable residual of
-    both, since S_n/A_n has order 2 and A_n is perfect.
+    3-cycles generate A_n.  For n <= 2, A_n is trivial, and so is g when
+    the ratio is 1.
+
+    The order is divided by n, n-1, ..., 3 and the check stops at the
+    first remainder, so n! is never formed for a group far below it.
+    """
+    quotient = order(g)
+    for k in range(g.degree, 2, -1):
+        quotient, remainder = divmod(quotient, k)
+        if remainder:
+            return None
+    return quotient if quotient in (1, 2) else None
+
+
+def _giant_residual(g: PermGroup) -> Optional[PermGroup]:
+    """The solvable residual of g when g is the alternating or the
+    symmetric group on its n = g.degree >= 5 points (_giant_ratio): g
+    itself for A_n; for S_n, A_n on the same points, given by
+    alternating_group(n)'s generators and a chain grown to n!/2
+    (permcore.chain_of_known_order) from the even ones among
+    _TRANSPORT_DRAWS seeded draws of g, else built from those generators;
+    None for any other g.
+
+    A_n is simple for n >= 5, and it is the solvable residual of both,
+    since S_n/A_n has order 2 and A_n is perfect.
 
     A_n is the only minimal normal subgroup of A_n and of S_n.  Its
     centralizer in S_n is trivial for n >= 4: if c moves a to b != a,
@@ -228,20 +260,17 @@ def _giant_residual(g: PermGroup) -> Optional[PermGroup]:
     c does not commute with (a x y).  A minimal normal N != A_n meets the
     simple A_n trivially, so [N, A_n] <= N ∩ A_n = 1 and N centralizes
     A_n, which leaves N = 1.
-
-    The order is divided by n, n-1, ..., 3 and the check stops at the
-    first remainder, so n! is never formed for a group far below it.
     """
-    if g.degree < 5:
+    n = g.degree
+    ratio = _giant_ratio(g) if n >= 5 else None
+    if ratio is None:
         return None
-    quotient = order(g)
-    for k in range(g.degree, 2, -1):
-        quotient, remainder = divmod(quotient, k)
-        if remainder:
-            return None
-    if quotient == 1:
+    if ratio == 1:
         return g
-    return derived_subgroup(g) if quotient == 2 else None
+    chain, rng = g.chain(), random.Random(DRAW_SEED)
+    draws = (chain.random_element(rng) for _ in range(_TRANSPORT_DRAWS))
+    return PermGroup(degree=n, generators=alternating_group(n).generators,
+                     bsgs=chain_of_known_order(n, filter(_is_even, draws), order(g) // 2))
 
 
 def _on_support(h: PermGroup) -> tuple[list[int], PermGroup]:
@@ -261,15 +290,15 @@ def _on_support(h: PermGroup) -> tuple[list[int], PermGroup]:
 
 
 def _minimal_normal_of_stabilizer(h: PermGroup, enum_cap: int) -> list[PermGroup]:
-    """The minimal normal subgroups of h, through _simple_residual on
-    _on_support(h) when that proves one, else by enumeration, which raises
+    """The minimal normal subgroups of h, through _certified_socle on
+    _on_support(h) when that finds one, else by enumeration, which raises
     TooLarge past the cap: the caller would enumerate a larger group.
 
     A socle of order |h| is the whole relabelled group, so h is simple: h
     itself is returned, and _simple_residual takes no closure of it.
     """
     support, on_support = _on_support(h)
-    socle = _simple_residual(on_support, enum_cap)
+    socle = _certified_socle(on_support, enum_cap)
     if socle is None:
         return minimal_normal_subgroups(h, enum_cap)
     if order(socle) == order(h):
@@ -314,8 +343,9 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     isomorphic to N_D(H)/H, is trivial; a second minimal normal subgroup of
     g would centralize D, so there is none.
 
-    (c) takes the minimal normal subgroups of H by the same test, run on
-    the points H moves; where it fails, H is enumerated under enum_cap
+    (c) takes the minimal normal subgroups of H by the same test, or by
+    _abelian_socle, run on the points H moves (_certified_socle); where
+    both fail, H is enumerated under enum_cap
     (Seress, *Permutation Group Algorithms*, ch. 6, reduces simplicity
     through point stabilizers in the same way).  When that test finds H
     simple, K = H and its closure is not computed: the closure N of H is
@@ -347,14 +377,102 @@ def _simple_residual(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
     return None
 
 
+def _power(p: Perm, k: int) -> Perm:
+    """p^k, read off the cycles of p."""
+    images = list(p)
+    seen: set[int] = set()
+    for x in range(len(p)):
+        if x in seen:
+            continue
+        cycle = [x]
+        y = p[x]
+        while y != x:
+            cycle.append(y)
+            y = p[y]
+        seen.update(cycle)
+        for i, y in enumerate(cycle):
+            images[y] = cycle[(i + k) % len(cycle)]
+    return tuple(images)
+
+
+def _commute(a: Perm, b: Perm) -> bool:
+    return compose(a, b) == compose(b, a)
+
+
+def _abelian_socle(g: PermGroup) -> Optional[PermGroup]:
+    """A regular abelian normal subgroup N of g, when g is primitive on
+    its n = g.degree points and one is found; N is then the only minimal
+    normal subgroup of g.  Otherwise None.
+
+    Proof.  Let N be a nontrivial abelian normal subgroup of the primitive
+    g.  The orbits of N are blocks of g, since g permutes them, and N moves
+    a point, so N is transitive.  An abelian transitive group is regular:
+    if c in N fixes x, it fixes every a(x), a in N, as c(a(x)) = a(c(x)).
+    So |N| = n.  A nontrivial normal subgroup of g inside N is transitive
+    for the same reason, so it is N, and N is minimal normal.  A second
+    minimal normal subgroup M would meet N trivially, so
+    [M, N] <= M ∩ N = 1 and M would centralize N.  But N is its own
+    centralizer in Sym(n): if c commutes with N and a in N carries x to
+    c(x), then c(b(x)) = b(a(x)) = a(b(x)) for every b in N, so c = a.
+    Then M <= N, which leaves no second one.  N is elementary abelian:
+    for a prime p dividing |N|, its elements of order dividing p form a
+    nontrivial normal subgroup of g, hence all of N.  So n = p^d, and no
+    other degree is searched.
+
+    Finding N.  If g is solvable, N is the last nontrivial term of its
+    derived series, which is normal in g and abelian, its derived subgroup
+    being the trivial term after it; the series is the one _simple_residual
+    built.  Otherwise each non-identity element of N has order p and
+    fixes no point.  Seeded draws r of g give x = r^(ord(r)/p); an x of
+    order p that fixes no point, and commutes with its conjugates by g's
+    generators and by one more draw (as all of N does), has its normal
+    closure taken, which is accepted when it is abelian of order n.  After
+    _AFFINE_DRAWS draws the search gives up.
+    """
+    n = g.degree
+    primes = _prime_factors(n)
+    if len(primes) != 1 or len(orbit(g, 0)) != n or not is_primitive(g):
+        return None
+    series = derived_series(g)
+    if order(series[-1]) == 1:
+        return series[-2]
+    p = primes.pop()
+    chain, rng = g.chain(), random.Random(DRAW_SEED)
+    for _ in range(_AFFINE_DRAWS):
+        r = chain.random_element(rng)
+        o = element_order(r)
+        if o % p:
+            continue
+        x = _power(r, o // p)
+        if any(x[i] == i for i in range(n)):
+            continue
+        conjugators = [*g.generators, chain.random_element(rng)]
+        if not all(_commute(x, compose(inverse(y), compose(x, y))) for y in conjugators):
+            continue
+        socle = normal_closure(g, [x])
+        if order(socle) == n and all(_commute(a, b) for a, b
+                                     in itertools.combinations(socle.generators, 2)):
+            return socle
+    return None
+
+
+def _certified_socle(g: PermGroup, enum_cap: int) -> Optional[PermGroup]:
+    """The only minimal normal subgroup of g, when _simple_residual proves
+    it nonabelian simple or _abelian_socle finds it abelian and regular;
+    otherwise None.  Its order is a prime power in the second case only."""
+    socle = _simple_residual(g, enum_cap)
+    return socle if socle is not None else _abelian_socle(g)
+
+
 def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
                          ) -> tuple[QpType, list[PermGroup]]:
     """Quasi-primitivity type per the almost-simple / two-regular split,
     together with the minimal normal subgroups themselves.
 
-    When _simple_residual proves the solvable residual simple and the only
-    minimal normal subgroup, g is almost simple and nothing is enumerated.
-    Otherwise the minimal normal subgroups are enumerated.  A
+    When _certified_socle finds g's only minimal normal subgroup, nothing
+    is enumerated: g is almost simple when that socle is nonabelian
+    simple, and of type OtherQuasiprimitive when it is abelian and
+    regular.  Otherwise the minimal normal subgroups are enumerated.  A
     quasi-primitive group is expected to have one or two of them; more
     than two is reported as an internal error rather than silently trusted
     away.
@@ -368,11 +486,11 @@ def classify_qp_with_mns(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
     factors.  An m = g is minimal normal in itself, so simple, and nothing
     more is listed; else |m| < |g|, so listing m raises no new TooLarge.
     """
-    socle = _simple_residual(g, enum_cap)
+    socle = _certified_socle(g, enum_cap)
     if socle is not None:
         socle_order = order(socle)
-        return QpType(tag=ALMOST_SIMPLE, mns_orders=(socle_order,),
-                      socle_order=socle_order), [socle]
+        tag = OTHER_QUASIPRIMITIVE if is_prime_power(socle_order) else ALMOST_SIMPLE
+        return QpType(tag=tag, mns_orders=(socle_order,), socle_order=socle_order), [socle]
     mns = minimal_normal_subgroups(g, enum_cap)
     mns_orders = tuple(order(m) for m in mns)
     socle_gens = tuple(p for m in mns for p in m.generators)
@@ -422,7 +540,28 @@ def _check_enum_cap(g: PermGroup, enum_cap: int) -> None:
         raise TooLarge(f"group order {n} exceeds enumeration cap {enum_cap}")
 
 
+def _cycle_type_orders(n: int, alternating: bool) -> set[int]:
+    """The element orders of S_n, or of A_n when `alternating`: the lcms of
+    the partitions of n, for A_n only of those with an even number of even
+    parts.  An element's cycle lengths partition n and its order is their
+    lcm; it is even exactly when it has an even number of cycles of even
+    length, and every partition is a cycle type."""
+    # reach[s]: the (lcm, parity of the number of even parts) of the
+    # partitions of s into parts >= 2 seen so far; parts of 1 pad to n
+    reach: list[set[tuple[int, int]]] = [{(1, 0)}] + [set() for _ in range(n)]
+    for k in range(2, n + 1):
+        for total in range(k, n + 1):
+            reach[total] |= {(math.lcm(m, k), e ^ (k % 2 == 0)) for m, e in reach[total - k]}
+    return {m for states in reach for m, e in states if not (alternating and e)}
+
+
 def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> set[int]:
+    """The element orders of g: read off cycle types when g is S_n or A_n
+    on its n = g.degree points (_giant_ratio), with no listing and no cap;
+    else from g's elements, listed under enum_cap."""
+    ratio = _giant_ratio(g)
+    if ratio is not None:
+        return _cycle_type_orders(g.degree, alternating=ratio == 1)
     _check_enum_cap(g, enum_cap)
     return {element_order(t) for t in g.chain().elements()}
 
@@ -451,7 +590,7 @@ def section_necessary(m: PermGroup, s: PermGroup,
     (c) first scans a fixed number of seeded random elements of s and
     lists s only when some order of m divides none of theirs: a pass needs
     one witness per order, a failure the whole spectrum.  |s| is held to
-    enum_cap either way.
+    enum_cap either way, and first, so |m| <= |s| is too.
     """
     om, os_ = order(m), order(s)
     order_divides = os_ % om == 0
@@ -463,8 +602,8 @@ def section_necessary(m: PermGroup, s: PermGroup,
     else:
         # the orders of m that divide no order of s seen so far; the scan
         # of s stops once there are none
-        missing = element_order_spectrum(m, enum_cap)
         _check_enum_cap(s, enum_cap)
+        missing = element_order_spectrum(m, enum_cap)
         for t in _draws_then_elements(s.chain()):
             if not missing:
                 break

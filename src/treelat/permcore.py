@@ -484,18 +484,19 @@ def _close_under_conjugation(chain: StabilizerChain, gens: list[Perm],
 class PermGroup:
     """A permutation group given by generators, with a cached BSGS.
 
-    Treated as immutable after construction; the only mutation is the
-    write-once attachment of the stabilizer chain, which is deterministic
-    for fixed input and therefore safe to share between threads.  The
-    chain is never extended: a point stabilizer shares its levels, and
-    only ``normal_closure`` extends a chain, the private one it grows
-    before it returns the group.
+    Treated as immutable after construction; the only mutations are the
+    write-once attachments of the stabilizer chain and of the derived
+    series, which are deterministic for fixed input and therefore safe to
+    share between threads.  The chain is never extended: a point
+    stabilizer shares its levels, and only ``normal_closure`` extends a
+    chain, the private one it grows before it returns the group.
     """
 
     degree: int
     generators: tuple[Perm, ...]
     bsgs: Optional[StabilizerChain] = field(default=None, repr=False)
     name: Optional[str] = None
+    _series: Optional[tuple[PermGroup, ...]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
@@ -682,14 +683,17 @@ def derived_subgroup(g: PermGroup) -> PermGroup:
 
 def derived_series(g: PermGroup) -> list[PermGroup]:
     """G > G' > G'' > ... ; each term is a proper subgroup of the one
-    before, and the last is trivial (g solvable) or perfect."""
-    series = [g]
-    while order(series[-1]) > 1:
-        nxt = derived_subgroup(series[-1])
-        if order(nxt) == order(series[-1]):
-            break
-        series.append(nxt)
-    return series
+    before, and the last is trivial (g solvable) or perfect.  Built once
+    per group and kept on it, as its chain is."""
+    if g._series is None:
+        series = [g]
+        while order(series[-1]) > 1:
+            nxt = derived_subgroup(series[-1])
+            if order(nxt) == order(series[-1]):
+                break
+            series.append(nxt)
+        g._series = tuple(series)
+    return list(g._series)
 
 
 def conjugacy_class_representatives(g: PermGroup, elements: list[Perm]) -> list[Perm]:

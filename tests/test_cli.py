@@ -183,7 +183,8 @@ def test_analyze_requires_input(capsys):
 
 
 def test_analyze_enum_cap_exceeded(capsys):
-    # the section test lists the 360 elements of A6 for its spectrum
+    # the section test reads A6's spectrum off its cycle types, but holds
+    # |s| = |M11| = 7920 to the cap first
     code, _, err = run(capsys, "analyze", "--pair", "a6_natural", "m12",
                        "--enum-cap", "100")
     assert code == 3

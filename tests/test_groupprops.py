@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -228,7 +230,9 @@ def test_mns_too_large():
 
 
 def test_residual_proof_over_the_cap_raises(monkeypatch):
-    # A7 and S7 are typed by their order alone, so a cap of 10 lists nothing
+    # A7 and S7 are typed by their order alone, and the proof for M12
+    # descends through M11 and M10 to A6 on 10 points, whose stabilizer
+    # 3^2:4 is typed by its abelian socle: a cap of 10 lists nothing
     listed = []
     elements = StabilizerChain.elements
     monkeypatch.setattr(StabilizerChain, "elements",
@@ -236,14 +240,19 @@ def test_residual_proof_over_the_cap_raises(monkeypatch):
     for g in (symmetric_group(7), alternating_group(7)):
         qp, _ = classify_qp_with_mns(g, enum_cap=10)
         assert qp == QpType(ALMOST_SIMPLE, (2520,), 2520)
-    assert listed == []
-    # the proof for M12 descends through M11 and M10 to A6 on 10 points,
-    # whose stabilizer 3^2:4 it must list: 36 elements are over a cap of
-    # 35, and the whole group listed in its place would be larger still
     m12 = catalog.load_group("m12")
+    assert classify_qp_with_mns(m12, enum_cap=10)[0] == QpType(ALMOST_SIMPLE, (95040,), 95040)
+    assert listed == []
+    # the proof for S5 on pairs descends to A5 on pairs, whose stabilizer
+    # S3 is intransitive on the 9 points it moves, so it must list it: 6
+    # elements are over a cap of 5, and the whole group listed in its
+    # place would be larger still
+    s5_on_pairs = induced_action_on_pairs(symmetric_group(5))
     with pytest.raises(TooLarge):
-        classify_qp_with_mns(m12, enum_cap=35)
-    assert classify_qp_with_mns(m12, enum_cap=36)[0] == QpType(ALMOST_SIMPLE, (95040,), 95040)
+        classify_qp_with_mns(s5_on_pairs, enum_cap=5)
+    assert listed == []
+    assert classify_qp_with_mns(s5_on_pairs, enum_cap=6)[0] == QpType(ALMOST_SIMPLE, (60,), 60)
+    assert [chain.order() for chain in listed] == [6]
 
 
 def test_mns_matches_lattice_oracle(suite):
@@ -487,12 +496,13 @@ def s5_wr_s2_product_action():
     (s5_wr_s2_product_action, QpType(OTHER_QUASIPRIMITIVE, (3600,), 3600)),
 ], ids=["C5", "S3", "A4", "AGL(1,5)", "PGL(2,7)", "S5wrS2"])
 def test_listed_socle_typing(make, expected):
-    # the residual proof does not apply, so the one minimal normal subgroup
-    # is listed.  It is abelian; or PSL(2,7), simple and of index 2 (degree
-    # 8 = 2^3 and |H| = 21 divides |GL(3,2)|, so condition (d) fails); or
-    # A5 x A5, transitive and nonabelian but not simple, whose two factors
-    # are its minimal normal subgroups (A5 x A5 keeps the rows of the 5 x 5
-    # grid as blocks, so it is not primitive)
+    # the residual proof does not apply.  The one minimal normal subgroup
+    # is abelian and regular, which _abelian_socle finds; or it is listed:
+    # PSL(2,7), simple and of index 2 (degree 8 = 2^3 and |H| = 21
+    # divides |GL(3,2)|, so condition (d) fails); or A5 x A5, transitive
+    # and nonabelian but not simple, whose two factors are its minimal
+    # normal subgroups (A5 x A5 keeps the rows of the 5 x 5 grid as
+    # blocks, so it is not primitive)
     g = make()
     assert groupprops._simple_residual(g, 10 ** 6) is None
     assert classify_qp_with_mns(g)[0] == expected
@@ -615,9 +625,10 @@ def test_simple_stabilizers_take_no_closure(monkeypatch):
     assert report.qp_type.tag == ALMOST_SIMPLE and report.solvable_outer
     # M11 is proved simple, so D = M12 takes no closure.  M10's socle A6
     # (on 10 points) is proper, so D = M11 closes it.  A6's stabilizer
-    # 3^2:4 is listed: one closure in it per class other than the
-    # identity's, and condition (c) for D = A6 closes the one it finds, 3^2
-    assert work["closures"] == [36, 36, 36, 36, 36, 360, 7920]
+    # 3^2:4 is solvable and primitive on its 9 points, so its socle 3^2 is
+    # read off its derived series with no closure in it, and condition (c)
+    # for D = A6 closes 3^2
+    assert work["closures"] == [360, 7920]
     assert work["transports"] == [7920, 720, 36]
     # M12, M11 and A6 are perfect, M10 and 3^2:4 are not
     assert work["derived"] == [95040, 7920, 720, 360, 36, 9]
@@ -625,11 +636,12 @@ def test_simple_stabilizers_take_no_closure(monkeypatch):
 
 
 @pytest.mark.parametrize("g, derived", [(alternating_group(9), []),
-                                        (symmetric_group(9), [362880])],
+                                        (symmetric_group(9), [])],
                          ids=["A9", "S9"])
 def test_giants_take_no_descent(monkeypatch, g, derived):
-    # A9 is its own socle; S9's is its derived subgroup, and its outer
-    # quotient has order 2, a prime power
+    # A9 is its own socle; S9's is A9, given by its generators with no
+    # derived subgroup taken, and its outer quotient has order 2, a prime
+    # power
     work = count_typing_work(monkeypatch)
     report = analyze_raw_group(g)
     assert report.qp_type == QpType(ALMOST_SIMPLE, (181440,), 181440)
@@ -715,6 +727,144 @@ def test_primitive_agrees_with_is_primitive(suite):
         assert report.primitive == (report.transitive and is_primitive(g)), g.name
         two_transitive += report.two_transitive
     assert two_transitive >= 5
+
+
+# ---------------------------------------------------------------------------
+# affine groups by their abelian socle, giants' spectra by cycle type
+# ---------------------------------------------------------------------------
+
+def agl_2(p, r):
+    """AGL(2, p): SL(2, p) and diag(r, 1), for r a primitive root mod p,
+    generate GL(2, p)."""
+    return matrix_group(p, 2, SL2 + [[[r, 0], [0, 1]]], f"AGL(2,{p})")
+
+
+def agl_5_2():
+    # a transvection and the cyclic coordinate shift generate GL(5,2)
+    transvection = [[int(i == j or (i, j) == (0, 1)) for j in range(5)] for i in range(5)]
+    shift = [[int(j == (i - 1) % 5) for j in range(5)] for i in range(5)]
+    return matrix_group(2, 5, [transvection, shift], "AGL(5,2)")
+
+
+def m12_descent_stabilizer():
+    """3^2:4, the stabilizer of A6 on 10 points that M12's descent reaches,
+    on the 9 points it moves: M12 -> M11 -> M10, whose socle is A6."""
+    g = catalog.load_group("m12")
+    for _ in range(2):
+        g = groupprops._on_support(point_stabilizer(g))[1]
+    a6 = permcore.derived_series(g)[-1]
+    return replace(groupprops._on_support(point_stabilizer(a6))[1], name="3^2:4")
+
+
+def affine_cases(suite):
+    """The primitive groups of fast_path_cases, AGL(1, p) for p <= 13,
+    AGL(2, 3), AGL(2, 5) and M12's 3^2:4."""
+    groups = [g for g in fast_path_cases(suite)
+              if g.degree >= 2 and is_transitive(g) and is_primitive(g)]
+    groups += [matrix_group(p, 1, [[[p - 1]]], f"AGL(1,{p})") for p in (2, 3)]
+    return groups + [agl_2(3, 2), agl_2(5, 2), m12_descent_stabilizer()]
+
+
+def test_abelian_socle_matches_the_listing_route(suite, monkeypatch):
+    groups = affine_cases(suite)
+    typed = [classify_qp_with_mns(g) for g in groups]
+    fired = {g.name for g in groups if groupprops._abelian_socle(g) is not None}
+    monkeypatch.setattr(groupprops, "_abelian_socle", lambda g: None)
+    for g, (qp, mns) in zip(groups, typed):
+        listed_qp, listed_mns = classify_qp_with_mns(g)
+        assert qp == listed_qp, g.name
+        if g.name in fired:
+            assert qp == QpType(OTHER_QUASIPRIMITIVE, (g.degree,), g.degree), g.name
+            assert ([frozenset(m.chain().elements()) for m in mns]
+                    == [frozenset(m.chain().elements()) for m in listed_mns]), g.name
+    # every AGL(1, p), p <= 13, ASL(2,3), AGL(2,3), AGL(3,2) (not
+    # solvable), AGL(2,5), 3^2:4, and S3, A4, S4 in their natural actions
+    expected = {f"AGL(1,{p})" for p in (2, 3, 5, 7, 11, 13)}
+    expected |= {"ASL(2,3)", "AGL(2,3)", "AGL(3,2)", "AGL(2,5)", "3^2:4", "S3", "A4", "S4"}
+    assert expected <= fired
+    assert not any(qp.tag == ALMOST_SIMPLE for g, (qp, _) in zip(groups, typed)
+                   if g.name in fired)
+
+
+def psl_2_7_on_8_points():
+    # 2 generates the non-zero squares mod 7
+    return projective_line(7, 2, "PSL(2,7)")
+
+
+def a5_wr_s2_product_action():
+    """A5 wr S2 on the 25 pairs (i, j), as 5i + j."""
+    rows = [tuple(5 * p[i] + j for i in range(5) for j in range(5))
+            for p in alternating_group(5).generators]
+    swap = tuple(5 * j + i for i in range(5) for j in range(5))
+    return perm_group(rows + [swap], degree=25, name="A5 wr S2 on 25 points")
+
+
+@pytest.mark.parametrize("make, closures_taken, expected", [
+    (psl_2_7_on_8_points, 0, QpType(ALMOST_SIMPLE, (168,), 168)),
+    (a5_wr_s2_product_action, 5, QpType(OTHER_QUASIPRIMITIVE, (3600,), 3600)),
+], ids=["PSL(2,7)", "A5wrS2"])
+def test_abelian_socle_not_found_where_there_is_none(monkeypatch, make, closures_taken,
+                                                     expected):
+    # primitive, not solvable and of prime-power degree, so the search
+    # spends all its draws.  No minimal normal subgroup is abelian: every
+    # fixed-point-free element of order 2 in PSL(2,7) fails to commute with
+    # a conjugate, while in A5 wr S2 an element (1, b) commutes with its
+    # conjugates by the generators, and some of them reach a closure
+    g = make()
+    assert is_primitive(g) and order(permcore.derived_series(g)[-1]) > 1
+    closures = []
+    normal_closure = groupprops.normal_closure
+    monkeypatch.setattr(groupprops, "normal_closure", lambda h, seeds: (
+        closures.append(order(h)) or normal_closure(h, seeds)))
+    start = time.perf_counter()
+    assert groupprops._abelian_socle(g) is None
+    elapsed = time.perf_counter() - start
+    assert closures == [order(g)] * closures_taken
+    # about 0.5 ms and 5 ms on one machine; the bound leaves room for a slow one
+    assert elapsed < 0.1, f"a failed search took {elapsed:.3f}s"
+    assert classify_qp_with_mns(g)[0] == expected
+
+
+def test_giant_spectra_from_cycle_types(monkeypatch):
+    # A_n and S_n for n = 2..9, and a seeded conjugate of each, which has
+    # the same element orders
+    rng = random.Random(35)
+    groups, listed = [], []
+    for n in range(2, 10):
+        for make in (alternating_group, symmetric_group):
+            g = make(n)
+            x = tuple(rng.sample(range(n), n))
+            conjugates = [compose(inverse(x), compose(s, x)) for s in g.generators]
+            groups += [g, perm_group(conjugates, degree=n, name=f"{g.name}^x")]
+            listed += [{permcore.element_order(t) for t in g.chain().elements()}] * 2
+
+    def refuse(chain):
+        raise AssertionError("listed")
+
+    monkeypatch.setattr(StabilizerChain, "elements", refuse)
+    assert [element_order_spectrum(g, enum_cap=1) for g in groups] == listed
+
+
+def test_certified_typing_lists_nothing(monkeypatch, capsys, tmp_path):
+    from treelat.cli import main
+
+    def refuse(chain):
+        raise AssertionError("listed")
+
+    monkeypatch.setattr(StabilizerChain, "elements", refuse)
+    for g, socle in ((matrix_group(401, 1, [[[3]]], "AGL(1,401)"), 401),
+                     (agl_5_2(), 32), (symmetric_group(4), 4)):
+        assert classify_qp_with_mns(g)[0] == QpType(OTHER_QUASIPRIMITIVE, (socle,), socle)
+    # A9 against A9 on 10 points: A9's orders come from its cycle types, and
+    # the draws find each of them in s
+    a9 = alternating_group(9)
+    a9_on_10 = perm_group([s + (9,) for s in a9.generators], degree=10)
+    assert section_necessary(a9, a9_on_10).exact == UNKNOWN
+    path = tmp_path / "agl_5_2.json"
+    path.write_text(json.dumps(permcore.group_to_raw(agl_5_2())))
+    assert main(["analyze", "--pair", str(path), str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["theorem01"]["applicable"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -928,8 +1078,8 @@ def test_section_exact_tries_the_embedding_first(monkeypatch):
 
 
 def _s5_socle():
-    # a normal closure, with three generators
-    socle = classify_qp_with_mns(symmetric_group(5))[1][0]
+    # S5's socle as a normal closure, with more than two generators
+    socle = permcore.derived_subgroup(symmetric_group(5))
     assert len(socle.generators) > 2 and order(socle) == 60
     return socle
 
@@ -1179,13 +1329,13 @@ def test_section_necessary_lists_s_only_for_a_missing_order(monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "elements", counted)
     m11 = point_stabilizer(catalog.load_group("m12"))
-    # the draws from M11 find every order of A6; only A6 itself is listed
+    # the draws from M11 find every order of A6, whose own orders are read
+    # off its cycle types: nothing is listed
     assert section_necessary(alternating_group(6), m11, enum_cap=10_000).exact == UNKNOWN
-    assert listed == [360]
-    listed.clear()
+    assert listed == []
     # no element of C360 has order 4, so its whole spectrum is read
     assert section_necessary(alternating_group(6), _abelian_order_360()).exact == NO
-    assert listed == [360, 360]
+    assert listed == [360]
     # the cap on |s| holds whether or not s is listed
     with pytest.raises(TooLarge):
         section_necessary(alternating_group(5), m11, enum_cap=1000)

@@ -26,6 +26,7 @@ from treelat.permcore import (
     group_from_raw,
     group_to_raw,
     identity,
+    induced_action_on_pairs,
     inverse,
     is_identity,
     normal_closure,
@@ -446,9 +447,10 @@ def test_enumerate_elements_s3():
 
 
 def test_enumerate_elements_too_large():
-    # enumerations that feed a report are capped
+    # enumerations that feed a report are capped; A6 on 6 points would be
+    # read off its cycle types, so A6 on its 15 pairs is listed
     with pytest.raises(TooLarge):
-        element_order_spectrum(alternating_group(6), enum_cap=100)
+        element_order_spectrum(induced_action_on_pairs(alternating_group(6)), enum_cap=100)
 
 
 def test_enumerate_elements_trivial():
@@ -642,7 +644,6 @@ def test_point_stabilizer_a6():
 
 
 def test_point_stabilizer_s5_on_pairs():
-    from treelat.permcore import induced_action_on_pairs
     g = induced_action_on_pairs(symmetric_group(5))
     # brute force over the 120 induced elements
     fixing = [e for e in closure_elements(g.generators, 10)
