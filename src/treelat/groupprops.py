@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
@@ -36,8 +35,6 @@ from .errors import (
     TooLarge,
 )
 from .permcore import (
-    DEFAULT_ENUM_CAP,
-    DRAW_SEED,
     Perm,
     PermGroup,
     StabilizerChain,
@@ -58,9 +55,10 @@ from .permcore import (
     point_stabilizer,
 )
 
+DEFAULT_ENUM_CAP = 1_000_000
 DEFAULT_SECTION_CAP = 2_000
-# each call seeds its own generator with permcore.DRAW_SEED; these bound
-# the random draws of one call
+# each budget bounds how many draws one search reads from one
+# StabilizerChain.draws() stream
 _SPECTRUM_DRAWS = 64
 _GENERATOR_PAIRS = 16
 _TUPLE_DRAWS = 2_000
@@ -267,8 +265,7 @@ def _giant_residual(g: PermGroup) -> Optional[PermGroup]:
         return None
     if ratio == 1:
         return g
-    chain, rng = g.chain(), random.Random(DRAW_SEED)
-    draws = (chain.random_element(rng) for _ in range(_TRANSPORT_DRAWS))
+    draws = itertools.islice(g.chain().draws(), _TRANSPORT_DRAWS)
     return PermGroup(degree=n, generators=alternating_group(n).generators,
                      bsgs=chain_of_known_order(n, filter(_is_even, draws), order(g) // 2))
 
@@ -283,8 +280,7 @@ def _on_support(h: PermGroup) -> tuple[list[int], PermGroup]:
     def relabel(s: Perm) -> Perm:
         return tuple(label[s[x]] for x in support)
 
-    chain, rng = h.chain(), random.Random(DRAW_SEED)
-    draws = (relabel(chain.random_element(rng)) for _ in range(_TRANSPORT_DRAWS))
+    draws = map(relabel, itertools.islice(h.chain().draws(), _TRANSPORT_DRAWS))
     return support, PermGroup(degree=len(support), generators=tuple(map(relabel, h.generators)),
                               bsgs=chain_of_known_order(len(support), draws, order(h)))
 
@@ -437,16 +433,15 @@ def _abelian_socle(g: PermGroup) -> Optional[PermGroup]:
     if order(series[-1]) == 1:
         return series[-2]
     p = primes.pop()
-    chain, rng = g.chain(), random.Random(DRAW_SEED)
-    for _ in range(_AFFINE_DRAWS):
-        r = chain.random_element(rng)
+    draws = g.chain().draws()
+    for r in itertools.islice(draws, _AFFINE_DRAWS):
         o = element_order(r)
         if o % p:
             continue
         x = _power(r, o // p)
         if any(x[i] == i for i in range(n)):
             continue
-        conjugators = [*g.generators, chain.random_element(rng)]
+        conjugators = [*g.generators, next(draws)]
         if not all(_commute(x, compose(inverse(y), compose(x, y))) for y in conjugators):
             continue
         socle = normal_closure(g, [x])
@@ -569,9 +564,7 @@ def element_order_spectrum(g: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP) -> se
 def _draws_then_elements(chain: StabilizerChain) -> Iterator[Perm]:
     """_SPECTRUM_DRAWS seeded random elements of the chain's group, then
     all its elements, listed only if the caller reads past the draws."""
-    rng = random.Random(DRAW_SEED)
-    for _ in range(_SPECTRUM_DRAWS):
-        yield chain.random_element(rng)
+    yield from itertools.islice(chain.draws(), _SPECTRUM_DRAWS)
     yield from chain.elements()
 
 
@@ -620,16 +613,15 @@ def section_necessary(m: PermGroup, s: PermGroup,
                          witness=witness)
 
 
-def _two_generators(m: PermGroup, om: int, rng: random.Random) -> tuple[Perm, ...]:
+def _two_generators(m: PermGroup, om: int) -> tuple[Perm, ...]:
     """A pair of random elements of m whose chain has order |m|, so that
     they generate m, when one of _GENERATOR_PAIRS seeded pairs does; else
     m's non-identity generators."""
     gens = tuple(g for g in m.generators if not is_identity(g))
     if len(gens) <= 2:
         return gens
-    chain = m.chain()
-    for _ in range(_GENERATOR_PAIRS):
-        pair = (chain.random_element(rng), chain.random_element(rng))
+    draws = m.chain().draws()
+    for pair in itertools.islice(zip(draws, draws), _GENERATOR_PAIRS):
         if StabilizerChain(m.degree, pair).order() == om:
             return pair
     return gens
@@ -667,15 +659,12 @@ def _maps_onto(images: Sequence[Perm], gens: Sequence[Perm],
     return ox % om == 0 and _graph_order(gens, images) == ox
 
 
-def _drawn_tuples(s: PermGroup, gens: Sequence[Perm],
-                  rng: random.Random) -> Iterator[tuple[Perm, ...]]:
+def _drawn_tuples(s: PermGroup, gens: Sequence[Perm]) -> Iterator[tuple[Perm, ...]]:
     """Tuples of random elements x_i of s with ord(x_i) = ord(g_i), from
     _TUPLE_DRAWS draws in all."""
     wanted = [element_order(g) for g in gens]
-    chain = s.chain()
     images: list[Perm] = []
-    for _ in range(_TUPLE_DRAWS):
-        x = chain.random_element(rng)
+    for x in itertools.islice(s.chain().draws(), _TUPLE_DRAWS):
         if element_order(x) != wanted[len(images)]:
             continue
         images.append(x)
@@ -752,14 +741,13 @@ def section_exact_small(m: PermGroup, s: PermGroup,
         return YES
     if os_ > cap:
         return UNKNOWN
-    rng = random.Random(DRAW_SEED)
-    gens = _two_generators(m, om, rng)
+    gens = _two_generators(m, om)
     words = _word_orders(gens[0], gens[1])
 
     def found(tuples: Iterator[tuple[Perm, ...]]) -> bool:
         return any(_maps_onto(xs, gens, words, om) for xs in tuples)
 
-    if found(_drawn_tuples(s, gens, rng)):
+    if found(_drawn_tuples(s, gens)):
         return YES
     p = derived_series(s)[-1]
     return YES if order(p) % om == 0 and found(_listed_tuples(p, gens)) else NO

@@ -64,6 +64,10 @@ elements of the closure N of seeds in g, and returns g once it reaches
 of a simplicity proof, as a perfect group's derived subgroup; only a
 proper closure is completed.
 
+Random elements come from generators seeded with ``DRAW_SEED``, whose
+only readers are ``StabilizerChain.draws`` and ``normal_closure``; each
+call seeds its own, so every search replays the same draws on every run.
+
 Image tuples are not validated here: outside data enters through
 ``group_from_raw``, which checks that every generator is a bijection.
 """
@@ -76,7 +80,7 @@ import random
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -85,13 +89,11 @@ from .errors import (
     optional_field,
 )
 
-DEFAULT_ENUM_CAP = 1_000_000
 # the most points a permutation the engine builds or reads may move
 DEGREE_BOUND = 1_000_000
-# every call that draws random elements (normal_closure's random phase,
-# groupprops' section tests) seeds its own generator with DRAW_SEED, so
-# every chain and report is reproducible; normal_closure completes its
-# chain after _CLOSURE_MISSES draws in a row sift to the identity
+# read only by StabilizerChain.draws and normal_closure (module
+# docstring); normal_closure completes its chain after _CLOSURE_MISSES
+# draws in a row sift to the identity
 DRAW_SEED = 0
 _CLOSURE_MISSES = 4
 
@@ -447,6 +449,13 @@ class StabilizerChain:
             elif v is not ident:
                 g = compose(v, g)
         return g
+
+    def draws(self) -> Iterator[Perm]:
+        """random_element without end, from a generator seeded with
+        DRAW_SEED at the call: every call gives the same stream."""
+        rng = random.Random(DRAW_SEED)
+        while True:
+            yield self.random_element(rng)
 
     def elements(self) -> list[Perm]:
         """All group elements as image tuples (size = order)."""

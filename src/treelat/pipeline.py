@@ -27,6 +27,7 @@ from .errors import (
 )
 from .groupprops import (
     ALMOST_SIMPLE,
+    DEFAULT_ENUM_CAP,
     DEFAULT_SECTION_CAP,
     INTRANSITIVE,
     NO,
@@ -51,7 +52,7 @@ from .localaction import (
     sphere_index,
     tower,
 )
-from .permcore import DEFAULT_ENUM_CAP, PermGroup, order, point_stabilizer
+from .permcore import PermGroup, order, point_stabilizer
 from .vhcomplex import HORIZONTAL, VERTICAL, VhDatum, validate
 
 # how the constant-type hypothesis is satisfied for a side
@@ -63,7 +64,7 @@ CONSTANT_NOT_ASSERTED = "not_asserted"
 @dataclass(frozen=True)
 class AnalysisCaps:
     """Tower depth and enumeration budgets, defaulting to
-    `localaction.DEFAULT_DEPTH`, `permcore.DEFAULT_ENUM_CAP` and
+    `localaction.DEFAULT_DEPTH`, `groupprops.DEFAULT_ENUM_CAP` and
     `groupprops.DEFAULT_SECTION_CAP`; `strict` is no budget, it makes
     validation reject self-paired squares."""
 

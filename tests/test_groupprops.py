@@ -1050,19 +1050,19 @@ def test_section_exact_matches_bruteforce(suite):
 
 def _drawn_phase(m, s):
     """Whether a tuple of section_exact_small's drawn phase in s passes the
-    tuple test, with m's generators and draws seeded as there."""
-    om, rng = order(m), random.Random(permcore.DRAW_SEED)
-    gens = groupprops._two_generators(m, om, rng)
+    tuple test, with m's generators and draws as there."""
+    om = order(m)
+    gens = groupprops._two_generators(m, om)
     words = groupprops._word_orders(gens[0], gens[1])
     return any(groupprops._maps_onto(xs, gens, words, om)
-               for xs in groupprops._drawn_tuples(s, gens, rng))
+               for xs in groupprops._drawn_tuples(s, gens))
 
 
 def _listed_phase(m, p):
     """Whether a tuple of section_exact_small's listed phase in p passes
     the tuple test, with m's generators as there."""
     om = order(m)
-    gens = groupprops._two_generators(m, om, random.Random(permcore.DRAW_SEED))
+    gens = groupprops._two_generators(m, om)
     words = groupprops._word_orders(gens[0], gens[1])
     return any(groupprops._maps_onto(xs, gens, words, om)
                for xs in groupprops._listed_tuples(p, gens))

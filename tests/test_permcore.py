@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -520,6 +522,38 @@ def test_random_elements_follow_an_extended_chain():
     chain.extend(from_cycles(5, [(0, 1, 2, 3, 4)]))
     assert chain.order() == 60
     assert {chain.random_element(rng) for _ in range(600)} == set(chain.elements())
+
+
+def _seed_and_random_references(path):
+    """The names under which a module's syntax tree refers to DRAW_SEED
+    and to the random module: names, attributes and imports, read as
+    tests/test_dead_code.py reads them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ("DRAW_SEED", "random"):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr == "DRAW_SEED":
+            yield node.attr
+        elif isinstance(node, ast.alias) and node.name in ("DRAW_SEED", "random"):
+            yield node.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            yield node.module
+
+
+def test_draws_replay_one_stream_seeded_in_permcore_only():
+    # draws() is random_element under a generator seeded once with
+    # DRAW_SEED, the same stream on every call
+    for g in (alternating_group(7), mathieu_group_12(),
+              induced_action_on_pairs(symmetric_group(5))):
+        chain = g.chain()
+        rng = random.Random(permcore.DRAW_SEED)
+        expected = [chain.random_element(rng) for _ in range(50)]
+        assert list(itertools.islice(chain.draws(), 50)) == expected, g.name
+        assert list(itertools.islice(chain.draws(), 50)) == expected, g.name
+    package = Path(permcore.__file__).parent
+    seeding = {path.name for path in sorted(package.glob("*.py"))
+               if any(_seed_and_random_references(path))}
+    assert seeding == {"permcore.py"}
 
 
 def test_draws_and_element_lists_never_multiply_by_the_identity(suite, monkeypatch):
