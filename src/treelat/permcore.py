@@ -25,7 +25,7 @@ never replaces a representative.  Each level remembers which Schreier
 generators already sifted to the identity; because orbits only grow, such
 a generator and its sift path never change, so it is never sifted again.
 Level 0 forms its Schreier generators from the chain's inputs alone (the
-generators it was built from and the residues ``extend`` installed): by
+generators it was built from and the residues ``add`` installed): by
 Schreier's lemma any generating set of the group gives the stabilizer of
 the first base point, and the inputs are usually far fewer than the
 strong generators.  A deeper level's group is known only through the
@@ -44,25 +44,29 @@ identity exactly when w = v_γ·s equals v_β, so v_β⁻¹ is formed only at
 β's first generator where they differ, once per visit of β.  A block
 chain remembers the residues it has handed to its kernel and drops a
 repeat before any block test or sift.
-``StabilizerChain.extend`` grows a finished chain in place, which is how
-``normal_closure`` keeps one chain for the whole closure.  That private
-chain, and a block chain's kernel, are the only ones ever extended: a
-group shares its chain's levels with its point stabilizer.
+``StabilizerChain.add`` sifts an element and installs a residue that is
+not the identity as an input, with no completion; ``extend`` is ``add``
+followed by the completion, so it grows a finished chain in place.  That
+is how ``normal_closure`` keeps one chain for the whole closure, and a
+closure's group is generated by its chain's inputs, with no list of
+generators kept beside them.  That private chain, and a block chain's
+kernel, are the only ones ever extended: a group shares its chain's
+levels with its point stabilizer.
 
 A chain needs no verification when its group's order is known (Seress,
 *Permutation Group Algorithms*, ch. 4).  Grow a chain from elements of a
-group H, installing each residue that is not the identity with no
-completion: each basic orbit lies in the orbit of the stabilizer in H of
-the base points before it, so the chain's order is at most |H|.  At |H|
-every basic orbit is that whole orbit and the base's pointwise stabilizer
-is trivial, so the chain is a complete chain of H; the same bound, from
-any level on, shows that the level's strong generators generate its
-stabilizer.  ``chain_of_known_order`` grows one to a known order, for
-``groupprops._on_support``.  ``normal_closure`` grows one from random
-elements of the closure N of seeds in g, and returns g once it reaches
-|g|, which proves N = g.  Typing meets such whole closures at every level
-of a simplicity proof, as a perfect group's derived subgroup; only a
-proper closure is completed.
+group H with ``add``, which installs each residue that is not the
+identity with no completion: each basic orbit lies in the orbit of the
+stabilizer in H of the base points before it, so the chain's order is at
+most |H|.  At |H| every basic orbit is that whole orbit and the base's
+pointwise stabilizer is trivial, so the chain is a complete chain of H;
+the same bound, from any level on, shows that the level's strong
+generators generate its stabilizer.  ``chain_of_known_order`` grows one
+to a known order, for ``groupprops._on_support``.  ``normal_closure``
+grows one from random elements of the closure N of seeds in g, and
+returns g once it reaches |g|, which proves N = g.  Typing meets such
+whole closures at every level of a simplicity proof, as a perfect
+group's derived subgroup; only a proper closure is completed.
 
 Random elements come from generators seeded with ``DRAW_SEED``, whose
 only readers are ``StabilizerChain.draws`` and ``normal_closure``; each
@@ -183,7 +187,7 @@ class StabilizerChain:
 
     ``_inputs`` holds the generators the group was given by, each with its
     inverse: the constructor's generators other than the identity, each
-    once, then each residue ``extend`` installed.  Residues installed while
+    once, then each residue ``add`` installed.  Residues installed while
     completing the chain are not inputs, and neither is a generator a block
     chain sends to its kernel.  The inputs are a sub-list of ``_gens[0]``,
     and a chain from ``stabilizer()`` takes its own level-0 generators as
@@ -257,8 +261,7 @@ class StabilizerChain:
                 self._install(t, True)
         self._complete(len(self.base) - 1)
         if self.kernel is not None:
-            _close_under_conjugation(self.kernel, [s for s, _ in self.kernel._gens[0]],
-                                     [s for s, _ in self._inputs])
+            _close_under_conjugation(self.kernel, [s for s, _ in self._inputs])
 
     # -- construction ------------------------------------------------------
 
@@ -396,15 +399,23 @@ class StabilizerChain:
             else:
                 i = changed
 
-    def extend(self, g: Perm) -> bool:
-        """Add g to the group in place; False, leaving the chain unchanged,
-        when g is already a member.  Only chains with blocks of one point
-        are extended."""
+    def add(self, g: Perm) -> Optional[int]:
+        """Sift g and install a residue that is not the identity as an
+        input, with no completion; returns the deepest level whose
+        generators changed, or None when g sifts to the identity.  Only
+        chains with blocks of one point are added to."""
         residue = self._sift_from(0, g)
         if residue == self._identity:
-            return False
-        self._complete(self._install(residue, True))
-        return True
+            return None
+        return self._install(residue, True)
+
+    def extend(self, g: Perm) -> bool:
+        """Add g to the group in place and complete the chain; False,
+        leaving the chain unchanged, when g is already a member."""
+        changed = self.add(g)
+        if changed is not None:
+            self._complete(changed)
+        return changed is not None
 
     def stabilizer(self) -> StabilizerChain:
         """Chain of the stabilizer of the first base point (for a block
@@ -469,20 +480,15 @@ class StabilizerChain:
         return elems
 
 
-def _close_under_conjugation(chain: StabilizerChain, gens: list[Perm],
-                             conjugators: Sequence[Perm]) -> None:
-    """Extend `chain`, the chain of the group `gens` generate, by
-    conjugates of its elements under the conjugators until it is closed
-    under them; `gens` gains each conjugate that extended the chain."""
+def _close_under_conjugation(chain: StabilizerChain, conjugators: Sequence[Perm]) -> None:
+    """Extend `chain` by the conjugates of its inputs under the
+    conjugators until it is closed under them.  The inputs generate the
+    chain's group, and each residue an extension installs joins them, so
+    the conjugates of every input lie in the group at the end."""
     pairs = [(x, inverse(x)) for x in conjugators]
-    queue = list(gens)
-    while queue:
-        h = queue.pop()
+    for h, _ in chain._inputs:  # the inputs grow while they are walked
         for x, x_inv in pairs:
-            c = compose(x_inv, compose(h, x))
-            if chain.extend(c):
-                gens.append(c)
-                queue.append(c)
+            chain.extend(compose(x_inv, compose(h, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +576,8 @@ def point_stabilizer(g: PermGroup) -> PermGroup:
         # start at 0, since those are the chains of stabilizers
         return g
     stab = g.chain().stabilizer()
-    # a regular g has one level and a trivial stabilizer
-    gens = tuple(s for s, _ in stab._gens[0]) if stab._gens else ()
-    return PermGroup(degree=g.degree, generators=gens, bsgs=stab)
+    return PermGroup(degree=g.degree, generators=tuple(s for s, _ in stab._inputs),
+                     bsgs=stab)
 
 
 class _Members(list):
@@ -587,8 +592,9 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     A closure equal to g is proved by its order, with no Schreier-Sims
     completion.  A random phase grows an unverified chain from seeded
     random elements of N: r <- x⁻¹(r·s)x, with s a random seed and x a
-    random element of g, installing each residue of r that is not the
-    identity as an input.  Conjugating the whole product, not only the
+    random element of g, adding each r to the chain with
+    ``StabilizerChain.add``, which installs its residue as an input when
+    that is not the identity.  Conjugating the whole product, not only the
     seed, keeps consecutive draws from sifting alike when the seeds move
     few points.  Each residue lies in N, so the chain's order is at most
     |N| <= |g| (module docstring): reaching |g| proves N = g, and g is
@@ -609,7 +615,8 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
     Otherwise it is extended by the seeds and closed under conjugation by
     g's generators, which is how the closure is built when the phase does
     not run.  The residues are elements of N, so the result is N either
-    way.
+    way.  Its generators are its chain's inputs: the residues of the
+    random phase, of the seeds and of the conjugates that extended it.
     """
     seed_tuples = []
     for s in seeds:
@@ -618,7 +625,6 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
         if not is_identity(s):
             seed_tuples.append(s)
     chain = StabilizerChain(g.degree, ())
-    gens: list[Perm] = []
     if (seed_tuples
             # conjugates of even seeds are even: N = g needs an odd seed or an even g
             and (not all(map(_is_even, seed_tuples)) or all(map(_is_even, g.generators)))
@@ -639,21 +645,20 @@ def normal_closure(g: PermGroup, seeds: Iterable[Perm]) -> PermGroup:
                 r = ident
             elif x != ident:
                 r = compose(inverse(x), compose(r, x))
-            residue = chain._sift_from(0, r)
-            if residue == ident:
+            if chain.add(r) is None:
                 misses += 1
                 continue
             misses = 0
-            chain._install(residue, True)
-            gens.append(residue)
             if chain.order() == target:
                 return g
         chain._complete(len(chain.base) - 1)
         if chain.order() == target:
             return g
-    gens += [t for t in seed_tuples if chain.extend(t)]
-    _close_under_conjugation(chain, gens, g.generators)
-    return PermGroup(degree=g.degree, generators=tuple(gens), bsgs=chain)
+    for t in seed_tuples:
+        chain.extend(t)
+    _close_under_conjugation(chain, g.generators)
+    return PermGroup(degree=g.degree, generators=tuple(s for s, _ in chain._inputs),
+                     bsgs=chain)
 
 
 def chain_of_known_order(degree: int, members: Iterable[Perm],
@@ -668,9 +673,7 @@ def chain_of_known_order(degree: int, members: Iterable[Perm],
         g = next(members, None)
         if g is None:
             return None
-        residue = chain._sift_from(0, g)
-        if residue != chain._identity:
-            chain._install(residue, True)
+        chain.add(g)
     return chain
 
 

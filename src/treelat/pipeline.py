@@ -361,6 +361,10 @@ def wang_index_bound(vol_ratio: Ratio) -> WangIndexBound:
     """N = floor(vol_ratio) and the (N-1)! bound on the index of the kernel
     of the coset action inside the lattice.  The cap on N is compared with
     the ratio itself, before the floor builds an integer of its size."""
+    # a quiet NaN is the one value unequal to itself; it is refused before
+    # any ordering comparison, which a Decimal NaN would signal
+    if vol_ratio != vol_ratio:
+        raise RatioBelowOne("covolume ratio must be >= 1, got nan")
     if vol_ratio < 1:
         # shown as a float: str() of a long denominator is refused, and a
         # ratio below the float range is shown as -inf

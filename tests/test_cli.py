@@ -490,6 +490,12 @@ def test_bound_below_one(capsys):
     assert code == 2
 
 
+def test_bound_nan_is_refused_at_parse_time(capsys):
+    code, out, err = run(capsys, "bound", "--ratio", "nan")
+    assert code == 2 and out == ""
+    assert "cannot parse ratio" in err and "Traceback" not in err
+
+
 def test_bound_cap_exits_3(capsys):
     # (1999)! has more digits than int-to-string conversion allows, and
     # the factorial for 1e12 would never finish: both stop at the N cap

@@ -856,6 +856,46 @@ def test_proper_closure_completes_the_random_chain(g, seed, monkeypatch):
         assert chain.contains(p) == (p in expected)
 
 
+def test_a_proper_closure_is_generated_by_its_chain_inputs():
+    # a closure that is not g itself keeps no generator list beside its
+    # chain: its generators are the chain's inputs, in order, and they
+    # generate the closure.  The cases are those of the test above, and
+    # the closure of each generator of each small engine-suite group
+    (mark,) = test_proper_closure_completes_the_random_chain.pytestmark
+    closures = [(g, [seed]) for g, seed in mark.args[1]]
+    closures += [(g, [s]) for g in engine_suite() if order(g) <= 120
+                 for s in g.generators]
+    proper = 0
+    for g, seeds in closures:
+        nc = normal_closure(g, seeds)
+        if nc is g:
+            continue
+        proper += 1
+        assert nc.generators == tuple(s for s, _ in nc.chain()._inputs), g.name
+        assert set(nc.chain().elements()) == normal_closure_bruteforce(
+            g.generators, g.degree, seeds), g.name
+    # whether N = g is a fact about the groups: the 4 cases above and 19
+    # closures of a generator are proper
+    assert proper == 23
+
+
+def test_inputs_join_a_built_chain_only_through_add():
+    # _sift_from and _install belong to StabilizerChain: every other
+    # caller grows a chain through add or extend.  Each top-level
+    # statement of the package is scanned for names and attributes, as
+    # tests/test_dead_code.py scans it
+    package = Path(permcore.__file__).parent
+    owners = set()
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name in ("_sift_from", "_install"):
+                    owners.add((path.name, getattr(stmt, "name", None)))
+    assert owners == {("permcore.py", "StabilizerChain")}
+
+
 @pytest.mark.parametrize("g, seed", [
     (symmetric_group(4), from_cycles(4, [(0, 1), (2, 3)])),
     (symmetric_group(4), from_cycles(4, [(0, 1, 2)])),

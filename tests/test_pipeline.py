@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,14 @@ def test_wang_index_bound_rejects_below_one():
         wang_index_bound(0.5)
     with pytest.raises(RatioBelowOne):
         wang_index_bound(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), Decimal("NaN")], ids=["float", "Decimal"])
+def test_wang_index_bound_rejects_nan(ratio):
+    # NaN fails every ordering comparison, so it must be refused before
+    # them: a float NaN would reach math.floor, and a Decimal NaN signals
+    with pytest.raises(RatioBelowOne, match="nan"):
+        wang_index_bound(ratio)
 
 
 @given(st.floats(min_value=1.0, max_value=50.0, allow_nan=False))
